@@ -19,7 +19,11 @@ from conftest import BENCH_SCALE
 from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import swan_topology
-from repro.online.batch import greedy_online_schedule, online_batch_schedule
+from repro.online import (
+    GeometricBatchingPolicy,
+    greedy_online_schedule,
+    run_online_policy,
+)
 from repro.workloads.generator import WorkloadSpec, generate_instance
 
 
@@ -36,7 +40,7 @@ def run_comparison():
     instance = generate_instance(graph, spec, model="free_path", rng=123)
     lp = solve_time_indexed_lp(instance)
     offline = lp_heuristic_schedule(lp).weighted_completion_time()
-    online = online_batch_schedule(instance, rng=0)
+    online = run_online_policy(instance, GeometricBatchingPolicy(2.0))
     greedy = greedy_online_schedule(instance)
     return {
         "lp_bound": lp.objective,

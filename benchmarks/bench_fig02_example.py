@@ -8,7 +8,7 @@ exactly.
 
 import pytest
 
-from repro import Coflow, CoflowInstance, Flow, paper_example_topology, solve_coflow_schedule
+from repro import Coflow, CoflowInstance, Flow, paper_example_topology, solve
 
 
 def build_instances():
@@ -26,8 +26,8 @@ def build_instances():
 
 def solve_both():
     single, free = build_instances()
-    sp = solve_coflow_schedule(single, algorithm="lp-heuristic", num_slots=8)
-    fp = solve_coflow_schedule(free, algorithm="lp-heuristic", num_slots=8)
+    sp = solve(single, "lp-heuristic", num_slots=8)
+    fp = solve(free, "lp-heuristic", num_slots=8)
     return sp, fp
 
 

@@ -18,7 +18,7 @@ Run with::
 
 import numpy as np
 
-from repro import CoflowScheduler
+from repro import solve
 from repro.openshop import (
     OpenShopInstance,
     brute_force_optimum,
@@ -46,12 +46,20 @@ def main():
 
     # The Section 5 reduction to coflow scheduling on disjoint unit edges.
     instance = openshop_to_coflow_instance(shop)
-    scheduler = CoflowScheduler(instance, rng=0)
-    heuristic = scheduler.heuristic()
-    stretch = scheduler.stretch_evaluation(num_samples=20)
+    heuristic = solve(instance, "lp-heuristic")
+    lower_bound = heuristic.lower_bound
+    # Average lambda over 20 draws, reusing the heuristic's LP solution.
+    average = solve(
+        instance,
+        "stretch-average",
+        rng=0,
+        num_samples=20,
+        lp_solution=heuristic.lp_solution,
+    )
+    stretch = average.extras["evaluation"]
 
     rows = [
-        ("coflow LP lower bound", scheduler.lower_bound),
+        ("coflow LP lower bound", lower_bound),
         ("exact open shop optimum (brute force)", optimum),
         ("open shop WSPT list schedule", wspt_value),
         ("coflow LP heuristic (lambda = 1)", heuristic.objective),
@@ -64,7 +72,7 @@ def main():
     for name, value in rows:
         print(f"{name.ljust(width)} | {value:24.2f}")
 
-    assert scheduler.lower_bound <= optimum + 1e-6
+    assert lower_bound <= optimum + 1e-6
     slack = float(shop.weights.sum())  # one slot of rounding per job
     assert stretch.average_objective <= 2.0 * optimum + slack
     print(

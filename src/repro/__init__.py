@@ -13,9 +13,7 @@ Topologies
 Core algorithms (the paper's contribution)
     :func:`~repro.core.timeindexed.solve_time_indexed_lp` (Section 3 /
     Appendix A), :func:`~repro.core.stretch.run_stretch` (Section 4.1),
-    :func:`~repro.core.heuristic.lp_heuristic_schedule` (Section 6.2),
-    :class:`~repro.core.scheduler.CoflowScheduler` /
-    :func:`~repro.core.scheduler.solve_coflow_schedule` (façade).
+    :func:`~repro.core.heuristic.lp_heuristic_schedule` (Section 6.2).
 Unified solver API
     :func:`~repro.api.solve` / :func:`~repro.api.solve_many` dispatch any
     registered algorithm (core or baseline) and return one common
@@ -46,21 +44,16 @@ from repro.schedule import (
 )
 from repro.core import (
     CoflowLPSolution,
-    CoflowScheduler,
-    SchedulingOutcome,
     evaluate_stretch,
     lp_heuristic_schedule,
     run_stretch,
-    solve_coflow_schedule,
     solve_multipath_lp,
     solve_time_indexed_lp,
     suggest_horizon,
 )
-from repro.online import online_batch_schedule
 from repro import api
 from repro.api import (
     SolveReport,
-    SolveRequest,
     SolverConfig,
     available_algorithms,
     register_algorithm,
@@ -86,19 +79,14 @@ __all__ = [
     "compact_schedule",
     "weighted_completion_time",
     "CoflowLPSolution",
-    "CoflowScheduler",
-    "SchedulingOutcome",
     "solve_time_indexed_lp",
     "suggest_horizon",
     "run_stretch",
     "evaluate_stretch",
     "lp_heuristic_schedule",
-    "solve_coflow_schedule",
     "solve_multipath_lp",
-    "online_batch_schedule",
     "api",
     "SolveReport",
-    "SolveRequest",
     "SolverConfig",
     "available_algorithms",
     "register_algorithm",

@@ -16,18 +16,19 @@ Components
 * :mod:`~repro.api.registry` — pluggable algorithm registry
   (:func:`register_algorithm`, :func:`available_algorithms`, capability
   flags such as ``supported_models``).
-* :mod:`~repro.api.request` — :class:`SolverConfig` / :class:`SolveRequest`
-  input objects gathering grid/ε/rng/backend/sampling knobs in one place.
+* :mod:`~repro.api.request` — the :class:`SolverConfig` input object
+  gathering grid/ε/rng/backend/sampling knobs in one place.
 * :mod:`~repro.api.report` — the common :class:`SolveReport` result type.
 * :mod:`~repro.api.batch` — :func:`solve` and the parallel batch runner
   :func:`solve_many` with shared-LP reuse across algorithms.
 
-Legacy entry points (:func:`repro.core.scheduler.solve_coflow_schedule`,
-the per-baseline ``*_schedule`` functions) remain available as thin shims.
+The registry entries call :mod:`repro.core` and :mod:`repro.baselines`
+directly; the per-baseline ``*_schedule`` functions remain available for
+callers that want the raw :class:`~repro.baselines.result.BaselineResult`.
 """
 
 from repro.api import algorithms as _algorithms  # noqa: F401 - registers built-ins
-from repro.api.batch import solve, solve_many, solve_request
+from repro.api.batch import solve, solve_many
 
 # Registers the online policies (online-batch, online-batch-wc,
 # online-resolve, online-wsjf).  Imported after the batch runner so
@@ -44,13 +45,12 @@ from repro.api.registry import (
     register_algorithm,
 )
 from repro.api.report import SolveReport
-from repro.api.request import SolveRequest, SolverConfig
+from repro.api.request import SolverConfig
 
 __all__ = [
     "ALL_MODELS",
     "AlgorithmInfo",
     "SolveReport",
-    "SolveRequest",
     "SolverConfig",
     "UnknownAlgorithmError",
     "algorithm_table",
@@ -59,5 +59,4 @@ __all__ = [
     "register_algorithm",
     "solve",
     "solve_many",
-    "solve_request",
 ]

@@ -18,15 +18,17 @@ name                 source                                      models
 ``sebf``             smallest effective bottleneck first         both
 ===================  ==========================================  ============
 
-Core algorithms share one uniform-grid LP solution per instance (flag
-``uses_shared_lp``); Jahanjou builds its own interval-indexed LP, and the
-remaining baselines are LP-free.
+Core algorithms round one time-indexed LP solution per instance (flag
+``uses_shared_lp``): a handed-in solution is reused when
+:func:`~repro.core.scheduler.lp_solution_for` finds it answers the
+config's request, otherwise they solve their own.  Jahanjou builds its own
+interval-indexed LP, and the remaining baselines are LP-free.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.baselines.greedy import (
     fifo_schedule,
@@ -38,33 +40,47 @@ from repro.baselines.result import BaselineResult
 from repro.baselines.sincronia import sincronia_schedule
 from repro.baselines.terra import terra_offline_schedule
 from repro.coflow.instance import CoflowInstance, TransmissionModel
+from repro.core.heuristic import lp_heuristic_schedule
+from repro.core.scheduler import lp_solution_for
+from repro.core.stretch import evaluate_stretch, run_stretch
 from repro.core.timeindexed import CoflowLPSolution, solve_time_indexed_lp
 from repro.schedule.feasibility import check_feasibility
+from repro.schedule.schedule import Schedule
 
 from repro.api.registry import register_algorithm
 from repro.api.report import SolveReport
 from repro.api.request import SolverConfig
 
 
-def _scheduler(
-    instance: CoflowInstance,
+def _core_report(
+    algorithm: str,
     config: SolverConfig,
-    lp_solution: Optional[CoflowLPSolution],
-):
-    from repro.core.scheduler import CoflowScheduler
+    lp_solution: CoflowLPSolution,
+    schedule: Schedule,
+    extras: Dict[str, object],
+    objective: Optional[float] = None,
+) -> SolveReport:
+    """The report of a core algorithm: *schedule* rounded from *lp_solution*.
 
-    return CoflowScheduler(
-        instance,
-        grid=config.grid,
-        num_slots=config.num_slots,
-        slot_length=config.slot_length,
-        epsilon=config.epsilon,
-        rng=config.rng,
-        verify=config.verify,
-        solver_method=config.solver_method,
-        strategy=config.strategy,
-        backend=config.backend,
+    *objective* defaults to the schedule's weighted completion time;
+    ``stretch-average`` passes its mean over the λ draws instead.
+    """
+    feasibility = None
+    if config.verify:
+        feasibility = check_feasibility(schedule)
+        feasibility.raise_if_infeasible()
+    return SolveReport(
+        algorithm=algorithm,
+        instance=lp_solution.instance,
+        objective=(
+            schedule.weighted_completion_time() if objective is None else objective
+        ),
+        coflow_completion_times=schedule.coflow_completion_times(),
+        lower_bound=lp_solution.objective,
         lp_solution=lp_solution,
+        schedule=schedule,
+        feasibility=feasibility,
+        extras=extras,
     )
 
 
@@ -81,9 +97,9 @@ def _solve_lp_heuristic(
     config: SolverConfig,
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
-    scheduler = _scheduler(instance, config, lp_solution)
-    outcome = scheduler.heuristic(compact=config.compact)
-    return SolveReport.from_outcome(outcome, instance)
+    lp = lp_solution_for(instance, shared=lp_solution, **config.lp_kwargs())
+    schedule = lp_heuristic_schedule(lp, compact=config.compact)
+    return _core_report("lp-heuristic", config, lp, schedule, {"lambda": 1.0})
 
 
 @register_algorithm(
@@ -97,9 +113,10 @@ def _solve_stretch(
     config: SolverConfig,
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
-    scheduler = _scheduler(instance, config, lp_solution)
-    outcome = scheduler.stretch(compact=config.compact)
-    return SolveReport.from_outcome(outcome, instance)
+    rng = config.make_rng()
+    lp = lp_solution_for(instance, shared=lp_solution, **config.lp_kwargs())
+    result = run_stretch(lp, rng=rng, compact=config.compact)
+    return _core_report("stretch", config, lp, result.schedule, {"lambda": result.lam})
 
 
 @register_algorithm(
@@ -113,11 +130,19 @@ def _solve_stretch_best(
     config: SolverConfig,
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
-    scheduler = _scheduler(instance, config, lp_solution)
-    outcome = scheduler.best_stretch(
-        num_samples=config.num_samples, compact=config.compact
+    rng = config.make_rng()
+    lp = lp_solution_for(instance, shared=lp_solution, **config.lp_kwargs())
+    evaluation = evaluate_stretch(
+        lp, num_samples=config.num_samples, rng=rng, compact=config.compact
     )
-    return SolveReport.from_outcome(outcome, instance)
+    best = evaluation.best_result
+    return _core_report(
+        "stretch-best",
+        config,
+        lp,
+        best.schedule,
+        {"lambda": best.lam, "evaluation": evaluation},
+    )
 
 
 @register_algorithm(
@@ -132,24 +157,19 @@ def _solve_stretch_average(
     config: SolverConfig,
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
-    scheduler = _scheduler(instance, config, lp_solution)
-    evaluation = scheduler.stretch_evaluation(
-        num_samples=config.num_samples, compact=config.compact
+    rng = config.make_rng()
+    lp = lp_solution_for(instance, shared=lp_solution, **config.lp_kwargs())
+    evaluation = evaluate_stretch(
+        lp, num_samples=config.num_samples, rng=rng, compact=config.compact
     )
     best = evaluation.best_result
-    feasibility = check_feasibility(best.schedule) if config.verify else None
-    if feasibility is not None:
-        feasibility.raise_if_infeasible()
-    return SolveReport(
-        algorithm="stretch-average",
-        instance=instance,
+    return _core_report(
+        "stretch-average",
+        config,
+        lp,
+        best.schedule,
+        {"evaluation": evaluation, "best_lambda": best.lam},
         objective=evaluation.average_objective,
-        coflow_completion_times=best.schedule.coflow_completion_times(),
-        lower_bound=scheduler.lower_bound,
-        lp_solution=scheduler.solve_lp(),
-        schedule=best.schedule,
-        feasibility=feasibility,
-        extras={"evaluation": evaluation, "best_lambda": best.lam},
     )
 
 
@@ -199,6 +219,8 @@ def _solve_jahanjou(
 ) -> SolveReport:
     # Jahanjou rounds its own interval-indexed LP; a shared uniform-grid LP
     # cannot be substituted, but its objective still serves as the bound.
+    # The interval LP is always solved directly: the α-point rounding needs
+    # the exact geometric grid, which a staged strategy may not return.
     epsilon = config.epsilon if config.epsilon is not None else OPTIMAL_EPSILON
     start = time.perf_counter()
     interval_solution = solve_time_indexed_lp(

@@ -4,15 +4,15 @@
 :class:`~repro.api.report.SolveReport`.  ``solve_many`` fans a batch of
 instances across a set of algorithms — optionally over a
 :class:`concurrent.futures.ProcessPoolExecutor` — solving the shared
-uniform-grid LP at most once per instance and handing it to every algorithm
+time-indexed LP at most once per instance and handing it to every algorithm
 that consumes it (exactly the reuse the paper's own evaluation performs when
 comparing the LP heuristic against the λ-sampling series).
 
-The shared solution is keyed on the *grid it was actually built on*:
-:class:`~repro.core.scheduler.CoflowScheduler` only reuses it when an
-algorithm's own grid parameters resolve to the same grid, and logs a debug
-line when reuse is skipped (e.g. requests that differ only in ``epsilon``).
-Each instance batch additionally runs under an
+The shared LP is the one the config asks for
+(:meth:`~repro.api.request.SolverConfig.lp_kwargs`, strategy and backend
+included), and :func:`~repro.core.scheduler.lp_solution_for` reuses it only
+for algorithms whose request it answers, logging a debug line when reuse is
+skipped.  Each instance batch additionally runs under an
 :class:`~repro.lp.solver.LPSolveCache`, so any algorithm that re-solves a
 program identical to one already solved in the batch (Jahanjou's interval
 LP, a mismatched-grid re-solve requested twice, ...) gets the memoized
@@ -29,13 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.coflow.instance import CoflowInstance
-from repro.core.timeindexed import CoflowLPSolution, solve_time_indexed_lp
+from repro.core.scheduler import lp_solution_for
+from repro.core.timeindexed import CoflowLPSolution
 from repro.lp.solver import solver_cache
 
 from repro.api.algorithms import BUILTIN_ALGORITHMS
 from repro.api.registry import get_algorithm
 from repro.api.report import SolveReport
-from repro.api.request import SolveRequest, SolverConfig
+from repro.api.request import SolverConfig
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +60,10 @@ def solve(
     config:
         Solver configuration; defaults to :class:`SolverConfig()`.
     lp_solution:
-        A previously solved uniform-grid LP solution for *instance*,
-        reused by algorithms with the ``uses_shared_lp`` capability (and
-        attached as the lower bound to LP-free baselines).
+        A previously solved time-indexed LP solution for *instance*,
+        reused by algorithms with the ``uses_shared_lp`` capability when it
+        answers their config's request (and attached as the lower bound to
+        LP-free baselines).
     overrides:
         Individual :class:`SolverConfig` fields overriding *config*, e.g.
         ``solve(inst, "stretch-best", num_samples=20, rng=7)``.
@@ -79,11 +81,6 @@ def solve(
     if report.solve_seconds is None:
         report.solve_seconds = time.perf_counter() - start
     return report
-
-
-def solve_request(request: SolveRequest) -> SolveReport:
-    """Solve one :class:`SolveRequest` (convenience wrapper over :func:`solve`)."""
-    return solve(request.instance, request.algorithm, config=request.config)
 
 
 # --------------------------------------------------------------------------- #
@@ -118,14 +115,7 @@ def _solve_instance_batch(
     with solver_cache() as cache:
         shared: Optional[CoflowLPSolution] = None
         if share_lp and any(info.uses_shared_lp for info in infos):
-            shared = solve_time_indexed_lp(
-                instance,
-                grid=config.grid,
-                num_slots=config.num_slots,
-                slot_length=config.slot_length,
-                epsilon=config.epsilon,
-                solver_method=config.solver_method,
-            )
+            shared = lp_solution_for(instance, **config.lp_kwargs())
         reports = [
             solve(instance, info.name, config=config, lp_solution=shared)
             for info in infos
@@ -168,7 +158,7 @@ def solve_many(
     parallel:
         Number of worker processes; ``None`` or ``1`` runs in-process.
     share_lp:
-        Solve the uniform-grid LP once per instance and reuse it across all
+        Solve the time-indexed LP once per instance and reuse it across all
         ``uses_shared_lp`` algorithms of that instance (on by default).
     """
     names: Tuple[str, ...] = (

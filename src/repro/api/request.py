@@ -1,22 +1,19 @@
-"""Input objects of the unified solver API.
+"""The input object of the unified solver API.
 
-:class:`SolverConfig` gathers every knob that used to be scattered across
-``CoflowScheduler``, ``solve_coflow_schedule`` and the baseline entry points
-(time grid, ε, λ-sampling, LP backend, randomness, verification) into one
-immutable value object, and :class:`SolveRequest` pairs a config with an
-instance and an algorithm name — the unit of work of
-:func:`repro.api.solve_many`.
+:class:`SolverConfig` gathers every solver knob (time grid, ε, λ-sampling,
+LP backend, randomness, verification) into one immutable value object, and
+:meth:`SolverConfig.lp_kwargs` is the one place that says which
+time-indexed LP a config asks for.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.coflow.instance import CoflowInstance
 from repro.core.stretch import DEFAULT_NUM_SAMPLES
 from repro.schedule.timegrid import TimeGrid
 from repro.utils.rng import RandomSource, as_generator
@@ -75,6 +72,24 @@ class SolverConfig:
         """A copy of this config with the given fields overridden."""
         return dataclasses.replace(self, **changes)
 
+    def lp_kwargs(self) -> Dict[str, object]:
+        """The :func:`~repro.core.timeindexed.solve_time_indexed_lp` arguments
+        this config implies.
+
+        The only hand-written mapping from config to LP: every caller that
+        solves or shares a time-indexed LP, and the store fingerprint, build
+        on it, so a new LP field cannot be dropped by one of them.
+        """
+        return {
+            "grid": self.grid,
+            "num_slots": self.num_slots,
+            "slot_length": self.slot_length,
+            "epsilon": self.epsilon,
+            "solver_method": self.solver_method,
+            "strategy": self.strategy,
+            "backend": self.backend,
+        }
+
     def make_rng(self) -> np.random.Generator:
         """The configured random source as a generator."""
         return as_generator(self.rng)
@@ -89,11 +104,3 @@ class SolverConfig:
             return []
         return as_generator(self.rng).spawn(count)
 
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """One unit of work: solve *instance* with *algorithm* under *config*."""
-
-    instance: CoflowInstance
-    algorithm: str = "lp-heuristic"
-    config: SolverConfig = field(default_factory=SolverConfig)

@@ -1,333 +1,88 @@
-"""High-level façade: one call from instance to schedule.
+"""The shared-LP reuse decision: may this LP solution answer this request?
 
-:class:`CoflowScheduler` wraps the LP solve (cached), the Stretch algorithm,
-the LP heuristic and the λ-sampling evaluation behind a small object, and
-:func:`solve_coflow_schedule` offers a single-function entry point used by
-the examples and the experiment harness.
+The paper's four offline algorithms (the LP heuristic, Stretch, Best λ and
+Average λ) are all roundings of one time-indexed LP solution per instance,
+so every caller that runs several of them — the batch runner, the sweep,
+``repro verify``, the experiment runner and the registry entries
+themselves — solves that LP once and hands it around.
+:func:`lp_solution_for` is the one place that decides whether a handed-in
+solution may be reused for a request, by comparing the request recorded on
+the solution (:func:`repro.core.timeindexed.lp_request`) with the one
+asked for.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.coflow.instance import CoflowInstance
-from repro.core.heuristic import lp_heuristic_schedule
-from repro.core.stretch import (
-    DEFAULT_NUM_SAMPLES,
-    StretchEvaluation,
-    StretchResult,
-    evaluate_stretch,
-    run_stretch,
-)
 from repro.core.timeindexed import (
     CoflowLPSolution,
+    lp_request,
     resolve_grid,
     solve_time_indexed_lp,
 )
-from repro.schedule.feasibility import FeasibilityReport, check_feasibility
-from repro.schedule.schedule import Schedule
 from repro.schedule.timegrid import TimeGrid
-from repro.utils.rng import RandomSource, as_generator
 
 logger = logging.getLogger(__name__)
 
-#: Algorithms understood by :func:`solve_coflow_schedule`.
-ALGORITHMS = ("lp-heuristic", "stretch", "stretch-average", "stretch-best")
 
-
-def _grid_key(grid: TimeGrid) -> str:
-    """Stable cache key of a time grid.
-
-    Delegates to :meth:`TimeGrid.boundary_digest` — the single canonical
-    grid identity also backing ``TimeGrid.__eq__``/``__hash__`` and the
-    result-store fingerprints — so "same grid" can never mean different
-    things in different caches.
-    """
-    return grid.boundary_digest()
-
-
-@dataclass
-class SchedulingOutcome:
-    """The result of scheduling an instance with one algorithm.
-
-    Attributes
-    ----------
-    algorithm:
-        Name of the algorithm that produced the schedule.
-    schedule:
-        The feasible schedule (``None`` only for aggregate-only outcomes).
-    objective:
-        Weighted completion time of the schedule (or the reported aggregate
-        for ``stretch-average``).
-    lower_bound:
-        The LP objective — a lower bound on the optimum (paper Eq. 11).
-    lp_solution:
-        The underlying LP solution.
-    feasibility:
-        Feasibility report of the returned schedule, when one was checked.
-    extras:
-        Algorithm-specific data (e.g. the sampled λ, the full stretch
-        evaluation).
-    """
-
-    algorithm: str
-    objective: float
-    lower_bound: float
-    lp_solution: CoflowLPSolution
-    schedule: Optional[Schedule] = None
-    feasibility: Optional[FeasibilityReport] = None
-    extras: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def gap(self) -> float:
-        """Objective divided by the LP lower bound."""
-        if self.lower_bound <= 0:
-            return float("inf")
-        return self.objective / self.lower_bound
-
-
-class CoflowScheduler:
-    """Schedules one instance, reusing a single LP solve across algorithms.
-
-    Parameters
-    ----------
-    instance:
-        The coflow scheduling instance (its :class:`TransmissionModel`
-        decides which constraints the LP uses).
-    grid:
-        Explicit time grid; overrides *num_slots*, *slot_length*, *epsilon*.
-    num_slots, slot_length:
-        Uniform-grid specification (defaults to an automatically suggested
-        horizon of unit slots).
-    epsilon:
-        When given, use the geometric interval grid of Appendix A instead of
-        a uniform grid.
-    rng:
-        Random source for λ sampling.
-    verify:
-        When true (default), every produced schedule is checked for
-        feasibility and the report attached to the outcome.
-    solver_method:
-        scipy ``linprog`` backend used for the LP solve.
-    strategy:
-        Staged-solve strategy for the time-indexed LP (``"direct"``,
-        ``"refine"`` or ``"coarsen"``; see
-        :func:`repro.core.timeindexed.solve_time_indexed_lp`).
-    backend:
-        Solver backend selector passed through to the staged pipeline.
-    lp_solution:
-        A previously solved LP solution for *instance*, seeding the cache so
-        several algorithms (or several schedulers) can share one LP solve.
-    """
-
-    def __init__(
-        self,
-        instance: CoflowInstance,
-        *,
-        grid: Optional[TimeGrid] = None,
-        num_slots: Optional[int] = None,
-        slot_length: float = 1.0,
-        epsilon: Optional[float] = None,
-        rng: RandomSource = None,
-        verify: bool = True,
-        solver_method: str = "highs",
-        strategy: str = "direct",
-        backend: str = "auto",
-        lp_solution: Optional[CoflowLPSolution] = None,
-    ) -> None:
-        if lp_solution is not None and lp_solution.instance is not instance:
-            raise ValueError("lp_solution was computed for a different instance")
-        self.instance = instance
-        self._grid = grid
-        self._num_slots = num_slots
-        self._slot_length = slot_length
-        self._epsilon = epsilon
-        self._rng = as_generator(rng)
-        self._verify = verify
-        self._solver_method = solver_method
-        self._strategy = strategy
-        self._backend = backend
-        # The LP cache is keyed on the *actual* grid the LP was built on, so
-        # a seeded (shared) solution is only reused when this scheduler's own
-        # grid parameters resolve to the same grid — a request that differs
-        # (e.g. only in epsilon) triggers a fresh, correct solve instead of
-        # silently reusing a mismatched LP.
-        self._lp_solutions: Dict[str, CoflowLPSolution] = {}
-        self._resolved_grid: Optional[TimeGrid] = None
-        if lp_solution is not None:
-            self._lp_solutions[_grid_key(lp_solution.grid)] = lp_solution
-
-    # ------------------------------------------------------------------ #
-    # LP
-    # ------------------------------------------------------------------ #
-    def _resolve_grid(self) -> TimeGrid:
-        """The grid this scheduler's parameters resolve to (cached).
-
-        Delegates to :func:`repro.core.timeindexed.resolve_grid` — the same
-        resolution :func:`solve_time_indexed_lp` performs — so the cache key
-        always agrees with the grid a shared solution was built on.
-        """
-        if self._resolved_grid is None:
-            self._resolved_grid = resolve_grid(
-                self.instance,
-                grid=self._grid,
-                num_slots=self._num_slots,
-                slot_length=self._slot_length,
-                epsilon=self._epsilon,
-            )
-        return self._resolved_grid
-
-    def solve_lp(self) -> CoflowLPSolution:
-        """Solve (and cache) the time-indexed LP for this instance.
-
-        The cache is keyed on the resolved grid; a seeded shared solution
-        built on a different grid is skipped (with a debug log) rather than
-        silently reused.
-        """
-        grid = self._resolve_grid()
-        key = _grid_key(grid)
-        solution = self._lp_solutions.get(key)
-        if solution is None:
-            if self._lp_solutions:
-                logger.debug(
-                    "shared LP reuse skipped for instance %r: requested grid %r "
-                    "does not match any cached grid; solving fresh",
-                    self.instance.name,
-                    grid,
-                )
-            solution = solve_time_indexed_lp(
-                self.instance,
-                grid=grid,
-                solver_method=self._solver_method,
-                strategy=self._strategy,
-                backend=self._backend,
-            )
-            self._lp_solutions[key] = solution
-        return solution
-
-    @property
-    def lower_bound(self) -> float:
-        """The LP objective (a lower bound on the optimal weighted completion time)."""
-        return self.solve_lp().objective
-
-    # ------------------------------------------------------------------ #
-    # algorithms
-    # ------------------------------------------------------------------ #
-    def _outcome(
-        self,
-        algorithm: str,
-        schedule: Schedule,
-        extras: Optional[Dict[str, object]] = None,
-    ) -> SchedulingOutcome:
-        lp_solution = self.solve_lp()
-        feasibility = None
-        if self._verify:
-            feasibility = check_feasibility(schedule)
-            feasibility.raise_if_infeasible()
-        return SchedulingOutcome(
-            algorithm=algorithm,
-            objective=schedule.weighted_completion_time(),
-            lower_bound=lp_solution.objective,
-            lp_solution=lp_solution,
-            schedule=schedule,
-            feasibility=feasibility,
-            extras=dict(extras or {}),
-        )
-
-    def heuristic(self, *, compact: bool = True) -> SchedulingOutcome:
-        """The LP-based heuristic (λ = 1) of Section 6.2."""
-        schedule = lp_heuristic_schedule(self.solve_lp(), compact=compact)
-        return self._outcome("lp-heuristic", schedule, {"lambda": 1.0})
-
-    def stretch(
-        self, *, lam: Optional[float] = None, compact: bool = True
-    ) -> SchedulingOutcome:
-        """One run of the randomized Stretch algorithm (Section 4.1)."""
-        result: StretchResult = run_stretch(
-            self.solve_lp(), lam=lam, rng=self._rng, compact=compact
-        )
-        return self._outcome(
-            "stretch", result.schedule, {"lambda": result.lam}
-        )
-
-    def stretch_evaluation(
-        self,
-        *,
-        num_samples: int = DEFAULT_NUM_SAMPLES,
-        compact: bool = True,
-    ) -> StretchEvaluation:
-        """Run Stretch for several λ samples (the paper's 20-sample protocol)."""
-        return evaluate_stretch(
-            self.solve_lp(), num_samples=num_samples, rng=self._rng, compact=compact
-        )
-
-    def best_stretch(
-        self,
-        *,
-        num_samples: int = DEFAULT_NUM_SAMPLES,
-        compact: bool = True,
-    ) -> SchedulingOutcome:
-        """The best schedule over *num_samples* λ draws ("Best λ")."""
-        evaluation = self.stretch_evaluation(num_samples=num_samples, compact=compact)
-        best = evaluation.best_result
-        outcome = self._outcome(
-            "stretch-best", best.schedule, {"lambda": best.lam}
-        )
-        outcome.extras["evaluation"] = evaluation
-        return outcome
-
-
-def solve_coflow_schedule(
+def lp_solution_for(
     instance: CoflowInstance,
     *,
-    algorithm: str = "lp-heuristic",
+    shared: Optional[CoflowLPSolution] = None,
     grid: Optional[TimeGrid] = None,
     num_slots: Optional[int] = None,
     slot_length: float = 1.0,
     epsilon: Optional[float] = None,
-    rng: RandomSource = None,
-    compact: bool = True,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    verify: bool = True,
     solver_method: str = "highs",
-) -> SchedulingOutcome:
-    """One-call entry point: schedule *instance* with the chosen algorithm.
+    strategy: str = "direct",
+    backend: str = "auto",
+) -> CoflowLPSolution:
+    """The time-indexed LP solution of *instance* for one request.
 
-    .. deprecated::
-        This is a thin shim over :func:`repro.api.solve`, kept for backward
-        compatibility; it only reaches the paper's own algorithms.  New code
-        should use :mod:`repro.api`, which also exposes the baselines, the
-        algorithm registry and the parallel batch runner, and returns the
-        unified :class:`~repro.api.report.SolveReport`.
+    The keyword arguments are those of
+    :func:`~repro.core.timeindexed.solve_time_indexed_lp`, usually
+    ``**config.lp_kwargs()``.  *shared* is returned as is when it answers
+    the same request — same resolved grid, strategy, backend and solver
+    method; otherwise the LP is solved (and the skipped reuse logged at
+    debug level).
 
-    Parameters
-    ----------
-    algorithm:
-        ``"lp-heuristic"`` (default), ``"stretch"`` (one random λ),
-        ``"stretch-best"`` (best of *num_samples* λ draws) or
-        ``"stretch-average"`` (reports the mean objective over the draws;
-        the returned schedule is the best one).
-    Remaining parameters are forwarded to :class:`CoflowScheduler`.
+    Raises
+    ------
+    ValueError
+        If *shared* was computed for a different instance.
     """
-    from repro.api import SolverConfig, solve
-
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+    if shared is not None:
+        if shared.instance is not instance:
+            raise ValueError("lp_solution was computed for a different instance")
+        grid = resolve_grid(
+            instance,
+            grid=grid,
+            num_slots=num_slots,
+            slot_length=slot_length,
+            epsilon=epsilon,
         )
-    config = SolverConfig(
+        request = lp_request(
+            grid, solver_method=solver_method, strategy=strategy, backend=backend
+        )
+        if shared.metadata.get("request") == request:
+            return shared
+        logger.debug(
+            "shared LP reuse skipped for instance %r: request %r does not "
+            "match the shared solution's %r; solving fresh",
+            instance.name,
+            request,
+            shared.metadata.get("request"),
+        )
+    return solve_time_indexed_lp(
+        instance,
         grid=grid,
         num_slots=num_slots,
         slot_length=slot_length,
         epsilon=epsilon,
-        rng=rng,
         solver_method=solver_method,
-        num_samples=num_samples,
-        compact=compact,
-        verify=verify,
+        strategy=strategy,
+        backend=backend,
     )
-    return solve(instance, algorithm, config=config).to_outcome()

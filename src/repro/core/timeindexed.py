@@ -117,8 +117,8 @@ def resolve_grid(
     4. otherwise, a uniform grid sized by :func:`suggest_horizon`.
 
     This is the single source of truth shared by
-    :func:`solve_time_indexed_lp` and the grid-keyed LP cache of
-    :class:`~repro.core.scheduler.CoflowScheduler` — both must resolve the
+    :func:`solve_time_indexed_lp` and the shared-LP reuse decision of
+    :func:`repro.core.scheduler.lp_solution_for` — both must resolve the
     same parameters to the same grid or shared-LP reuse silently degrades.
     """
     if grid is not None:
@@ -133,6 +133,23 @@ def resolve_grid(
             instance, slot_length=slot_length, slack=horizon_slack
         )
     return TimeGrid.uniform(num_slots, slot_length)
+
+
+def lp_request(
+    grid: TimeGrid, *, solver_method: str, strategy: str, backend: str
+) -> Dict[str, str]:
+    """The identity of one LP solve request, as recorded on its solution.
+
+    *grid* is the resolved grid the request asked for — not the adaptive
+    grid a ``coarsen`` solve ends on — so a solution answers exactly the
+    requests that would reproduce it.
+    """
+    return {
+        "grid": grid.boundary_digest(),
+        "solver_method": solver_method,
+        "strategy": strategy,
+        "backend": backend,
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -158,6 +175,11 @@ class CoflowLPSolution:
         ``None``.
     lp_result:
         The raw solver result (status, timings, sizes).
+    metadata:
+        LP size, staged-solve telemetry (``"solve_path"``) and, for
+        solutions of :func:`solve_time_indexed_lp`, the :func:`lp_request`
+        they answer (``"request"``: resolved-grid digest, solver method,
+        strategy, backend), which shared-LP reuse compares.
     """
 
     instance: CoflowInstance
@@ -702,7 +724,7 @@ def _package_solution(
     lp: LinearProgram,
     bundle: _LPIndexBundle,
     result: LPResult,
-    solver_method: str,
+    request: Dict[str, str],
     solve_path: Dict[str, object],
 ) -> CoflowLPSolution:
     fractions = result.values(bundle.x)
@@ -720,9 +742,9 @@ def _package_solution(
         edge_fractions=edge_fractions,
         lp_result=result,
         metadata={
-            "solver_method": solver_method,
             "lp_size": lp.size_summary(),
             "solve_path": solve_path,
+            "request": request,
         },
     )
 
@@ -773,7 +795,8 @@ def solve_time_indexed_lp(
         ``metadata["solve_path"]["coarsen"]``.
 
     Per-stage wall time, iteration counts and warm-start provenance are
-    recorded under ``metadata["solve_path"]`` for every strategy.
+    recorded under ``metadata["solve_path"]`` for every strategy, and the
+    request itself (:func:`lp_request`) under ``metadata["request"]``.
 
     Returns
     -------
@@ -797,6 +820,9 @@ def solve_time_indexed_lp(
         epsilon=epsilon,
         horizon_slack=horizon_slack,
     )
+    request = lp_request(
+        grid, solver_method=solver_method, strategy=strategy, backend=backend
+    )
 
     if strategy == "direct":
         lp, bundle, result = _solve_direct(
@@ -807,7 +833,7 @@ def solve_time_indexed_lp(
             "stages": [_stage_entry("direct", grid, result, warm_start=False)],
         }
         return _package_solution(
-            instance, grid, lp, bundle, result, solver_method, solve_path
+            instance, grid, lp, bundle, result, request, solve_path
         )
 
     # Both staged strategies start from the cheap geometric grid.
@@ -829,7 +855,7 @@ def solve_time_indexed_lp(
             "stages": [_stage_entry("direct", grid, result, warm_start=False)],
         }
         return _package_solution(
-            instance, grid, lp, bundle, result, solver_method, solve_path
+            instance, grid, lp, bundle, result, request, solve_path
         )
 
     coarse_lp, coarse_bundle, coarse_result = _solve_direct(
@@ -841,7 +867,7 @@ def solve_time_indexed_lp(
         coarse_lp,
         coarse_bundle,
         coarse_result,
-        solver_method,
+        request,
         {"strategy": "direct", "stages": []},
     )
     stages = [_stage_entry("coarse", coarse_grid, coarse_result, warm_start=False)]
@@ -861,7 +887,7 @@ def solve_time_indexed_lp(
         stages.append(_stage_entry("fine", grid, fine_result, warm_start=warm_used))
         solve_path = {"strategy": "refine", "stages": stages}
         return _package_solution(
-            instance, grid, fine_lp, fine_bundle, fine_result, solver_method, solve_path
+            instance, grid, fine_lp, fine_bundle, fine_result, request, solve_path
         )
 
     # strategy == "coarsen": adaptive grid from the stage's capacity duals.
@@ -923,5 +949,5 @@ def solve_time_indexed_lp(
         },
     }
     return _package_solution(
-        instance, final_grid, final_lp, final_bundle, final_result, solver_method, solve_path
+        instance, final_grid, final_lp, final_bundle, final_result, request, solve_path
     )

@@ -2,7 +2,9 @@
 
 The runner generates one workload instance per (experiment, benchmark) pair
 with a seed derived from the experiment seed, solves the time-indexed LP
-once, and evaluates every requested algorithm series on top of it.
+once (through :func:`repro.core.scheduler.lp_solution_for`, like every
+other shared-LP caller), and evaluates every requested algorithm series on
+top of it.
 Single-algorithm series dispatch through the unified :mod:`repro.api`
 registry (reusing the shared LP solution wherever it applies); the
 λ-sampling series keep bespoke handling because "Best λ" and "Average λ"
@@ -20,6 +22,7 @@ import numpy as np
 from repro.api import SolverConfig
 from repro.coflow.instance import CoflowInstance
 from repro.core.heuristic import lp_heuristic_schedule
+from repro.core.scheduler import lp_solution_for
 from repro.core.stretch import evaluate_stretch
 from repro.core.timeindexed import CoflowLPSolution, solve_time_indexed_lp
 from repro.experiments import figures as F
@@ -68,6 +71,11 @@ class ExperimentResult:
         return ratios
 
 
+#: The configuration of every single-algorithm series; its LP is the shared
+#: one each workload solves up front.
+_SERIES_CONFIG = SolverConfig(verify=False)
+
+
 def _objective(config: ExperimentConfig, weighted_value: float, total_value: float) -> float:
     return weighted_value if config.weighted else total_value
 
@@ -114,8 +122,7 @@ def _evaluate_series(
             else float(lp_solution.completion_times.sum())
         )
     # Single-algorithm series all dispatch through the unified solver API;
-    # the shared uniform-grid LP solution is reused wherever it applies.
-    solver_config = SolverConfig(verify=False)
+    # the shared LP solution is reused wherever it applies.
     for series_name, algorithm in F.SERIES_TO_ALGORITHM.items():
         if series_name not in series:
             continue
@@ -124,7 +131,7 @@ def _evaluate_series(
                 instance,
                 algorithm,
                 store=store,
-                config=solver_config,
+                config=_SERIES_CONFIG,
                 lp_solution=lp_solution,
             )
         out[series_name] = _objective(
@@ -270,7 +277,9 @@ def _run_experiment_body(
             seed = config.seed + 1000 * i
             instance = _instance_for(config, workload, scale, seed)
             with watch.measure(f"lp[{workload}]"):
-                lp_solution = solve_time_indexed_lp(instance)
+                lp_solution = lp_solution_for(
+                    instance, **_SERIES_CONFIG.lp_kwargs()
+                )
             result.values[workload] = _evaluate_series(
                 config, instance, lp_solution, rng, watch, store
             )

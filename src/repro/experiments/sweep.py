@@ -20,7 +20,7 @@ chunk into a :class:`~repro.store.ResultStore`:
   orchestrator does not funnel whole chunks through
   :func:`repro.api.solve_many`: its per-batch RNG spawning keys streams on
   batch *composition*, which a resume, by construction, changes.  The
-  per-instance execution pattern (one shared uniform-grid LP handed to
+  per-instance execution pattern (one shared time-indexed LP handed to
   every ``uses_shared_lp`` algorithm under one warm-start cache, worker
   processes over a pool) is the same.
 
@@ -59,7 +59,7 @@ from repro.api.algorithms import BUILTIN_ALGORITHMS
 from repro.api.batch import _effective_start_method
 from repro.api.registry import get_algorithm
 from repro.coflow.instance import CoflowInstance
-from repro.core.timeindexed import solve_time_indexed_lp
+from repro.core.scheduler import lp_solution_for
 from repro.lp.solver import solver_cache
 from repro.network.topologies import named_topology
 from repro.store import (
@@ -396,12 +396,13 @@ def _solve_unit_tasks(
     chaos=None,
     on_unit: Optional[Callable[[str], None]] = None,
 ) -> List[Tuple[str, Optional[Dict], Optional[Dict]]]:
-    """Solve one instance's units, sharing one uniform-grid LP.
+    """Solve one instance's units, sharing one time-indexed LP.
 
     Mirrors :func:`repro.api.batch._solve_instance_batch`: one shared LP
-    for every ``uses_shared_lp`` algorithm, everything under one warm-start
-    cache — but each unit carries its *own* config (its derived seed), and
-    the shared solution is handed *only* to ``uses_shared_lp`` algorithms.
+    (the one the first unit's config asks for) for every ``uses_shared_lp``
+    algorithm, everything under one warm-start cache — but each unit
+    carries its *own* config (its derived seed), and the shared solution is
+    handed *only* to ``uses_shared_lp`` algorithms.
     Both choices serve the same invariant: a unit's inputs (and therefore
     its stored bytes) depend on its address alone, never on which other
     units happen to share its chunk or group.  This is also why
@@ -431,20 +432,10 @@ def _solve_unit_tasks(
             for _, algorithm, _ in unit_tasks
         ):
             first_key, _, first_cfg = unit_tasks[0]
-
-            def shared_attempt(attempt: int):
-                return solve_time_indexed_lp(
-                    instance,
-                    grid=first_cfg.grid,
-                    num_slots=first_cfg.num_slots,
-                    slot_length=first_cfg.slot_length,
-                    epsilon=first_cfg.epsilon,
-                    solver_method=first_cfg.solver_method,
-                )
-
+            lp_kwargs = first_cfg.lp_kwargs()
             try:
                 shared = retry_call(
-                    shared_attempt,
+                    lambda attempt: lp_solution_for(instance, **lp_kwargs),
                     backoff=policy,
                     path=("sweep-shared-lp", first_key),
                 )

@@ -1,7 +1,7 @@
 """Interprocedural lint rules: seed flow, fabric write-safety, kernel purity.
 
 These are the graph-scoped rule families built on :mod:`repro.lint.callgraph`
-and :mod:`repro.lint.dataflow`.  Where the per-file rules (R001–R009) flag a
+and :mod:`repro.lint.dataflow`.  Where the per-file rules (R0xx) flag a
 *spelling* — ``time.time()``, ``open(..., "w")`` — these flag a *path*: the
 spelling may be three calls away from the entry point whose discipline it
 breaks, so every finding message carries the call chain that proves the

@@ -20,17 +20,14 @@ algorithms of :mod:`repro.core`:
   (``online-batch``, ``online-batch-wc``, ``online-resolve``,
   ``online-wsjf``) carry the ``online=True`` capability flag and flow
   through ``solve()``, ``repro sweep`` and ``repro verify``;
-* :func:`~repro.online.batch.online_batch_schedule` /
-  :func:`~repro.online.batch.greedy_online_schedule` — the original
-  single-shot entry points, kept for compatibility (the engine reproduces
-  ``online_batch_schedule`` exactly when early start is off).
+* :func:`~repro.online.batch.greedy_online_schedule` — the static WSJF
+  baseline as a single-shot simulator run.
 """
 
 from repro.online.batch import (
     BatchRecord,
     OnlineScheduleResult,
     greedy_online_schedule,
-    online_batch_schedule,
 )
 from repro.online.engine import OnlineEngine
 from repro.online.policies import (
@@ -55,6 +52,5 @@ __all__ = [
     "OnlineScheduleResult",
     "WSJFPolicy",
     "greedy_online_schedule",
-    "online_batch_schedule",
     "run_online_policy",
 ]

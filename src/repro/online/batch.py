@@ -20,7 +20,10 @@ resulting online scheduler inherits the paper's guarantees up to the
 batching constant.
 
 This module targets the *completion time* objective, as the paper notes that
-online *flow time* is a much harder open problem.
+online *flow time* is a much harder open problem.  The framework itself runs
+as :class:`~repro.online.policies.GeometricBatchingPolicy` on the event
+engine; this module holds what the policies share: the result types, the
+epoch arithmetic and the static WSJF baseline.
 """
 
 from __future__ import annotations
@@ -30,16 +33,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-# No repro.api import at module level: repro.api.__init__ imports
+# No repro.api import here: repro.api.__init__ imports
 # repro.online.policies (which imports this module) to register the online
 # algorithms, so pulling the api package in here would make the import
-# order observable.  online_batch_schedule imports what it needs lazily.
+# order observable.
 from repro.coflow.instance import CoflowInstance
 from repro.schedule.timegrid import relative_tol
 from repro.sim.simulator import simulate_priority_schedule, static_order_priority
 from repro.sim.rate_allocation import coflow_standalone_time
-from repro.utils.rng import RandomSource
-from repro.utils.validation import check_positive
 
 #: The offline algorithms the framework's guarantees are stated for.  Any
 #: algorithm registered in :mod:`repro.api` (and supporting the instance's
@@ -148,100 +149,6 @@ def _epoch_index(release_time: float, base: float) -> int:
     # Sub-1 releases collapse into epoch 0 regardless of how negative the
     # log ratio was (epoch 0 covers all of [0, 1)).
     return max(k + 1, 0)
-
-
-def _epoch_end(epoch: int, base: float) -> float:
-    return float(base**epoch)
-
-
-def online_batch_schedule(
-    instance: CoflowInstance,
-    *,
-    base: float = 2.0,
-    offline_algorithm: str = "lp-heuristic",
-    slot_length: float = 1.0,
-    rng: RandomSource = None,
-    verify: bool = True,
-) -> OnlineScheduleResult:
-    """Schedule *instance* online with the geometric batching framework.
-
-    Parameters
-    ----------
-    instance:
-        The coflow instance; release times define when coflows become known.
-    base:
-        Epoch growth factor (``2`` = doubling).  Must be > 1.
-    offline_algorithm:
-        Which offline algorithm schedules each batch — any name registered
-        in :mod:`repro.api` (``"lp-heuristic"``, ``"stretch"`` and
-        ``"stretch-best"`` carry the paper's approximation guarantee).
-    slot_length:
-        Slot length of the per-batch time-indexed LPs.
-    rng:
-        Randomness for the Stretch variants.
-    verify:
-        Whether the per-batch schedules are feasibility-checked.
-    """
-    from repro.api.batch import solve
-    from repro.api.registry import get_algorithm
-    from repro.api.request import SolverConfig
-
-    check_positive(base - 1.0, "base - 1")
-    info = get_algorithm(offline_algorithm)
-    info.check_supports(instance.model)
-    offline_config = SolverConfig(slot_length=slot_length, rng=rng, verify=verify)
-
-    release = instance.release_times
-    epochs: Dict[int, List[int]] = {}
-    for j, r in enumerate(release):
-        epochs.setdefault(_epoch_index(float(r), base), []).append(j)
-
-    completion = np.zeros(instance.num_coflows, dtype=float)
-    batches: List[BatchRecord] = []
-    current_time = 0.0
-
-    for epoch in sorted(epochs):
-        members = epochs[epoch]
-        epoch_end = _epoch_end(epoch, base)
-        batch_start = max(current_time, epoch_end)
-        # Build the batch sub-instance with release times reset: by the time
-        # the batch starts, every member has been released.
-        coflows = []
-        for j in members:
-            coflow = instance.coflows[j]
-            flows = [f.with_release_time(0.0) for f in coflow.flows]
-            coflows.append(coflow.with_flows(flows).with_release_time(0.0))
-        batch_instance = CoflowInstance(
-            instance.graph,
-            coflows,
-            model=instance.model,
-            name=f"{instance.name}-epoch{epoch}",
-        )
-        report = solve(batch_instance, offline_algorithm, config=offline_config)
-        batch_times = report.coflow_completion_times
-        for local_j, j in enumerate(members):
-            completion[j] = batch_start + float(batch_times[local_j])
-        makespan = float(batch_times.max(initial=0.0))
-        batches.append(
-            BatchRecord(
-                epoch_index=epoch,
-                epoch_end=epoch_end,
-                start_time=batch_start,
-                makespan=makespan,
-                coflow_indices=list(members),
-                offline_objective=report.objective,
-                lp_lower_bound=report.lower_bound,
-            )
-        )
-        current_time = batch_start + makespan
-
-    return OnlineScheduleResult(
-        instance=instance,
-        algorithm=f"online-batch[{offline_algorithm}]",
-        coflow_completion_times=completion,
-        batches=batches,
-        metadata={"base": base, "num_epochs": len(epochs)},
-    )
 
 
 #: Weights at or below this are treated as zero by :func:`wsjf_ratios`.

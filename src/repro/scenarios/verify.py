@@ -2,7 +2,7 @@
 
 :func:`run_verification` samples scenarios from the engine, runs **every
 registered algorithm** that supports each scenario's transmission model
-(through :mod:`repro.api`, sharing one uniform-grid LP per scenario exactly
+(through :mod:`repro.api`, sharing one time-indexed LP per scenario exactly
 like the batch runner), then cross-checks the invariant suite of
 :mod:`repro.scenarios.invariants` — vectorized LP ≡ reference builder,
 incremental simulator ≡ full re-allocation, schedule feasibility, LP
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.api import SolverConfig, available_algorithms, get_algorithm, solve
-from repro.core.timeindexed import solve_time_indexed_lp
+from repro.core.scheduler import lp_solution_for
 from repro.lp.solver import solver_cache
 from repro.store import ResultStore, config_fingerprint, text_key
 from repro.store.fingerprint import FingerprintError
@@ -69,7 +69,7 @@ def execute_scenario(
 ) -> ScenarioRun:
     """Solve one scenario with every applicable algorithm (no invariants yet).
 
-    Solves the shared uniform-grid LP once, hands it to every algorithm
+    Solves the shared time-indexed LP once, hands it to every algorithm
     (under one warm-start cache, exactly like the batch runner), and records
     crashes per algorithm instead of raising — the resulting
     :class:`ScenarioRun` is what the invariant suite cross-checks.  Exposed
@@ -99,14 +99,7 @@ def execute_scenario(
     with solver_cache():
         try:
             run.lp_solution = retry_call(
-                lambda attempt: solve_time_indexed_lp(
-                    instance,
-                    grid=cfg.grid,
-                    num_slots=cfg.num_slots,
-                    slot_length=cfg.slot_length,
-                    epsilon=cfg.epsilon,
-                    solver_method=cfg.solver_method,
-                ),
+                lambda attempt: lp_solution_for(instance, **cfg.lp_kwargs()),
                 backoff=VERIFY_BACKOFF,
                 path=("verify-shared-lp", *address),
             )

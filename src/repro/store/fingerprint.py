@@ -36,8 +36,9 @@ from repro.coflow.instance import CoflowInstance
 from repro.schedule.timegrid import TimeGrid
 
 #: Bump when the fingerprint scheme (or the serialized report surface it
-#: addresses) changes incompatibly; old entries then simply miss.
-FINGERPRINT_SCHEMA = 1
+#: addresses) changes incompatibly; old entries then simply miss.  Schema 2
+#: covers every LP argument of the config (strategy and backend included).
+FINGERPRINT_SCHEMA = 2
 
 
 class FingerprintError(ValueError):
@@ -87,6 +88,9 @@ def grid_fingerprint(grid: Optional[TimeGrid]) -> str:
 def config_fingerprint(config: SolverConfig) -> str:
     """Stable hex fingerprint of every result-affecting config field.
 
+    The LP part is :meth:`SolverConfig.lp_kwargs` itself, so every argument
+    that selects the time-indexed LP is covered by construction.
+
     Raises
     ------
     FingerprintError
@@ -100,12 +104,9 @@ def config_fingerprint(config: SolverConfig) -> str:
             "so cached results are reproducible"
         )
     fields = {
+        **config.lp_kwargs(),
         "grid": grid_fingerprint(config.grid),
-        "num_slots": config.num_slots,
-        "slot_length": config.slot_length,
-        "epsilon": config.epsilon,
         "rng": config.rng,
-        "solver_method": config.solver_method,
         "num_samples": config.num_samples,
         "compact": config.compact,
         "verify": config.verify,

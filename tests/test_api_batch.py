@@ -9,9 +9,11 @@ from repro.core.timeindexed import solve_time_indexed_lp
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
-from repro.network.topologies import paper_example_topology
+from repro.network.topologies import paper_example_topology, swan_topology
+from repro.workloads.generator import WorkloadSpec, generate_instance
 
 ALGORITHMS = ("lp-heuristic", "stretch-best", "fifo")
+CORE_ALGORITHMS = ("lp-heuristic", "stretch", "stretch-best", "stretch-average")
 
 
 def make_instances(count: int) -> list:
@@ -33,6 +35,15 @@ def make_instances(count: int) -> list:
 @pytest.fixture(scope="module")
 def instances():
     return make_instances(8)
+
+
+@pytest.fixture(scope="module")
+def swan_single_path():
+    """6 FB coflows on SWAN, single path, seed 3: at slot length 0.5 the
+    coarsen strategy ends on a 12-slot adaptive grid (bound 1115.21) where
+    direct solves 21 uniform slots (976.45)."""
+    spec = WorkloadSpec(profile="FB", num_coflows=6, seed=3)
+    return generate_instance(swan_topology(), spec, model="single_path", rng=3)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +145,7 @@ class TestSolveManyValidation:
 
 
 class TestSharedLPGridKeying:
-    """The shared LP is only reused when the request resolves to its grid."""
+    """The shared LP is only reused for the request it answers."""
 
     def test_matching_grid_is_reused(self, instances):
         instance = instances[0]
@@ -166,6 +177,35 @@ class TestSharedLPGridKeying:
         assert any(
             "shared LP reuse skipped" in record.message for record in caplog.records
         )
+
+    @pytest.mark.parametrize("strategy", ["direct", "refine", "coarsen"])
+    def test_same_request_is_reused(self, swan_single_path, strategy):
+        # Regression: reuse was keyed on the grid a solution lives on, so a
+        # coarsen solution (adaptive grid) was never reused for its own
+        # request and every algorithm re-solved it.
+        shared = solve_time_indexed_lp(
+            swan_single_path, slot_length=0.5, strategy=strategy
+        )
+        report = api.solve(
+            swan_single_path,
+            "lp-heuristic",
+            lp_solution=shared,
+            slot_length=0.5,
+            strategy=strategy,
+        )
+        assert report.lp_solution is shared
+
+    def test_strategy_mismatch_triggers_fresh_solve(self, swan_single_path):
+        shared = solve_time_indexed_lp(swan_single_path, slot_length=0.5)
+        report = api.solve(
+            swan_single_path,
+            "lp-heuristic",
+            lp_solution=shared,
+            slot_length=0.5,
+            strategy="coarsen",
+        )
+        assert report.lp_solution is not shared
+        assert report.solve_path["strategy"] == "coarsen"
 
     def test_explicit_grid_mismatch_triggers_fresh_solve(self, instances):
         from repro.schedule.timegrid import TimeGrid
@@ -301,6 +341,21 @@ class TestSolveStrategyThreading:
         config = SolverConfig(strategy="refine", slot_length=0.25)
         report = api.solve(make_instances(1)[0], "lp-heuristic", config=config)
         assert report.solve_path["strategy"] == "refine"
+
+    def test_solve_many_shares_the_requested_strategy(self, swan_single_path):
+        # Regression: solve_many's shared LP dropped strategy and backend, so
+        # core reports came back "direct" under a refine config.
+        config = SolverConfig(strategy="refine", slot_length=0.5, rng=0)
+        reports = solve_many(
+            [swan_single_path], CORE_ALGORITHMS + ("fifo",), config=config
+        )
+        core = [r for r in reports if r.algorithm in CORE_ALGORITHMS]
+        assert len(core) == len(CORE_ALGORITHMS)
+        for report in core:
+            assert report.solve_path["strategy"] == "refine"
+            assert report.lp_solution is core[0].lp_solution
+        single = api.solve(swan_single_path, "lp-heuristic", config=config)
+        assert single.solve_path["strategy"] == "refine"
 
     def test_baselines_have_no_solve_path(self):
         # An LP-free baseline solved standalone gets no shared LP, hence no

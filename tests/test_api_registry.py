@@ -13,7 +13,9 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.core.scheduler import solve_coflow_schedule
+from repro.core.heuristic import lp_heuristic_schedule
+from repro.core.stretch import evaluate_stretch, run_stretch
+from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import swan_topology
 from repro.workloads.generator import WorkloadSpec, generate_instance
 
@@ -149,41 +151,50 @@ class TestRoundTrip:
         assert baseline.lower_bound == pytest.approx(lp.objective)
 
 
+def core_objective(algorithm, lp):
+    """*algorithm*'s objective computed by calling core directly (seed 11)."""
+    if algorithm == "lp-heuristic":
+        return lp_heuristic_schedule(lp).weighted_completion_time()
+    if algorithm == "stretch":
+        return run_stretch(lp, rng=11).schedule.weighted_completion_time()
+    evaluation = evaluate_stretch(lp, num_samples=3, rng=11)
+    if algorithm == "stretch-best":
+        return evaluation.best_objective
+    return evaluation.average_objective
+
+
 class TestOldVsNewEntryPoints:
-    """The deprecation shim and repro.api must agree exactly."""
+    """The registry entries and direct calls into core must agree exactly."""
 
     @pytest.mark.parametrize(
         "algorithm", ["lp-heuristic", "stretch", "stretch-best", "stretch-average"]
     )
     def test_identical_objectives(self, algorithm, free_path_instance):
-        old = solve_coflow_schedule(
-            free_path_instance, algorithm=algorithm, rng=11, num_samples=3
-        )
-        new = api.solve(free_path_instance, algorithm, rng=11, num_samples=3)
-        assert old.objective == pytest.approx(new.objective, rel=1e-12)
-        assert old.lower_bound == pytest.approx(new.lower_bound, rel=1e-12)
+        lp = solve_time_indexed_lp(free_path_instance)
+        report = api.solve(free_path_instance, algorithm, rng=11, num_samples=3)
+        assert report.objective == core_objective(algorithm, lp)
+        assert report.lower_bound == lp.objective
 
     def test_shim_forwards_solver_method(self, free_path_instance):
-        # An invalid backend must surface as an error: before the fix,
-        # solve_coflow_schedule silently dropped solver_method.
+        # solver_method reaches the LP: an invalid backend must surface as
+        # an error rather than be dropped.
         with pytest.raises(ValueError):
-            solve_coflow_schedule(
-                free_path_instance,
-                algorithm="lp-heuristic",
-                solver_method="not-a-backend",
+            api.solve(
+                free_path_instance, "lp-heuristic", solver_method="not-a-backend"
             )
-        default = solve_coflow_schedule(free_path_instance, algorithm="lp-heuristic")
-        dual_simplex = solve_coflow_schedule(
-            free_path_instance, algorithm="lp-heuristic", solver_method="highs-ds"
+        default = api.solve(free_path_instance, "lp-heuristic")
+        dual_simplex = api.solve(
+            free_path_instance, "lp-heuristic", solver_method="highs-ds"
         )
         assert dual_simplex.lower_bound == pytest.approx(
             default.lower_bound, rel=1e-6
         )
-
-    def test_report_to_outcome_round_trip(self, free_path_instance):
-        report = api.solve(free_path_instance, "lp-heuristic")
-        outcome = report.to_outcome()
-        assert outcome.algorithm == report.algorithm
-        assert outcome.objective == report.objective
-        assert outcome.lower_bound == report.lower_bound
-        assert outcome.schedule is report.schedule
+        # A shared LP solved with another method does not answer the request.
+        reused = api.solve(
+            free_path_instance,
+            "lp-heuristic",
+            solver_method="highs-ds",
+            lp_solution=default.lp_solution,
+        )
+        assert reused.lp_solution is not default.lp_solution
+        assert reused.lp_solution.metadata["request"]["solver_method"] == "highs-ds"

@@ -1,99 +1,137 @@
-"""Tests for the CoflowScheduler façade and solve_coflow_schedule."""
+"""Tests for the shared-LP reuse decision and the core registry entries.
+
+``TestCoflowScheduler`` covers one instance scheduled by each core
+algorithm through :func:`repro.api.solve` on top of
+:func:`repro.core.scheduler.lp_solution_for`; ``TestSolveCoflowSchedule``
+covers the one-call solving of the paper's four algorithms.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.scheduler import ALGORITHMS, CoflowScheduler, solve_coflow_schedule
+from repro.api import UnknownAlgorithmError, solve
+from repro.core.scheduler import lp_solution_for
+from repro.core.stretch import run_stretch
+from repro.core.timeindexed import solve_time_indexed_lp
+
+CORE_ALGORITHMS = ("lp-heuristic", "stretch", "stretch-average", "stretch-best")
 
 
 class TestCoflowScheduler:
     def test_lp_solution_is_cached(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8)
-        first = scheduler.solve_lp()
-        second = scheduler.solve_lp()
+        first = lp_solution_for(example_free_path_instance, num_slots=8)
+        second = lp_solution_for(
+            example_free_path_instance, shared=first, num_slots=8
+        )
         assert first is second
+        assert first.metadata["request"] == {
+            "grid": first.grid.boundary_digest(),
+            "solver_method": "highs",
+            "strategy": "direct",
+            "backend": "auto",
+        }
+
+    def test_shared_solution_of_another_instance_rejected(
+        self, example_free_path_instance, example_single_path_instance
+    ):
+        other = lp_solution_for(example_single_path_instance, num_slots=8)
+        with pytest.raises(ValueError, match="different instance"):
+            lp_solution_for(example_free_path_instance, shared=other, num_slots=8)
 
     def test_lower_bound_property(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8)
-        assert scheduler.lower_bound == pytest.approx(5.0, abs=1e-5)
+        report = solve(example_free_path_instance, "lp-heuristic", num_slots=8)
+        assert report.lower_bound == pytest.approx(5.0, abs=1e-5)
+        assert report.lower_bound == report.lp_solution.objective
 
     def test_heuristic_outcome(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8)
-        outcome = scheduler.heuristic()
-        assert outcome.algorithm == "lp-heuristic"
-        assert outcome.objective == pytest.approx(5.0)
-        assert outcome.gap == pytest.approx(1.0, abs=1e-5)
-        assert outcome.feasibility is not None and outcome.feasibility.is_feasible
+        report = solve(example_free_path_instance, "lp-heuristic", num_slots=8)
+        assert report.algorithm == "lp-heuristic"
+        assert report.objective == pytest.approx(5.0)
+        assert report.gap == pytest.approx(1.0, abs=1e-5)
+        assert report.feasibility is not None and report.feasibility.is_feasible
+        assert report.extras == {"lambda": 1.0}
 
     def test_stretch_outcome_records_lambda(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8, rng=0)
-        outcome = scheduler.stretch()
-        assert outcome.algorithm == "stretch"
-        assert 0 < outcome.extras["lambda"] <= 1.0
-        assert outcome.objective >= outcome.lower_bound - 1e-6
+        report = solve(example_free_path_instance, "stretch", num_slots=8, rng=0)
+        assert report.algorithm == "stretch"
+        assert 0 < report.extras["lambda"] <= 1.0
+        assert report.objective >= report.lower_bound - 1e-6
 
     def test_stretch_with_fixed_lambda(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8)
-        outcome = scheduler.stretch(lam=1.0)
-        assert outcome.extras["lambda"] == 1.0
+        lp = solve_time_indexed_lp(example_free_path_instance, num_slots=8)
+        assert run_stretch(lp, lam=1.0).lam == 1.0
 
     def test_best_stretch_outcome(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8, rng=1)
-        outcome = scheduler.best_stretch(num_samples=5)
-        evaluation = outcome.extras["evaluation"]
-        assert outcome.objective == pytest.approx(evaluation.best_objective)
+        report = solve(
+            example_free_path_instance,
+            "stretch-best",
+            num_slots=8,
+            rng=1,
+            num_samples=5,
+        )
+        evaluation = report.extras["evaluation"]
+        assert list(report.extras) == ["lambda", "evaluation"]
+        assert report.objective == pytest.approx(evaluation.best_objective)
+        assert report.extras["lambda"] == evaluation.best_result.lam
 
     def test_stretch_evaluation_num_samples(self, example_free_path_instance):
-        scheduler = CoflowScheduler(example_free_path_instance, num_slots=8, rng=1)
-        assert scheduler.stretch_evaluation(num_samples=4).num_samples == 4
+        report = solve(
+            example_free_path_instance,
+            "stretch-average",
+            num_slots=8,
+            rng=1,
+            num_samples=4,
+        )
+        assert report.extras["evaluation"].num_samples == 4
 
 
 class TestSolveCoflowSchedule:
     def test_unknown_algorithm_rejected(self, example_free_path_instance):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            solve_coflow_schedule(example_free_path_instance, algorithm="magic")
+        with pytest.raises(UnknownAlgorithmError, match="unknown algorithm"):
+            solve(example_free_path_instance, "magic")
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", CORE_ALGORITHMS)
     def test_all_algorithms_run(self, example_free_path_instance, algorithm):
-        outcome = solve_coflow_schedule(
+        report = solve(
             example_free_path_instance,
-            algorithm=algorithm,
+            algorithm,
             num_slots=8,
             rng=0,
             num_samples=3,
         )
-        assert outcome.lower_bound == pytest.approx(5.0, abs=1e-5)
-        assert outcome.objective >= outcome.lower_bound - 1e-6
-        assert outcome.schedule is not None
+        assert report.lower_bound == pytest.approx(5.0, abs=1e-5)
+        assert report.objective >= report.lower_bound - 1e-6
+        assert report.schedule is not None
 
     def test_single_path_example(self, example_single_path_instance):
-        outcome = solve_coflow_schedule(
-            example_single_path_instance, algorithm="lp-heuristic", num_slots=8
-        )
-        assert outcome.objective == pytest.approx(7.0)
+        report = solve(example_single_path_instance, "lp-heuristic", num_slots=8)
+        assert report.objective == pytest.approx(7.0)
 
     def test_stretch_average_reports_mean(self, example_free_path_instance):
-        outcome = solve_coflow_schedule(
+        report = solve(
             example_free_path_instance,
-            algorithm="stretch-average",
+            "stretch-average",
             num_slots=8,
             rng=3,
             num_samples=5,
         )
-        evaluation = outcome.extras["evaluation"]
-        assert outcome.objective == pytest.approx(evaluation.average_objective)
-        assert outcome.objective >= evaluation.best_objective - 1e-9
+        evaluation = report.extras["evaluation"]
+        assert list(report.extras) == ["evaluation", "best_lambda"]
+        assert report.objective == pytest.approx(evaluation.average_objective)
+        assert report.objective >= evaluation.best_objective - 1e-9
+        np.testing.assert_array_equal(
+            report.coflow_completion_times,
+            evaluation.best_result.schedule.coflow_completion_times(),
+        )
 
     def test_gap_infinite_for_zero_bound(self, example_free_path_instance):
-        outcome = solve_coflow_schedule(
-            example_free_path_instance, algorithm="lp-heuristic", num_slots=8
-        )
-        outcome.lower_bound = 0.0
-        assert outcome.gap == float("inf")
+        report = solve(example_free_path_instance, "lp-heuristic", num_slots=8)
+        report.lower_bound = 0.0
+        assert report.gap == float("inf")
 
     def test_outcomes_within_two_of_bound(self, small_swan_free_instance):
-        outcome = solve_coflow_schedule(
-            small_swan_free_instance, algorithm="stretch-best", rng=0, num_samples=5
+        report = solve(
+            small_swan_free_instance, "stretch-best", rng=0, num_samples=5
         )
         slack = float(small_swan_free_instance.weights.sum())
-        assert outcome.objective <= 2.0 * outcome.lower_bound + slack
+        assert report.objective <= 2.0 * report.lower_bound + slack

@@ -476,60 +476,6 @@ class TestR007BroadExcept:
 
 
 # --------------------------------------------------------------------------- #
-# R008 — deprecated shims
-# --------------------------------------------------------------------------- #
-class TestR008DeprecatedShims:
-    def test_shim_import_is_flagged(self, tmp_path):
-        write_module(
-            tmp_path,
-            "experiments/runner.py",
-            """
-            from repro.core.scheduler import solve_coflow_schedule
-
-            def run(instance):
-                return solve_coflow_schedule(instance)
-            """,
-        )
-        assert "R008" in lint_codes(tmp_path, select=["R008"])
-
-    def test_shim_attribute_use_is_flagged(self, tmp_path):
-        write_module(
-            tmp_path,
-            "experiments/runner.py",
-            """
-            import repro.core.scheduler as scheduler
-
-            def run(instance):
-                return scheduler.solve_coflow_schedule(instance)
-            """,
-        )
-        assert "R008" in lint_codes(tmp_path, select=["R008"])
-
-    def test_package_init_is_exempt(self, tmp_path):
-        write_module(
-            tmp_path,
-            "__init__.py",
-            """
-            from repro.core.scheduler import solve_coflow_schedule
-            """,
-        )
-        assert lint_codes(tmp_path, select=["R008"]) == []
-
-    def test_api_use_passes(self, tmp_path):
-        write_module(
-            tmp_path,
-            "experiments/runner.py",
-            """
-            from repro.api import solve
-
-            def run(instance):
-                return solve(instance, "lp-heuristic")
-            """,
-        )
-        assert lint_codes(tmp_path, select=["R008"]) == []
-
-
-# --------------------------------------------------------------------------- #
 # R009 — bare sleep / ad-hoc retry
 # --------------------------------------------------------------------------- #
 class TestR009BareSleep:
@@ -702,7 +648,6 @@ def test_every_builtin_rule_has_an_injection_test():
         "R005",
         "R006",
         "R007",
-        "R008",
         "R009",
         "R010",
     }

@@ -6,19 +6,24 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.api import SolverConfig
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
 from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import parallel_edges_topology, swan_topology
-from repro.online.batch import (
-    _epoch_index,
-    greedy_online_schedule,
-    online_batch_schedule,
-    wsjf_ratios,
-)
+from repro.online import GeometricBatchingPolicy, run_online_policy
+from repro.online.batch import _epoch_index, greedy_online_schedule, wsjf_ratios
 from repro.workloads.generator import random_instance
+
+
+def run_batching(
+    instance, *, base=2.0, offline_algorithm="lp-heuristic", rng=None
+):
+    """The geometric batching policy (``online-batch``) run on *instance*."""
+    policy = GeometricBatchingPolicy(base, offline_algorithm=offline_algorithm)
+    return run_online_policy(instance, policy, config=SolverConfig(rng=rng))
 
 
 def staggered_instance() -> CoflowInstance:
@@ -101,7 +106,7 @@ class TestEpochIndex:
 class TestOnlineBatchSchedule:
     def test_completion_after_release_and_epoch_end(self):
         instance = staggered_instance()
-        result = online_batch_schedule(instance, rng=0)
+        result = run_batching(instance, rng=0)
         release = instance.release_times
         assert np.all(result.coflow_completion_times > release)
         for batch in result.batches:
@@ -109,14 +114,14 @@ class TestOnlineBatchSchedule:
 
     def test_batches_do_not_overlap(self):
         instance = staggered_instance()
-        result = online_batch_schedule(instance, rng=0)
+        result = run_batching(instance, rng=0)
         ordered = sorted(result.batches, key=lambda b: b.start_time)
         for earlier, later in zip(ordered, ordered[1:]):
             assert later.start_time >= earlier.start_time + earlier.makespan - 1e-9
 
     def test_every_coflow_assigned_to_exactly_one_batch(self):
         instance = staggered_instance()
-        result = online_batch_schedule(instance, rng=0)
+        result = run_batching(instance, rng=0)
         assigned = [j for batch in result.batches for j in batch.coflow_indices]
         assert sorted(assigned) == list(range(instance.num_coflows))
 
@@ -124,7 +129,7 @@ class TestOnlineBatchSchedule:
         instance = staggered_instance()
         offline = solve_time_indexed_lp(instance)
         offline_objective = lp_heuristic_schedule(offline).weighted_completion_time()
-        online = online_batch_schedule(instance, rng=0)
+        online = run_batching(instance, rng=0)
         assert online.weighted_completion_time >= offline_objective - 1e-6
         # The doubling framework is O(1)-competitive; on this tiny instance a
         # factor of 4 is a generous envelope.
@@ -135,13 +140,13 @@ class TestOnlineBatchSchedule:
         instance = random_instance(
             graph, num_coflows=3, with_release_times=False, model="free_path", rng=3
         )
-        result = online_batch_schedule(instance, rng=0)
+        result = run_batching(instance, rng=0)
         assert result.num_batches == 1
         assert result.metadata["num_epochs"] == 1
 
     def test_stretch_offline_algorithm_accepted(self):
         instance = staggered_instance()
-        result = online_batch_schedule(
+        result = run_batching(
             instance, offline_algorithm="stretch", rng=1
         )
         assert result.weighted_completion_time > 0
@@ -149,20 +154,20 @@ class TestOnlineBatchSchedule:
     def test_invalid_parameters(self):
         instance = staggered_instance()
         with pytest.raises(ValueError):
-            online_batch_schedule(instance, base=1.0)
+            run_batching(instance, base=1.0)
         with pytest.raises(ValueError):
-            online_batch_schedule(instance, offline_algorithm="magic")
+            run_batching(instance, offline_algorithm="magic")
 
     def test_competitive_ratio_helper(self):
         instance = staggered_instance()
-        result = online_batch_schedule(instance, rng=0)
+        result = run_batching(instance, rng=0)
         assert result.competitive_ratio(result.weighted_completion_time) == pytest.approx(1.0)
         assert result.competitive_ratio(0.0) == float("inf")
 
     def test_larger_base_waits_longer(self):
         instance = staggered_instance()
-        fast = online_batch_schedule(instance, base=2.0, rng=0)
-        slow = online_batch_schedule(instance, base=8.0, rng=0)
+        fast = run_batching(instance, base=2.0, rng=0)
+        slow = run_batching(instance, base=8.0, rng=0)
         # With base 8 all three releases fall into at most two epochs ending
         # no earlier than with base 2, so the late coflows cannot finish
         # earlier than in the base-2 run's last batch start.
@@ -216,7 +221,7 @@ class TestGreedyOnline:
 
     def test_batching_vs_greedy_tradeoff(self):
         instance = staggered_instance()
-        batched = online_batch_schedule(instance, rng=0)
+        batched = run_batching(instance, rng=0)
         greedy = greedy_online_schedule(instance)
         # The greedy baseline never waits, so on this lightly loaded instance
         # it is at least as good; the batching framework pays its waiting
@@ -228,7 +233,7 @@ class TestGreedyOnline:
         instance = staggered_instance()
         for result in (
             greedy_online_schedule(instance),
-            online_batch_schedule(instance, rng=0),
+            run_batching(instance, rng=0),
         ):
             payload = json.dumps(result.metadata)
             assert json.loads(payload) == result.metadata

@@ -15,13 +15,15 @@ from repro.network.topologies import parallel_edges_topology, swan_topology
 from repro.online import (
     ONLINE_ALGORITHMS,
     ArrivalStream,
+    BatchRecord,
     GeometricBatchingPolicy,
     IncrementalResolvePolicy,
     OnlineEngine,
+    OnlineScheduleResult,
     WSJFPolicy,
-    online_batch_schedule,
     run_online_policy,
 )
+from repro.online.batch import _epoch_index
 from repro.store import (
     ResultStore,
     cached_solve,
@@ -30,6 +32,66 @@ from repro.store import (
     report_to_dict,
 )
 from repro.workloads.generator import random_instance
+
+
+def online_batch_schedule(
+    instance: CoflowInstance, *, base: float = 2.0, rng=None
+) -> OnlineScheduleResult:
+    """Oracle for the engine: geometric batching as one sequential loop.
+
+    Every epoch's releases form one batch, solved by the offline LP
+    heuristic with releases reset, and started once the epoch has closed
+    and the previous batch has drained — the doubling framework with no
+    event queue, which the engine must reproduce exactly.
+    """
+    config = SolverConfig(rng=rng)
+    epochs = {}
+    for j, release in enumerate(instance.release_times):
+        epochs.setdefault(_epoch_index(float(release), base), []).append(j)
+
+    completion = np.zeros(instance.num_coflows, dtype=float)
+    batches = []
+    current_time = 0.0
+    for epoch in sorted(epochs):
+        members = epochs[epoch]
+        epoch_end = float(base**epoch)
+        batch_start = max(current_time, epoch_end)
+        coflows = []
+        for j in members:
+            coflow = instance.coflows[j]
+            flows = [f.with_release_time(0.0) for f in coflow.flows]
+            coflows.append(coflow.with_flows(flows).with_release_time(0.0))
+        batch_instance = CoflowInstance(
+            instance.graph,
+            coflows,
+            model=instance.model,
+            name=f"{instance.name}-epoch{epoch}",
+        )
+        report = solve(batch_instance, "lp-heuristic", config=config)
+        batch_times = report.coflow_completion_times
+        for local_j, j in enumerate(members):
+            completion[j] = batch_start + float(batch_times[local_j])
+        makespan = float(batch_times.max(initial=0.0))
+        batches.append(
+            BatchRecord(
+                epoch_index=epoch,
+                epoch_end=epoch_end,
+                start_time=batch_start,
+                makespan=makespan,
+                coflow_indices=list(members),
+                offline_objective=report.objective,
+                lp_lower_bound=report.lower_bound,
+            )
+        )
+        current_time = batch_start + makespan
+
+    return OnlineScheduleResult(
+        instance=instance,
+        algorithm="online-batch[lp-heuristic]",
+        coflow_completion_times=completion,
+        batches=batches,
+        metadata={"base": base, "num_epochs": len(epochs)},
+    )
 
 
 def staggered_instance() -> CoflowInstance:

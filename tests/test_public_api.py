@@ -28,16 +28,16 @@ EXPECTED_EXPORTS = [
     "compact_schedule",
     "weighted_completion_time",
     "CoflowLPSolution",
-    "CoflowScheduler",
-    "SchedulingOutcome",
     "solve_time_indexed_lp",
     "suggest_horizon",
     "run_stretch",
     "evaluate_stretch",
     "lp_heuristic_schedule",
-    "solve_coflow_schedule",
     "solve_multipath_lp",
-    "online_batch_schedule",
+    "SolveReport",
+    "SolverConfig",
+    "solve",
+    "solve_many",
 ]
 
 
@@ -72,18 +72,16 @@ class TestReadmeQuickstartFlow:
         )
         instance = repro.CoflowInstance(graph, [shuffle, urgent], model="free_path")
 
-        outcome = repro.solve_coflow_schedule(instance, algorithm="lp-heuristic")
+        outcome = repro.solve(instance, "lp-heuristic")
         assert outcome.lower_bound > 0
         assert outcome.objective >= outcome.lower_bound - 1e-6
-        times = outcome.schedule.coflow_completion_times()
+        times = outcome.coflow_completion_times
         assert times.shape == (2,)
         # The urgent coflow carries 10x the weight and must not languish
         # behind the bulk shuffle.
         assert times[1] <= times[0] + 1e-6
 
-        stretch = repro.solve_coflow_schedule(
-            instance, algorithm="stretch-best", rng=0, num_samples=3
-        )
+        stretch = repro.solve(instance, "stretch-best", rng=0, num_samples=3)
         assert stretch.objective >= stretch.lower_bound - 1e-6
 
     def test_multipath_and_online_entry_points(self):
@@ -96,7 +94,7 @@ class TestReadmeQuickstartFlow:
         multipath = repro.solve_multipath_lp(instance, k=3, num_slots=6)
         assert multipath.objective <= 1.0 + 1e-6
 
-        online = repro.online_batch_schedule(instance, rng=0)
+        online = repro.solve(instance, "online-batch")
         assert online.weighted_completion_time >= multipath.objective - 1e-6
 
     def test_feasibility_checker_exposed(self):
@@ -106,7 +104,7 @@ class TestReadmeQuickstartFlow:
             [repro.Coflow([repro.Flow("v1", "t", 1.0)], name="red")],
             model="free_path",
         )
-        outcome = repro.solve_coflow_schedule(instance, num_slots=4)
+        outcome = repro.solve(instance, num_slots=4)
         report = repro.check_feasibility(outcome.schedule)
         assert report.is_feasible
         assert repro.weighted_completion_time(outcome.schedule) == outcome.objective

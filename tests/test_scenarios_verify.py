@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from repro.api import SolverConfig
 from repro.cli import main as cli_main
 from repro.scenarios import (
     build_scenario,
+    execute_scenario,
     format_verification_report,
     invariant_names,
     run_verification,
@@ -114,6 +116,18 @@ class TestVerifyScenario:
         for stats in block["algorithms"].values():
             assert stats["objective"] >= 0
             assert stats["feasible"]
+
+    def test_shared_lp_honours_the_config_strategy(self):
+        # Regression: the shared LP dropped strategy/backend and was solved
+        # "direct" whatever the config asked for.
+        run = execute_scenario(
+            build_scenario("link-failure", 0, 4),
+            config=SolverConfig(strategy="refine"),
+            algorithms=["lp-heuristic", "fifo"],
+        )
+        assert run.lp_solution.metadata["solve_path"]["strategy"] == "refine"
+        assert run.lp_solution.metadata["request"]["strategy"] == "refine"
+        assert run.reports["lp-heuristic"].lp_solution is run.lp_solution
 
 
 class TestReportWriting:

@@ -61,6 +61,14 @@ class TestFingerprints:
         assert config_fingerprint(base) != config_fingerprint(
             base.replace(num_samples=3)
         )
+        # Regression: strategy and backend pick a different LP, so they must
+        # give a different key (coarsen and direct bounds differ).
+        assert config_fingerprint(base) != config_fingerprint(
+            base.replace(strategy="coarsen")
+        )
+        assert config_fingerprint(base) != config_fingerprint(
+            base.replace(backend="linprog")
+        )
 
     def test_live_generator_has_no_fingerprint(self):
         with pytest.raises(FingerprintError):
