@@ -21,9 +21,9 @@ Twelve commands cover the common workflows without writing any Python:
     exporting CSV/JSON).
 ``bench``
     Run the performance harness (:mod:`repro.perf.harness`): vectorized LP
-    assembly and the incremental simulator against their preserved
-    pre-optimization references, written to ``BENCH_<date>.json`` and
-    compared against the previous report.
+    assembly and the incremental simulator against their loop-based
+    references, written to ``BENCH_<date>.json`` and compared against the
+    previous report.
 ``verify``
     Run the differential-verification harness (:mod:`repro.scenarios`):
     sample scenarios across every registered family, run every registered

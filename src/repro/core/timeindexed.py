@@ -17,6 +17,10 @@ Variables
 ``X[j, t]``
     Fraction of coflow *j* completed by the end of slot *t* (paper
     ``X_j(t)``), bounded to [0, 1].
+``S[f, t]``
+    Fraction of flow *f* sent by the end of slot *t*, the prefix sum
+    ``sum_{l <= t} x[f, l]`` that Eq. 2 bounds ``X_j(t)`` by, bounded to
+    [0, 1].
 ``C[j]``
     Completion-time variable of coflow *j*.
 ``y[f, t, e]`` (free path only)
@@ -245,6 +249,7 @@ class _LPIndexBundle:
     x: np.ndarray  # (num_flows, T)
     big_x: np.ndarray  # (num_coflows, T)
     c: np.ndarray  # (num_coflows,)
+    s: np.ndarray  # (num_flows, T)
     y: Optional[np.ndarray]  # (num_flows, T, E) or None
     capacity_ub_offset: int = 0
     capacity_row_slots: np.ndarray = field(
@@ -292,6 +297,8 @@ def build_time_indexed_lp(
     big_x_idx = big_x_block.reshape(num_coflows, num_slots)
     c_block = lp.add_variables("C", num_coflows, lower=0.0)
     c_idx = c_block.indices()
+    s_block = lp.add_variables("S", num_flows * num_slots, lower=0.0, upper=1.0)
+    s_idx = s_block.reshape(num_flows, num_slots)
     y_idx: Optional[np.ndarray] = None
     if free_path:
         y_block = lp.add_variables(
@@ -319,22 +326,28 @@ def build_time_indexed_lp(
     )
 
     # ------------------- coflow completion indicators (Eq. 2) ---------- #
-    # X_j(t) <= sum_{l <= t} x_f(l)   for every flow f of coflow j, every t.
-    # Row (f, t) has the X_j(t) entry plus a lower-triangular block of x
-    # entries; both parts are emitted by pure index arithmetic.
-    coflow_of_flow = instance.coflow_of_flow()
-    rows_big_x = np.arange(num_flows * num_slots, dtype=np.int64)
-    cols_big_x = big_x_idx[coflow_of_flow, :].reshape(-1)
-    tri_t, tri_l = np.tril_indices(num_slots)
-    rows_x = (
-        np.arange(num_flows, dtype=np.int64)[:, None] * num_slots + tri_t[None, :]
-    ).reshape(-1)
-    cols_x = x_idx[:, tri_l].reshape(-1)
+    # X_j(t) <= sum_{l <= t} x_f(l)   for every flow f of coflow j, every t,
+    # through prefix sums: equality row (f, t) is S_f(t) - S_f(t-1) - x_f(t)
+    # = 0 and inequality row (f, t) is X_j(t) - S_f(t) <= 0, which takes
+    # O(F T) nonzeros where the expanded sums take O(F T^2).
+    num_cells = num_flows * num_slots
+    cells = np.arange(num_cells, dtype=np.int64)
+    later_cells = cells.reshape(num_flows, num_slots)[:, 1:].reshape(-1)
     lp.add_constraints_batch(
-        np.concatenate([rows_big_x, rows_x]),
-        np.concatenate([cols_big_x, cols_x]),
-        np.concatenate([np.ones(rows_big_x.size), -np.ones(rows_x.size)]),
-        np.zeros(num_flows * num_slots),
+        np.concatenate([cells, cells, later_cells]),
+        np.concatenate(
+            [s_idx.reshape(-1), x_idx.reshape(-1), s_idx[:, :-1].reshape(-1)]
+        ),
+        np.concatenate([np.ones(num_cells), -np.ones(num_cells + later_cells.size)]),
+        np.zeros(num_cells),
+        ConstraintSense.EQUAL,
+    )
+    coflow_of_flow = instance.coflow_of_flow()
+    lp.add_constraints_batch(
+        np.concatenate([cells, cells]),
+        np.concatenate([big_x_idx[coflow_of_flow, :].reshape(-1), s_idx.reshape(-1)]),
+        np.concatenate([np.ones(num_cells), -np.ones(num_cells)]),
+        np.zeros(num_cells),
         ConstraintSense.LESS_EQUAL,
     )
 
@@ -368,6 +381,7 @@ def build_time_indexed_lp(
         x=x_idx,
         big_x=big_x_idx,
         c=c_idx,
+        s=s_idx,
         y=y_idx,
         capacity_ub_offset=cap_offset,
         capacity_row_slots=cap_slots,
@@ -594,9 +608,9 @@ def map_solution_to_grid(
     """A coarse-grid LP solution spread onto *grid* as a full primal vector.
 
     Every fine slot receives the time-proportional share of its containing
-    coarse slot's allocation (via :meth:`TimeGrid.refine_map`), cumulative
-    completion indicators are rebuilt from the mapped fractions, and the
-    coarse completion-time variables carry over unchanged.  The point is a
+    coarse slot's allocation (via :meth:`TimeGrid.refine_map`), the prefix
+    sums and completion indicators are rebuilt from the mapped fractions, and
+    the coarse completion-time variables carry over unchanged.  The point is a
     warm-start *seed* — it need not satisfy the fine LP exactly (release
     boundaries may cut through coarse slots); HiGHS repairs it in crossover.
     """
@@ -607,8 +621,10 @@ def map_solution_to_grid(
     column = np.zeros(num_variables, dtype=float)
     column[bundle.x] = x
 
-    # X_j(t) = min over the coflow's flows of the cumulative sent fraction.
+    # S_f(t) is the cumulative sent fraction, and X_j(t) its minimum over
+    # the coflow's flows.
     cumulative = np.cumsum(x, axis=1)
+    column[bundle.s] = cumulative
     coflow_of_flow = coarse.instance.coflow_of_flow()
     big_x = np.full((coarse.instance.num_coflows, grid.num_slots), np.inf)
     np.minimum.at(big_x, coflow_of_flow, cumulative)

@@ -1,16 +1,18 @@
 """Loop-based reference assembly of the time-indexed LP.
 
-This module preserves the original (pre-vectorization) constraint assembly
-of :mod:`repro.core.timeindexed` verbatim.  It exists for two reasons:
+This module assembles the same program as
+:mod:`repro.core.timeindexed` — Eq. 2 in its prefix-sum form included —
+with per-flow, per-slot Python loops instead of batched index arithmetic.
+It exists for two reasons:
 
-1. **Equivalence oracle** — the tests assert that the vectorized builder
-   produces bit-identical matrices (same ``c``, ``A_ub``/``A_eq`` after CSR
-   canonicalization, same right-hand sides and bounds) on both transmission
-   models.
+1. **Equivalence oracle** — the tests and the ``lp-matrix`` invariant assert
+   that the vectorized builder produces bit-identical matrices (same ``c``,
+   ``A_ub``/``A_eq`` after CSR canonicalization, same right-hand sides and
+   bounds) on both transmission models.
 2. **Benchmark baseline** — ``repro bench`` measures the vectorized builder
    against this implementation in the same run, so every ``BENCH_*.json``
-   records the speedup against the true pre-optimization trajectory rather
-   than against a number measured on different hardware.
+   records the speedup of the batched assembly over the loops rather than
+   against a number measured on different hardware.
 
 It is *not* part of the public API and receives no new features; use
 :func:`repro.core.timeindexed.build_time_indexed_lp` everywhere else.
@@ -53,6 +55,8 @@ def build_time_indexed_lp_reference(instance: CoflowInstance, grid: TimeGrid):
     big_x_idx = big_x_block.reshape(num_coflows, num_slots)
     c_block = lp.add_variables("C", num_coflows, lower=0.0)
     c_idx = c_block.indices()
+    s_block = lp.add_variables("S", num_flows * num_slots, lower=0.0, upper=1.0)
+    s_idx = s_block.reshape(num_flows, num_slots)
     y_idx = None
     if free_path:
         y_block = lp.add_variables(
@@ -82,30 +86,42 @@ def build_time_indexed_lp_reference(instance: CoflowInstance, grid: TimeGrid):
     )
 
     # ------------------- coflow completion indicators (Eq. 2) ---------- #
+    # Prefix sums S_f(t) = S_f(t-1) + x_f(t), then X_j(t) <= S_f(t).
     coflow_of_flow = instance.coflow_of_flow()
-    batch_rows = []
-    batch_cols = []
-    batch_vals = []
+    eq_rows = []
+    eq_cols = []
+    eq_vals = []
+    ub_rows = []
+    ub_cols = []
+    ub_vals = []
     row_counter = 0
     for f in range(num_flows):
         j = int(coflow_of_flow[f])
         for t in range(num_slots):
-            size = t + 2  # X_j(t) plus x_f(0..t)
-            rows_ft = np.full(size, row_counter, dtype=np.int64)
-            cols_ft = np.empty(size, dtype=np.int64)
-            vals_ft = np.empty(size, dtype=float)
-            cols_ft[0] = big_x_idx[j, t]
-            vals_ft[0] = 1.0
-            cols_ft[1:] = x_idx[f, : t + 1]
-            vals_ft[1:] = -1.0
-            batch_rows.append(rows_ft)
-            batch_cols.append(cols_ft)
-            batch_vals.append(vals_ft)
+            if t == 0:
+                cols_ft = [s_idx[f, t], x_idx[f, t]]
+                vals_ft = [1.0, -1.0]
+            else:
+                cols_ft = [s_idx[f, t], s_idx[f, t - 1], x_idx[f, t]]
+                vals_ft = [1.0, -1.0, -1.0]
+            eq_rows.append(np.full(len(cols_ft), row_counter, dtype=np.int64))
+            eq_cols.append(np.array(cols_ft, dtype=np.int64))
+            eq_vals.append(np.array(vals_ft, dtype=float))
+            ub_rows.append(np.full(2, row_counter, dtype=np.int64))
+            ub_cols.append(np.array([big_x_idx[j, t], s_idx[f, t]], dtype=np.int64))
+            ub_vals.append(np.array([1.0, -1.0]))
             row_counter += 1
     lp.add_constraints_batch(
-        np.concatenate(batch_rows),
-        np.concatenate(batch_cols),
-        np.concatenate(batch_vals),
+        np.concatenate(eq_rows),
+        np.concatenate(eq_cols),
+        np.concatenate(eq_vals),
+        np.zeros(row_counter),
+        ConstraintSense.EQUAL,
+    )
+    lp.add_constraints_batch(
+        np.concatenate(ub_rows),
+        np.concatenate(ub_cols),
+        np.concatenate(ub_vals),
         np.zeros(row_counter),
         ConstraintSense.LESS_EQUAL,
     )
@@ -144,7 +160,7 @@ def build_time_indexed_lp_reference(instance: CoflowInstance, grid: TimeGrid):
     else:
         _add_single_path_constraints_loop(lp, instance, grid, x_idx)
 
-    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, y=y_idx)
+    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, s=s_idx, y=y_idx)
     return lp, bundle
 
 

@@ -1,17 +1,19 @@
 """The ``repro bench`` performance harness.
 
-Every scenario measures the *optimized* implementation against the
-*pre-optimization reference* implementation preserved in
-:mod:`repro.core.timeindexed_reference` and :mod:`repro.sim.reference`, in
-the same process and on the same inputs — so each ``BENCH_<date>.json``
-records a self-contained speedup trajectory rather than numbers measured on
-different hardware at different times.
+Every scenario measures the *optimized* implementation against a
+*reference* implementation kept in the tree — the loop-based LP assembly of
+:mod:`repro.core.timeindexed_reference` and the full re-allocation
+simulator of :mod:`repro.sim.reference` — in the same process and on the
+same inputs, so each ``BENCH_<date>.json`` records a self-contained speedup
+trajectory rather than numbers measured on different hardware at different
+times.
 
 Scenarios
 ---------
 ``lp_build``
-    Assembly time of the time-indexed LP (vectorized vs loop-based), plus
-    LP rows / nonzeros and one HiGHS solve per case.
+    Assembly time of the time-indexed LP (vectorized vs loop-based, both
+    writing Eq. 2 through prefix sums), plus LP rows / nonzeros and one
+    HiGHS solve per case.
 ``simulator``
     Events/sec of the continuous-time simulator (incremental allocation +
     warm-started per-event LPs vs full per-event re-allocation) for the

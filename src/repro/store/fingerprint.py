@@ -38,7 +38,10 @@ from repro.schedule.timegrid import TimeGrid
 #: Bump when the fingerprint scheme (or the serialized report surface it
 #: addresses) changes incompatibly; old entries then simply miss.  Schema 2
 #: covers every LP argument of the config (strategy and backend included).
-FINGERPRINT_SCHEMA = 2
+#: Schema 3 marks the prefix-sum form of the time-indexed LP's Eq. 2: its
+#: optimum is unchanged, but a degenerate LP may now return a different
+#: optimal vertex, so LP-heuristic and Stretch results can move.
+FINGERPRINT_SCHEMA = 3
 
 
 class FingerprintError(ValueError):

@@ -199,3 +199,9 @@ class TestPrimalMapping:
         # seed's objective value equals the coarse objective.
         c = lp.build_matrices()[0]
         assert float(c @ seed) == pytest.approx(coarse.objective, rel=1e-9)
+        # The prefix sums satisfy their defining rows
+        # S_f(t) - S_f(t-1) - x_f(t) = 0, so refine keeps its warm start.
+        sent = seed[bundle.s]
+        np.testing.assert_allclose(
+            np.diff(sent, axis=1, prepend=0.0), seed[bundle.x], rtol=0, atol=1e-9
+        )

@@ -8,6 +8,7 @@ from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance, TransmissionModel
 from repro.core.timeindexed import (
     build_time_indexed_lp,
+    resolve_grid,
     solve_time_indexed_lp,
     suggest_horizon,
 )
@@ -54,7 +55,8 @@ class TestBuildLP:
         lp, bundle = build_time_indexed_lp(example_single_path_instance, grid)
         n_flows = example_single_path_instance.num_flows
         n_coflows = example_single_path_instance.num_coflows
-        assert lp.num_variables == n_flows * 6 + n_coflows * 6 + n_coflows
+        # x and the prefix sums S per (flow, slot), X per (coflow, slot), C.
+        assert lp.num_variables == 2 * n_flows * 6 + n_coflows * 6 + n_coflows
         assert bundle.y is None
 
     def test_free_path_has_edge_variables(self, example_free_path_instance):
@@ -66,6 +68,24 @@ class TestBuildLP:
             5,
             example_free_path_instance.graph.num_edges,
         )
+
+    def test_lp_size_is_linear_in_slots(self):
+        # Eq. 2 through prefix sums costs O(flows x slots) nonzeros; the
+        # expanded sums cost O(flows x slots^2), and a late release alone
+        # would then blow the LP up quadratically.
+        def built(release_time):
+            instance = CoflowInstance(
+                paper_example_topology(),
+                [Coflow([Flow("s", "t", 2.0, release_time=release_time)])],
+                model="free_path",
+            )
+            grid = resolve_grid(instance)
+            lp, _ = build_time_indexed_lp(instance, grid)
+            return grid.num_slots, lp.size_summary()["nonzeros"]
+
+        slots_early, nnz_early = built(500.0)
+        slots_late, nnz_late = built(1000.0)
+        assert nnz_late / nnz_early <= 1.05 * (slots_late / slots_early)
 
     def test_single_path_without_paths_raises(self, example_free_path_instance):
         # Force the single path builder onto an instance with unpinned flows.
