@@ -77,6 +77,10 @@ class PersistentHighsLP:
         Row activity bounds (``np.inf`` / ``-np.inf`` for one-sided rows).
     col_lower, col_upper:
         Variable bounds.
+    presolve:
+        Whether HiGHS may presolve.  A model re-solved after small deltas
+        should turn it off, so that every run restarts the simplex from the
+        previous basis instead of presolving the changed model afresh.
 
     Raises
     ------
@@ -92,6 +96,8 @@ class PersistentHighsLP:
         row_upper: np.ndarray,
         col_lower: np.ndarray,
         col_upper: np.ndarray,
+        *,
+        presolve: bool = True,
     ) -> None:
         if not HIGHS_AVAILABLE:  # pragma: no cover - guarded by callers
             raise RuntimeError("scipy's bundled HiGHS API is not importable")
@@ -116,6 +122,8 @@ class PersistentHighsLP:
 
         self._highs = _highs_core._Highs()
         self._highs.setOptionValue("output_flag", False)
+        if not presolve:
+            self._highs.setOptionValue("presolve", "off")
         status = self._highs.passModel(lp)
         if status == _highs_core.HighsStatus.kError:  # pragma: no cover
             raise PersistentHighsError("HiGHS rejected the model")
@@ -191,6 +199,11 @@ class PersistentHighsLP:
         return np.asarray(self._highs.getSolution().col_value, dtype=float)
 
     @property
+    def presolve(self) -> str:
+        """The model's HiGHS ``presolve`` option (``"choose"`` or ``"off"``)."""
+        return str(self._highs.getOptionValue("presolve")[1])
+
+    @property
     def objective(self) -> float:
         """Objective value of the most recent run."""
         return float(self._highs.getInfo().objective_function_value)
@@ -213,11 +226,15 @@ def make_persistent_lp(
     row_upper: np.ndarray,
     col_lower: np.ndarray,
     col_upper: np.ndarray,
+    *,
+    presolve: bool = True,
 ) -> Optional[PersistentHighsLP]:
     """Build a :class:`PersistentHighsLP`, or ``None`` when unavailable."""
     if not HIGHS_AVAILABLE:
         return None
-    return PersistentHighsLP(c, matrix, row_lower, row_upper, col_lower, col_upper)
+    return PersistentHighsLP(
+        c, matrix, row_lower, row_upper, col_lower, col_upper, presolve=presolve
+    )
 
 
 def _model_status_to_lp_status(status) -> LPStatus:
@@ -271,15 +288,18 @@ class PersistentHighsBackend:
     ) -> BackendSolution:
         matrix, row_lower, row_upper = spec.combined()
         start = time.perf_counter()
-        model = PersistentHighsLP(
-            spec.c, matrix, row_lower, row_upper, spec.col_lower, spec.col_upper
-        )
         # Presolve would discard the seeded point, defeating the warm start.
+        model = PersistentHighsLP(
+            spec.c,
+            matrix,
+            row_lower,
+            row_upper,
+            spec.col_lower,
+            spec.col_upper,
+            presolve=presolve and warm_primal is None,
+        )
         if warm_primal is not None:
-            model._highs.setOptionValue("presolve", "off")
             model.set_solution(warm_primal)
-        elif not presolve:
-            model._highs.setOptionValue("presolve", "off")
         if time_limit is not None:
             model._highs.setOptionValue("time_limit", float(time_limit))
         model._highs.run()

@@ -20,10 +20,11 @@ geometric batching      coflows released in epoch ``[B^(k-1), B^k)`` are
 incremental re-solve    on every arrival, re-prioritize all released
                         coflows by *remaining* standalone time / weight.
                         The remaining standalone times are max-concurrent-
-                        flow LP solves through the warm-started persistent
-                        HiGHS models of :mod:`repro.lp.persistent` (the
-                        allocator memoizes per residual signature), and the
-                        schedule is executed by the incremental simulator.
+                        flow LP solves through the warm-started resident
+                        HiGHS models of :mod:`repro.lp.backends` (the
+                        allocator memoizes per remaining-demand signature),
+                        and the schedule is executed by the incremental
+                        simulator.
 non-clairvoyant WSJF    the static weighted-SJF baseline: one full-demand
                         standalone/weight ordering, held fixed.
 ======================  ====================================================

@@ -18,7 +18,9 @@ Scenarios
     Events/sec of the continuous-time simulator (incremental allocation +
     warm-started per-event LPs vs full per-event re-allocation) for the
     Terra (free path) and greedy (single path) scenarios, checking that both
-    implementations produce the same completion times.
+    implementations produce the same completion times.  Each case also
+    records the cold run's ``lp_solves`` and ``allocations_blocked``, so the
+    per-event LP count is tracked from commit to commit.
 ``lp_solve``
     The staged solve pipeline: ``strategy="direct"`` vs ``"refine"``
     (geometric stage + warm-started fine solve) vs ``"coarsen"``
@@ -396,6 +398,8 @@ def bench_simulator(*, quick: bool = False, repeats: int = 1) -> Dict:
                 "standalone_seconds": standalone_seconds,
                 "allocations_computed": opt_sim.metadata["allocations_computed"],
                 "allocations_reused": opt_sim.metadata["allocations_reused"],
+                "allocations_blocked": opt_sim.metadata["allocations_blocked"],
+                "lp_solves": opt_sim.metadata["lp_solves"],
                 "incremental_matches_full": match,
                 "reference_objective_rel_diff": reference_rel_diff,
             }

@@ -24,11 +24,19 @@ All primitives run through a per-instance :class:`RateAllocator` that
 precomputes the flow→edge incidence (single path) and caches the assembled
 max-concurrent-flow LP *structure* per active flow set (free path): between
 simulator events only the ``-remaining`` coefficients and the residual
-capacities change, so each event rewrites a few values in a prebuilt CSR
-matrix instead of reassembling the program.  Standalone completion times are
-memoized per (coflow, residual-capacity signature, remaining-demand
+capacities change, so each event rewrites a few values in a resident HiGHS
+model, built with presolve off so that every re-solve restarts the simplex
+from the previous basis.  Before any LP, a free-path coflow is checked for
+reachability: its optimal rate is 0 exactly when some active flow's sink
+cannot be reached from its source over edges with residual capacity > 0, so
+such a *blocked* coflow gets the empty allocation without a template or a
+solve.  The test is a boolean transitive closure over the graph's nodes,
+memoized per set of open edges and skipped when every edge is open.
+Standalone completion times are memoized per (coflow, remaining-demand
 signature), which collapses the repeated LP families solved by Terra and the
-greedy baselines when several of them run on the same instance.
+greedy baselines when several of them run on the same instance.  The
+allocator counts the LPs it solves (:attr:`RateAllocator.lp_solves`) and the
+blocked allocations it short-circuits (:attr:`RateAllocator.blocked`).
 
 The allocator assumes instances and their graphs are immutable once
 scheduling starts (the same assumption the instance-level array caches
@@ -53,6 +61,7 @@ from repro.lp.backends import (
     make_persistent_lp,
 )
 from repro.lp.solver import LPSolverError
+from repro.network.graph import NetworkGraph
 
 #: Rates below this threshold are treated as zero.
 RATE_TOL = 1e-9
@@ -102,132 +111,155 @@ class CoflowAllocation:
     edge_rates: Optional[np.ndarray] = None
 
 
+@dataclass(frozen=True)
+class _CommodityRows:
+    """Flow-conservation rows of one source→sink commodity, over edge indices.
+
+    Row 0 is the source's out-flow and row 1 the sink's in-flow, each equal
+    to ``alpha * remaining`` (the template adds that coefficient); the other
+    rows balance every other node that has an edge.  ``closed_edges`` enter
+    the source or leave the sink: no circulation through the endpoints (the
+    time-indexed LP builder's convention).
+    """
+
+    rows: np.ndarray
+    edges: np.ndarray
+    values: np.ndarray
+    num_rows: int
+    closed_edges: np.ndarray
+
+
+def _commodity_rows(graph: NetworkGraph, source: str, sink: str) -> _CommodityRows:
+    rows: List[int] = []
+    edges: List[int] = []
+    values: List[float] = []
+
+    def emit(row: int, edge_idx: np.ndarray, value: float) -> None:
+        rows.extend([row] * edge_idx.size)
+        edges.extend(edge_idx.tolist())
+        values.extend([value] * edge_idx.size)
+
+    emit(0, graph.out_edge_indices(source), 1.0)
+    emit(1, graph.in_edge_indices(sink), 1.0)
+    row = 2
+    for node in graph.nodes:
+        if node == source or node == sink:
+            continue
+        node_in = graph.in_edge_indices(node)
+        node_out = graph.out_edge_indices(node)
+        if node_in.size == 0 and node_out.size == 0:
+            continue
+        emit(row, node_in, 1.0)
+        emit(row, node_out, -1.0)
+        row += 1
+    return _CommodityRows(
+        rows=np.array(rows, dtype=np.int64),
+        edges=np.array(edges, dtype=np.int64),
+        values=np.array(values, dtype=float),
+        num_rows=row,
+        closed_edges=np.concatenate(
+            [graph.in_edge_indices(source), graph.out_edge_indices(sink)]
+        ),
+    )
+
+
 class _FreePathTemplate:
     """Prebuilt max-concurrent-flow LP for one fixed set of active flows.
 
-    The constraint structure (variable order, row order, sparsity pattern,
-    bounds) matches the loop-built LP of :mod:`repro.sim.reference` exactly;
-    only the ``-remaining`` coefficients in the source/sink rows and the
-    residual right-hand sides vary between calls, and those are rewritten in
-    place.
+    The program (variable order, row order, sparsity pattern, bounds) is the
+    loop-built LP of :mod:`repro.sim.reference`: variable 0 is ``alpha``,
+    then ``y[a, e]`` per active flow *a* and edge *e*; the equality rows are
+    the flows' commodity rows in order, then one capacity row per edge.
+    Only the ``-remaining`` coefficients of ``alpha`` in the source/sink
+    rows and the residual right-hand sides vary between calls, and those are
+    rewritten in place.
     """
 
-    def __init__(self, instance: CoflowInstance, active_refs: Sequence[FlowRef]) -> None:
-        graph = instance.graph
-        num_edges = graph.num_edges
-        k = len(active_refs)
+    def __init__(self, num_edges: int, commodities: Sequence[_CommodityRows]) -> None:
+        k = len(commodities)
         n = 1 + k * num_edges  # alpha plus y[a, e]
+        offsets = np.cumsum([0] + [c.num_rows for c in commodities])
+        first_col = 1 + num_edges * np.arange(k)
+        num_eq = int(offsets[-1])
 
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        markers: List[int] = []  # local flow index for -rem slots, else -1
-        lower = np.zeros(n, dtype=float)
-        upper = np.full(n, np.inf)
-        row = 0
-
-        def _emit(r: int, c: np.ndarray, v: float) -> None:
-            rows.extend([r] * c.size)
-            cols.extend(c.tolist())
-            vals.extend([v] * c.size)
-            markers.extend([-1] * c.size)
-
-        for a, ref in enumerate(active_refs):
-            src, dst = ref.flow.source, ref.flow.sink
-            y0 = 1 + a * num_edges
-            # No circulation through the endpoints (same convention as the
-            # time-indexed LP builder).
-            blocked = np.concatenate(
-                [graph.in_edge_indices(src), graph.out_edge_indices(dst)]
-            )
-            if blocked.size:
-                upper[y0 + blocked] = 0.0
-            # sum_out(src) y = alpha * remaining.  The alpha coefficient is a
-            # -1.0 placeholder: it must be nonzero so HiGHS keeps the entry,
-            # and it is rewritten to -remaining before every solve.
-            _emit(row, y0 + graph.out_edge_indices(src), 1.0)
-            rows.append(row)
-            cols.append(0)
-            vals.append(-1.0)
-            markers.append(a)
-            row += 1
-            # sum_in(dst) y = alpha * remaining
-            _emit(row, y0 + graph.in_edge_indices(dst), 1.0)
-            rows.append(row)
-            cols.append(0)
-            vals.append(-1.0)
-            markers.append(a)
-            row += 1
-            # Conservation at every other (non-isolated) node.
-            for node in graph.nodes:
-                if node == src or node == dst:
-                    continue
-                node_in = graph.in_edge_indices(node)
-                node_out = graph.out_edge_indices(node)
-                if node_in.size == 0 and node_out.size == 0:
-                    continue
-                _emit(row, y0 + node_in, 1.0)
-                _emit(row, y0 + node_out, -1.0)
-                row += 1
-
-        coo_rows = np.array(rows, dtype=np.int64)
-        coo_cols = np.array(cols, dtype=np.int64)
-        coo_vals = np.array(vals, dtype=float)
-        marker_arr = np.array(markers, dtype=np.int64)
-        # CSR conversion permutes the COO entries; recover the permutation by
-        # round-tripping entry ids (there are no duplicate coordinates).
-        ids = sparse.coo_matrix(
-            (np.arange(1, coo_vals.size + 1, dtype=float), (coo_rows, coo_cols)),
-            shape=(row, n),
-        ).tocsr()
-        perm = ids.data.astype(np.int64) - 1
-        self.a_eq = sparse.csr_matrix(
-            (coo_vals[perm], ids.indices, ids.indptr), shape=(row, n)
+        self.lower = np.zeros(n, dtype=float)
+        self.upper = np.full(n, np.inf)
+        for commodity, col in zip(commodities, first_col):
+            self.upper[col + commodity.closed_edges] = 0.0
+        # alpha's coefficients in every source and sink row.  The -1.0
+        # placeholder must be nonzero so HiGHS keeps the entry; it is
+        # rewritten to -remaining before every solve.
+        self._alpha_rows = np.repeat(offsets[:-1], 2) + np.tile([0, 1], k)
+        self._alpha_flows = np.repeat(np.arange(k), 2)
+        self._eq_rows = np.concatenate(
+            [c.rows + off for c, off in zip(commodities, offsets)] + [self._alpha_rows]
         )
-        marker_perm = marker_arr[perm]
-        self._rem_slots = np.nonzero(marker_perm >= 0)[0]
-        self._rem_flow = marker_perm[self._rem_slots]
-        self.b_eq = np.zeros(row)
-
+        self._eq_cols = np.concatenate(
+            [c.edges + col for c, col in zip(commodities, first_col)]
+            + [np.zeros(2 * k, dtype=np.int64)]
+        )
+        self._eq_vals = np.concatenate(
+            [c.values for c in commodities] + [np.full(2 * k, -1.0)]
+        )
         # Capacity rows: sum_a y[a, e] <= residual_e for every edge.
-        cap_rows = np.tile(np.arange(num_edges, dtype=np.int64), k)
-        cap_cols = (
-            1
-            + np.repeat(np.arange(k, dtype=np.int64), num_edges) * num_edges
-            + cap_rows
-        )
-        self.a_ub = sparse.coo_matrix(
-            (np.ones(cap_rows.size), (cap_rows, cap_cols)), shape=(num_edges, n)
-        ).tocsr()
+        self._cap_rows = np.tile(np.arange(num_edges, dtype=np.int64), k)
 
         self.c = np.zeros(n)
         self.c[0] = -1.0  # maximise alpha
-        self.bounds = np.column_stack([lower, upper])
         self.num_edges = num_edges
         self.k = k
-        self.num_eq_rows = row
-
-        # Alpha-coefficient positions in raw COO order (for the persistent
-        # HiGHS path, which addresses coefficients by (row, col)).
-        alpha_entries = np.nonzero(marker_arr >= 0)[0]
-        self._alpha_rows = coo_rows[alpha_entries]
-        self._alpha_flows = marker_arr[alpha_entries]
+        self.num_eq_rows = num_eq
 
         # Persistent warm-started HiGHS model: one combined matrix with
         # equality rows (bounds 0, 0) on top and capacity rows
         # (-inf, residual) below.  None when the in-process API is missing.
         self._persistent = make_persistent_lp(
             self.c,
-            sparse.vstack([self.a_eq, self.a_ub]),
-            np.concatenate([np.zeros(row), np.full(num_edges, -np.inf)]),
-            np.concatenate([np.zeros(row), np.full(num_edges, np.inf)]),
-            lower,
-            upper,
+            sparse.csc_matrix(
+                (
+                    np.concatenate([self._eq_vals, np.ones(k * num_edges)]),
+                    (
+                        np.concatenate([self._eq_rows, num_eq + self._cap_rows]),
+                        np.concatenate([self._eq_cols, np.arange(1, n)]),
+                    ),
+                ),
+                shape=(num_eq + num_edges, n),
+            ),
+            np.concatenate([np.zeros(num_eq), np.full(num_edges, -np.inf)]),
+            np.concatenate([np.zeros(num_eq), np.full(num_edges, np.inf)]),
+            self.lower,
+            self.upper,
+            presolve=False,
         )
         self._memo: Dict[Tuple[bytes, bytes], Tuple[float, np.ndarray]] = {}
+        #: LPs actually solved (memo hits excluded).
+        self.solves = 0
 
     #: Bound on the per-template input→solution memo (see :meth:`solve`).
     MEMO_MAX_ENTRIES = 4096
+
+    def spec(self, rem_active: np.ndarray, residual: np.ndarray) -> LPSpec:
+        """The program for these remaining demands and (non-negative)
+        residual capacities, as a backend-neutral :class:`LPSpec`."""
+        n = self.c.size
+        eq_vals = self._eq_vals.copy()
+        eq_vals[-2 * self.k :] = -rem_active[self._alpha_flows]
+        return LPSpec(
+            c=self.c,
+            a_ub=sparse.csr_matrix(
+                (np.ones(n - 1), (self._cap_rows, np.arange(1, n))),
+                shape=(self.num_edges, n),
+            ),
+            b_ub=residual,
+            a_eq=sparse.csr_matrix(
+                (eq_vals, (self._eq_rows, self._eq_cols)),
+                shape=(self.num_eq_rows, n),
+            ),
+            b_eq=np.zeros(self.num_eq_rows),
+            col_lower=self.lower,
+            col_upper=self.upper,
+            name="max-concurrent-flow",
+        )
 
     def solve(self, rem_active: np.ndarray, residual: np.ndarray):
         """Solve for the given remaining demands / residual capacities.
@@ -243,17 +275,18 @@ class _FreePathTemplate:
         vertex seen for each input, making every later request — from
         either simulation mode — reproduce it exactly.
         """
-        key = (rem_active.tobytes(), np.maximum(residual, 0.0).tobytes())
+        residual_clipped = np.maximum(residual, 0.0)
+        key = (rem_active.tobytes(), residual_clipped.tobytes())
         cached = self._memo.get(key)
         if cached is not None:
             alpha, y = cached
             return alpha, y.copy()
+        self.solves += 1
         if self._persistent is not None:
             lp = self._persistent
             for r, a in zip(self._alpha_rows, self._alpha_flows):
                 lp.change_coeff(r, 0, -rem_active[a])
             base = self.num_eq_rows
-            residual_clipped = np.maximum(residual, 0.0)
             for e in range(self.num_edges):
                 lp.change_row_bounds(base + e, -np.inf, residual_clipped[e])
             try:
@@ -263,18 +296,7 @@ class _FreePathTemplate:
                     f"LP 'max-concurrent-flow' failed to solve: {exc}"
                 ) from exc
         else:
-            self.a_eq.data[self._rem_slots] = -rem_active[self._rem_flow]
-            spec = LPSpec(
-                c=self.c,
-                a_ub=self.a_ub,
-                b_ub=np.maximum(residual, 0.0),
-                a_eq=self.a_eq,
-                b_eq=self.b_eq,
-                col_lower=self.bounds[:, 0],
-                col_upper=self.bounds[:, 1],
-                name="max-concurrent-flow",
-            )
-            solution = LinprogBackend().solve(spec)
+            solution = LinprogBackend().solve(self.spec(rem_active, residual_clipped))
             if not solution.is_optimal:
                 raise LPSolverError(
                     f"LP 'max-concurrent-flow' failed to solve: "
@@ -287,6 +309,16 @@ class _FreePathTemplate:
             self._memo.clear()
         self._memo[key] = (alpha, y)
         return alpha, y.copy()
+
+
+def _reachability(num_nodes: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Boolean transitive closure: ``reach[u, v]`` iff ``v`` is reachable from ``u``
+    over the directed edges ``tails[i] -> heads[i]`` (Floyd–Warshall)."""
+    reach = np.eye(num_nodes, dtype=bool)
+    reach[tails, heads] = True
+    for k in range(num_nodes):
+        reach |= reach[:, k, None] & reach[k]
+    return reach
 
 
 class RateAllocator:
@@ -302,16 +334,53 @@ class RateAllocator:
             np.nonzero(coflow_of_flow == j)[0]
             for j in range(instance.num_coflows)
         ]
-        if not self.free_path:
+        self._capacity = instance.graph.capacity_vector()
+        self._capacity.setflags(write=False)
+        # One shared, read-only empty allocation: most allocations of a
+        # saturated network are empty, and nobody writes to them.
+        self._empty = CoflowAllocation(
+            flow_idx=np.empty(0, dtype=np.int64),
+            flow_rates=np.empty(0, dtype=float),
+            usage=np.zeros(self.num_edges, dtype=float),
+            edge_rates=(
+                np.empty((0, self.num_edges), dtype=float) if self.free_path else None
+            ),
+        )
+        for array in (self._empty.flow_idx, self._empty.flow_rates, self._empty.usage):
+            array.setflags(write=False)
+        if self.free_path:
+            graph = instance.graph
+            node_of = {node: i for i, node in enumerate(graph.nodes)}
+            self._num_nodes = len(node_of)
+            self._edge_tail = np.array([node_of[u] for u, _ in graph.edges], dtype=np.int64)
+            self._edge_head = np.array([node_of[v] for _, v in graph.edges], dtype=np.int64)
+            refs = instance.flow_refs()
+            self._flow_source = np.array(
+                [node_of[r.flow.source] for r in refs], dtype=np.int64
+            )
+            self._flow_sink = np.array([node_of[r.flow.sink] for r in refs], dtype=np.int64)
+            self._reach: Dict[bytes, np.ndarray] = {}
+            self._commodities: Dict[Tuple[str, str], _CommodityRows] = {}
+        else:
             inc_flows, inc_edges = instance.path_edge_incidence()
             self._inc_flows = inc_flows
             self._inc_edges = inc_edges
-            self._coflow_inc_positions: List[np.ndarray] = [
-                np.nonzero(np.isin(inc_flows, idx))[0]
-                for idx in self._coflow_flow_idx
-            ]
+            # Per coflow: the (flow, edge) pairs of its flows' pinned paths.
+            self._coflow_incidence: List[Tuple[np.ndarray, np.ndarray]] = []
+            for idx in self._coflow_flow_idx:
+                positions = np.nonzero(np.isin(inc_flows, idx))[0]
+                self._coflow_incidence.append(
+                    (inc_flows[positions], inc_edges[positions])
+                )
         self._templates: Dict[Tuple[int, ...], _FreePathTemplate] = {}
-        self._standalone_cache: Dict[Tuple, float] = {}
+        self._standalone_cache: Dict[Tuple[int, bytes], float] = {}
+        #: Free-path allocations short-circuited by the reachability test.
+        self.blocked = 0
+
+    @property
+    def lp_solves(self) -> int:
+        """Max-concurrent-flow LPs solved so far (memo hits excluded)."""
+        return sum(template.solves for template in self._templates.values())
 
     # ------------------------------------------------------------------ #
     # single path
@@ -319,32 +388,27 @@ class RateAllocator:
     def _single_path_core(
         self,
         cand_idx: np.ndarray,
-        inc_positions: np.ndarray,
+        incidence: Tuple[np.ndarray, np.ndarray],
         remaining: np.ndarray,
         residual: np.ndarray,
     ) -> CoflowAllocation:
-        ef = self._inc_flows[inc_positions]
+        ef, ee = incidence
         keep = remaining[ef] > RATE_TOL
         ef = ef[keep]
-        ee = self._inc_edges[inc_positions][keep]
-        empty = CoflowAllocation(
-            flow_idx=np.empty(0, dtype=np.int64),
-            flow_rates=np.empty(0, dtype=float),
-            usage=np.zeros(self.num_edges, dtype=float),
-        )
+        ee = ee[keep]
         if ef.size == 0:
-            return empty
+            return self._empty
         usage_per_alpha = np.bincount(
             ee, weights=remaining[ef], minlength=self.num_edges
         )
         loaded = usage_per_alpha > RATE_TOL
         if not loaded.any():
-            return empty
+            return self._empty
         with np.errstate(divide="ignore"):
             alpha = float(np.min(residual[loaded] / usage_per_alpha[loaded]))
         alpha = max(alpha, 0.0)
         if alpha <= RATE_TOL:
-            return empty
+            return self._empty
         active = cand_idx[remaining[cand_idx] > RATE_TOL]
         return CoflowAllocation(
             flow_idx=active,
@@ -355,32 +419,60 @@ class RateAllocator:
     # ------------------------------------------------------------------ #
     # free path
     # ------------------------------------------------------------------ #
+    def _sinks_reachable(self, active: np.ndarray, residual: np.ndarray) -> bool:
+        """Whether every active flow's sink is reachable from its source over
+        edges with residual capacity > 0.
+
+        The max-concurrent-flow optimum is 0 exactly when this fails (a
+        commodity with no positive-capacity path cannot ship any fraction of
+        its demand), so the test decides those LPs without solving them.
+        """
+        open_edges = residual > 0.0
+        if open_edges.all():
+            return True
+        key = open_edges.tobytes()
+        reach = self._reach.get(key)
+        if reach is None:
+            reach = _reachability(
+                self._num_nodes, self._edge_tail[open_edges], self._edge_head[open_edges]
+            )
+            if len(self._reach) >= _FreePathTemplate.MEMO_MAX_ENTRIES:
+                self._reach.clear()
+            self._reach[key] = reach
+        return bool(reach[self._flow_source[active], self._flow_sink[active]].all())
+
+    def _commodity(self, flow: int) -> _CommodityRows:
+        """The commodity rows of flow *flow*, built once per source/sink pair."""
+        ref = self.instance.flow_refs()[flow]
+        pair = (ref.flow.source, ref.flow.sink)
+        rows = self._commodities.get(pair)
+        if rows is None:
+            rows = _commodity_rows(self.instance.graph, *pair)
+            self._commodities[pair] = rows
+        return rows
+
     def _free_path_core(
         self,
         cand_idx: np.ndarray,
         remaining: np.ndarray,
         residual: np.ndarray,
-        refs_by_global: Dict[int, FlowRef],
     ) -> CoflowAllocation:
         active = cand_idx[remaining[cand_idx] > RATE_TOL]
-        empty = CoflowAllocation(
-            flow_idx=np.empty(0, dtype=np.int64),
-            flow_rates=np.empty(0, dtype=float),
-            usage=np.zeros(self.num_edges, dtype=float),
-            edge_rates=np.empty((0, self.num_edges), dtype=float),
-        )
         if active.size == 0:
-            return empty
-        key = tuple(int(f) for f in active)
+            return self._empty
+        if not self._sinks_reachable(active, residual):
+            self.blocked += 1
+            return self._empty
+        key = tuple(active.tolist())
         template = self._templates.get(key)
         if template is None:
             template = _FreePathTemplate(
-                self.instance, [refs_by_global[f] for f in key]
+                self.num_edges, [self._commodity(f) for f in key]
             )
             self._templates[key] = template
         alpha, y = template.solve(remaining[active], residual)
         if alpha <= RATE_TOL:
-            return empty
+            return self._empty
         return CoflowAllocation(
             flow_idx=active,
             flow_rates=alpha * remaining[active],
@@ -394,18 +486,16 @@ class RateAllocator:
     def coflow_allocation(
         self, coflow_index: int, remaining: np.ndarray, residual: np.ndarray
     ) -> CoflowAllocation:
-        """Fastest-completion allocation of one coflow on *residual*."""
+        """Fastest-completion allocation of one coflow on *residual*.
+
+        The returned allocation is shared (an empty one always is) and must
+        not be modified.
+        """
         cand = self._coflow_flow_idx[coflow_index]
         if self.free_path:
-            refs = self.instance.flows_of(coflow_index)
-            return self._free_path_core(
-                cand, remaining, residual, {r.global_index: r for r in refs}
-            )
+            return self._free_path_core(cand, remaining, residual)
         return self._single_path_core(
-            cand,
-            self._coflow_inc_positions[coflow_index],
-            remaining,
-            residual,
+            cand, self._coflow_incidence[coflow_index], remaining, residual
         )
 
     # ------------------------------------------------------------------ #
@@ -416,14 +506,13 @@ class RateAllocator:
     ) -> float:
         if remaining is None:
             remaining = self.instance.demands()
-        residual = self.instance.graph.capacity_vector()
         cand = self._coflow_flow_idx[coflow_index]
         rem_slice = np.ascontiguousarray(remaining[cand])
-        key = (coflow_index, residual.tobytes(), rem_slice.tobytes())
+        key = (coflow_index, rem_slice.tobytes())
         cached = self._standalone_cache.get(key)
         if cached is not None:
             return cached
-        alloc = self.coflow_allocation(coflow_index, remaining, residual)
+        alloc = self.coflow_allocation(coflow_index, remaining, self._capacity)
         if alloc.flow_idx.size == 0:
             active_any = bool((rem_slice > RATE_TOL).any())
             alpha = 0.0 if active_any else float("inf")
@@ -509,10 +598,11 @@ def single_path_coflow_rates(
                 usage = alpha * usage_per_alpha
         return rates, usage
     positions = np.nonzero(np.isin(allocator._inc_flows, cand))[0]
-    alloc = allocator._single_path_core(cand, positions, remaining, residual)
+    incidence = (allocator._inc_flows[positions], allocator._inc_edges[positions])
+    alloc = allocator._single_path_core(cand, incidence, remaining, residual)
     rates = np.zeros(instance.num_flows, dtype=float)
     rates[alloc.flow_idx] = alloc.flow_rates
-    return rates, alloc.usage
+    return rates, alloc.usage.copy()
 
 
 def free_path_coflow_rates(
@@ -532,16 +622,13 @@ def free_path_coflow_rates(
     """
     allocator = get_rate_allocator(instance)
     cand = np.array([r.global_index for r in flow_refs], dtype=np.int64)
-    alloc = allocator._free_path_core(
-        cand, remaining, residual, {r.global_index: r for r in flow_refs}
-    )
+    alloc = allocator._free_path_core(cand, remaining, residual)
     rates = np.zeros(instance.num_flows, dtype=float)
     flow_edge_rates = np.zeros((instance.num_flows, allocator.num_edges), dtype=float)
     rates[alloc.flow_idx] = alloc.flow_rates
-    if alloc.edge_rates is not None and alloc.flow_idx.size:
+    if alloc.flow_idx.size:
         flow_edge_rates[alloc.flow_idx] = alloc.edge_rates
-    usage = alloc.usage
-    return rates, flow_edge_rates, usage
+    return rates, flow_edge_rates, alloc.usage.copy()
 
 
 def allocate_rates(
@@ -582,9 +669,9 @@ def allocate_rates(
         alloc = allocator.coflow_allocation(j, remaining, residual)
         if alloc.flow_idx.size:
             rates[alloc.flow_idx] = alloc.flow_rates
-            if edge_rates is not None and alloc.edge_rates is not None:
+            if edge_rates is not None:
                 edge_rates[alloc.flow_idx] += alloc.edge_rates
-        residual = np.clip(residual - alloc.usage, 0.0, None)
+            residual = np.clip(residual - alloc.usage, 0.0, None)
     return RateAllocation(rates=rates, edge_rates=edge_rates, residual_capacity=residual)
 
 

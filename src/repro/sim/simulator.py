@@ -183,9 +183,23 @@ def simulate_priority_schedule(
         recomputes every coflow at every event (the pre-optimization
         behaviour, equal event-for-event).
 
+    A released flow whose remaining demand is at most ``RATE_TOL`` can never
+    be given a rate (rates below the tolerance count as zero), so it
+    finishes at the event that releases it: a lone ``1e-9``-demand coflow
+    released at 0 completes at 0 instead of stalling the simulation.
+
     Returns
     -------
     SimulationResult
+        Its ``metadata`` holds ``events``, ``implementation``,
+        ``first_coflow_service_times``, ``allocations_computed`` /
+        ``allocations_reused`` (per-coflow allocations recomputed at an
+        event or carried over from the previous one), ``allocations_blocked``
+        (free-path allocations the allocator decided without an LP because
+        some flow's sink was unreachable over edges with residual capacity),
+        ``lp_solves`` (max-concurrent-flow LPs the allocator solved during
+        this simulation, including any that the priority function caused),
+        ``seconds`` and ``events_per_sec``.
     """
     flow_states = [
         FlowState(
@@ -200,14 +214,20 @@ def simulate_priority_schedule(
     num_flows = len(flow_states)
     num_coflows = instance.num_coflows
     coflow_release = _coflow_release_times(instance)
-    remaining = np.array([s.remaining for s in flow_states], dtype=float)
-    flow_release = np.array([s.release_time for s in flow_states], dtype=float)
+    remaining = np.array(instance.demands(), dtype=float)
+    flow_release = instance.flow_release_times()
+    # Flows sorted by release time, so the next release and the flows an
+    # interval releases are binary searches.  An unreleased flow is never
+    # finished, so neither needs the finished mask.
+    release_order = np.argsort(flow_release, kind="stable")
+    sorted_release = flow_release[release_order]
     flow_completion = np.zeros(num_flows, dtype=float)
     finished_flows = np.zeros(num_flows, dtype=bool)
     # First time each coflow receives a positive rate (NaN = never served,
-    # e.g. zero-demand coflows).  This is the evidence the online
-    # verification invariants check against release times; the counter lets
-    # the hot loop skip the bookkeeping once every coflow has been seen.
+    # e.g. coflows whose demand is below RATE_TOL).  This is the evidence
+    # the online verification invariants check against release times; the
+    # counter lets the hot loop skip the bookkeeping once every coflow has
+    # been seen.
     first_service = np.full(num_coflows, np.nan)
     unserved_coflows = num_coflows
 
@@ -236,18 +256,27 @@ def simulate_priority_schedule(
     events = 0
 
     allocator = get_rate_allocator(instance)
+    lp_solves_before = allocator.lp_solves
+    blocked_before = allocator.blocked
     capacity = instance.graph.capacity_vector()
     coflow_idx = instance.coflow_of_flow()
     # Incremental-allocation state: the effective priority sequence of the
-    # previous event, the per-coflow allocations it produced, and the set of
+    # previous event, the per-coflow allocations it produced, and the
     # coflows whose inputs changed since their cached allocation.
     prev_seq: List[int] = []
     alloc_cache: Dict[int, CoflowAllocation] = {}
-    dirty = set(range(num_coflows))
+    dirty = np.ones(num_coflows, dtype=bool)
     alloc_computed = 0
     alloc_reused = 0
     priority_wants_arrays = bool(getattr(priority_fn, "supports_arrays", False))
     wall_start = time_module.perf_counter()
+
+    def finish(done: np.ndarray, at: float) -> None:
+        flow_completion[done] = at
+        finished_flows[done] = True
+        dirty[coflow_idx[done]] = True
+        for f in done.tolist():
+            flow_states[f].completion_time = at
 
     while not finished_flows.all():
         events += 1
@@ -262,31 +291,43 @@ def simulate_priority_schedule(
                 # Every cached allocation was computed against the old
                 # capacities; invalidate them all.
                 capacity = capacity_now
-                dirty.update(range(num_coflows))
-        # Which coflows can transmit right now?
+                dirty[:] = True
+        # Which flows can transmit right now?  A released flow with no more
+        # than RATE_TOL left is never served, so it finishes on release.
+        next_release = np.searchsorted(sorted_release, time + 1e-12, side="right")
         released_flows = (flow_release <= time + 1e-12) & (~finished_flows)
-        active = np.unique(coflow_idx[released_flows])
-        if active.size == 0:
+        negligible = released_flows & (remaining <= RATE_TOL)
+        if negligible.any():
+            finish(np.flatnonzero(negligible), time)
+            released_flows &= ~negligible
+        if not released_flows.any():
+            if finished_flows.all():
+                break
             # Jump to the next release event.
-            future = flow_release[(~finished_flows) & (flow_release > time + 1e-12)]
-            if future.size == 0:
+            if next_release == num_flows:
                 raise RuntimeError("no active coflows and no future releases")
-            time = float(future.min())
+            time = float(sorted_release[next_release])
             continue
-        active_set = set(int(j) for j in active)
-
-        if priority_wants_arrays:
-            order = list(priority_fn(time, remaining, instance))
-        else:
-            order = list(priority_fn(time, flow_states, instance))
-        seen = set(order)
-        order.extend(j for j in range(num_coflows) if j not in seen)
-        effective_seq = [int(j) for j in order if j in active_set]
-
+        active = np.bincount(coflow_idx[released_flows], minlength=num_coflows) > 0
         # Coflows with a pending (unreleased, unfinished) flow break the
         # proportional-drain invariant and must always be re-allocated.
-        pending_mask = (~released_flows) & (~finished_flows)
-        pending_coflows = set(np.unique(coflow_idx[pending_mask]).tolist())
+        pending = (
+            np.bincount(
+                coflow_idx[release_order[next_release:]], minlength=num_coflows
+            )
+            > 0
+        )
+
+        if priority_wants_arrays:
+            listed_order = priority_fn(time, remaining, instance)
+        else:
+            listed_order = priority_fn(time, flow_states, instance)
+        order = np.fromiter(listed_order, dtype=np.int64)
+        listed = np.zeros(num_coflows, dtype=bool)
+        listed[order] = True
+        if not listed.all():
+            order = np.concatenate([order, np.flatnonzero(~listed)])
+        effective_seq = order[active[order]].tolist()
 
         residual = capacity.copy()
         rates = np.zeros(num_flows, dtype=float)
@@ -297,9 +338,8 @@ def simulate_priority_schedule(
                 chain_clean
                 and rank < len(prev_seq)
                 and prev_seq[rank] == j
-                and j not in dirty
-                and j not in pending_coflows
-                and j in alloc_cache
+                and not dirty[j]
+                and not pending[j]
             ):
                 alloc = alloc_cache[j]
                 alloc_reused += 1
@@ -307,35 +347,35 @@ def simulate_priority_schedule(
                 chain_clean = False
                 alloc = allocator.coflow_allocation(j, remaining, residual)
                 alloc_cache[j] = alloc
-                dirty.discard(j)
+                dirty[j] = False
                 alloc_computed += 1
             if alloc.flow_idx.size:
                 rates[alloc.flow_idx] = alloc.flow_rates
-            residual = np.clip(residual - alloc.usage, 0.0, None)
-            if entry_usage is not None:
-                entry_usage += alloc.usage
+                residual = np.clip(residual - alloc.usage, 0.0, None)
+                if entry_usage is not None:
+                    entry_usage += alloc.usage
         prev_seq = effective_seq
         # Only released, unfinished flows may have positive rates.
         rates = np.where(released_flows, rates, 0.0)
-        if unserved_coflows:
-            served = rates > RATE_TOL
-            if served.any():
-                served_coflows = np.unique(coflow_idx[served])
-                unseen = served_coflows[np.isnan(first_service[served_coflows])]
-                if unseen.size:
-                    first_service[unseen] = time
-                    unserved_coflows -= int(unseen.size)
+        moving = np.flatnonzero(rates)
+        fast = moving[rates[moving] > RATE_TOL]
+        if unserved_coflows and fast.size:
+            fresh = np.zeros(num_coflows, dtype=bool)
+            fresh[coflow_idx[fast]] = True
+            fresh &= np.isnan(first_service)
+            if fresh.any():
+                first_service[fresh] = time
+                unserved_coflows -= int(np.count_nonzero(fresh))
 
         # Time to the next completion under these rates.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            completion_dt = np.where(
-                rates > RATE_TOL, remaining / np.maximum(rates, RATE_TOL), np.inf
-            )
-        next_completion = float(completion_dt.min())
+        next_completion = (
+            float(np.min(remaining[fast] / rates[fast])) if fast.size else np.inf
+        )
         # Time to the next release of a currently unreleased flow.
-        future_releases = flow_release[(~finished_flows) & (flow_release > time + 1e-12)]
         next_release_dt = (
-            float(future_releases.min()) - time if future_releases.size else np.inf
+            float(sorted_release[next_release]) - time
+            if next_release < num_flows
+            else np.inf
         )
         dt = min(next_completion, next_release_dt)
         if churn is not None:
@@ -365,29 +405,25 @@ def simulate_priority_schedule(
                 )
             )
 
-        # Advance.
-        transmitted = rates * dt
-        remaining = np.clip(remaining - transmitted, 0.0, None)
+        # Advance.  Only flows with a positive rate move; those left with at
+        # most RATE_TOL finish now.
+        remaining = remaining.copy()
+        remaining[moving] = np.maximum(remaining[moving] - rates[moving] * dt, 0.0)
         previous_time = time
         time += dt
-        newly_finished = (~finished_flows) & (remaining <= RATE_TOL)
-        for f in np.nonzero(newly_finished)[0]:
-            flow_completion[f] = time
-            flow_states[f].completion_time = time
-        finished_flows |= newly_finished
+        done = moving[remaining[moving] <= RATE_TOL]
+        if done.size:
+            finish(done, time)
         if not priority_wants_arrays:
             # The FlowState mirrors only exist for legacy priority functions.
-            for f, state in enumerate(flow_states):
-                state.remaining = float(remaining[f])
-
-        # Invalidate allocations whose inputs this event changed: coflows
-        # that completed a flow, and coflows that gained a released flow.
-        crossed_release = (flow_release > previous_time + 1e-12) & (
-            flow_release <= time + 1e-12
-        )
-        changed = newly_finished | crossed_release
-        if changed.any():
-            dirty.update(np.unique(coflow_idx[changed]).tolist())
+            for f in moving.tolist():
+                flow_states[f].remaining = float(remaining[f])
+        # Coflows that gained a released flow must be re-allocated.
+        crossed = release_order[
+            np.searchsorted(sorted_release, previous_time + 1e-12, side="right") :
+            np.searchsorted(sorted_release, time + 1e-12, side="right")
+        ]
+        dirty[coflow_idx[crossed]] = True
 
     wall_seconds = time_module.perf_counter() - wall_start
 
@@ -407,6 +443,8 @@ def simulate_priority_schedule(
             "first_coflow_service_times": first_service,
             "allocations_computed": alloc_computed,
             "allocations_reused": alloc_reused,
+            "allocations_blocked": allocator.blocked - blocked_before,
+            "lp_solves": allocator.lp_solves - lp_solves_before,
             "seconds": wall_seconds,
             "events_per_sec": events / wall_seconds if wall_seconds > 0 else float("inf"),
         },

@@ -1,5 +1,6 @@
-"""Tests for repro.lp.persistent (warm-started HiGHS + linprog fallback)
-and the LPSolveCache warm-start cache of repro.lp.solver.
+"""Tests for the resident HiGHS models of repro.lp.backends (warm-started
+re-solves + linprog fallback) and the LPSolveCache warm-start cache of
+repro.lp.solver.
 
 The fallback coverage matters operationally: ``PersistentHighsLP`` leans on
 ``scipy.optimize._highspy``, a *private* scipy module whose layout may change
@@ -13,17 +14,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-import repro.lp.persistent as persistent_module
+import repro.lp.backends.highs as highs_module
 import repro.sim.rate_allocation as rate_allocation_module
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
-from repro.lp.model import LinearProgram
-from repro.lp.persistent import (
+from repro.lp.backends import (
     HIGHS_AVAILABLE,
     PersistentHighsLP,
     make_persistent_lp,
 )
+from repro.lp.model import LinearProgram
 from repro.lp.solver import LPSolveCache, solve_lp, solver_cache
 from repro.network.topologies import paper_example_topology
 from repro.sim.rate_allocation import RateAllocator
@@ -75,7 +76,7 @@ class TestPersistentHighsLP:
 
 
 def test_make_persistent_lp_returns_none_without_highs(monkeypatch):
-    monkeypatch.setattr(persistent_module, "HIGHS_AVAILABLE", False)
+    monkeypatch.setattr(highs_module, "HIGHS_AVAILABLE", False)
     assert (
         make_persistent_lp(
             np.zeros(1),
@@ -99,7 +100,7 @@ class TestLinprogFallback:
     @pytest.fixture()
     def fallback(self, monkeypatch):
         monkeypatch.setattr(
-            rate_allocation_module, "make_persistent_lp", lambda *args: None
+            rate_allocation_module, "make_persistent_lp", lambda *a, **kw: None
         )
 
     def test_template_reports_no_persistent_model(self, fallback):
@@ -119,7 +120,7 @@ class TestLinprogFallback:
         capacity = instance.graph.capacity_vector()
         with_persistent = RateAllocator(instance)
         monkeypatch.setattr(
-            rate_allocation_module, "make_persistent_lp", lambda *args: None
+            rate_allocation_module, "make_persistent_lp", lambda *a, **kw: None
         )
         without = RateAllocator(instance)
         for j in range(instance.num_coflows):

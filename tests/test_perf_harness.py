@@ -65,6 +65,9 @@ class TestScenarios:
             assert case["events_per_sec"] > 0
             assert case["incremental_matches_full"]
             assert case["reference_objective_rel_diff"] < 1e-2
+            # The cold run's LP count: free path solves some, single path none.
+            assert (case["lp_solves"] > 0) == (case["model"] == "free_path")
+            assert case["allocations_blocked"] >= 0
         assert scenario["summary"]["all_match"]
 
 

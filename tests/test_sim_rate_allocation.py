@@ -1,19 +1,32 @@
 """Tests for the rate-allocation primitives of the continuous-time simulator."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import repro.sim.reference as reference
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.network.topologies import paper_example_topology, parallel_edges_topology
+from repro.lp.backends import HIGHS_AVAILABLE
+from repro.lp.solver import solve_lp
+from repro.network.topologies import (
+    gscale_topology,
+    paper_example_topology,
+    parallel_edges_topology,
+    swan_topology,
+)
 from repro.sim.rate_allocation import (
+    RATE_TOL,
+    RateAllocator,
+    _FreePathTemplate,
     allocate_rates,
     coflow_standalone_time,
     free_path_coflow_rates,
     max_concurrent_rate,
     single_path_coflow_rates,
 )
+from repro.workloads.generator import WorkloadSpec, generate_instance
 
 
 @pytest.fixture
@@ -178,3 +191,154 @@ class TestStandaloneTime:
             model=disjoint_instance.model,
         )
         assert max_concurrent_rate(scaled, 0) == pytest.approx(2.0 * base)
+
+
+class TestTemplateProgram:
+    """The vectorized template states the loop-built LP of the reference."""
+
+    @pytest.mark.parametrize("topology", [swan_topology, gscale_topology])
+    def test_matches_reference_program(self, topology, monkeypatch):
+        graph = topology()
+        instance = generate_instance(
+            graph, WorkloadSpec(profile="FB", num_coflows=6, seed=3), rng=3
+        )
+        allocator = RateAllocator(instance)
+        rng = np.random.default_rng(2)
+        remaining = instance.demands() * rng.uniform(0.2, 1.0, instance.num_flows)
+        residual = graph.capacity_vector() * rng.uniform(0.0, 1.0, graph.num_edges)
+        built = []
+
+        def capture(lp, **kwargs):
+            built.append(lp)
+            return solve_lp(lp, **kwargs)
+
+        monkeypatch.setattr(reference, "solve_lp", capture)
+        for j in range(instance.num_coflows):
+            refs = instance.flows_of(j)
+            flows = np.array([r.global_index for r in refs])
+            reference.free_path_coflow_rates_reference(
+                instance, refs, remaining, residual
+            )
+            c, a_ub, b_ub, a_eq, b_eq, _ = built[-1].build_matrices()
+            lower, upper = built[-1].bounds_arrays()
+            template = _FreePathTemplate(
+                graph.num_edges, [allocator._commodity(f) for f in flows]
+            )
+            spec = template.spec(remaining[flows], np.maximum(residual, 0.0))
+            np.testing.assert_array_equal(spec.c, c)
+            for mine, theirs in ((spec.a_eq, a_eq), (spec.a_ub, a_ub)):
+                assert mine.shape == theirs.shape
+                assert (mine != theirs).nnz == 0
+            np.testing.assert_array_equal(spec.b_eq, b_eq)
+            np.testing.assert_array_equal(spec.b_ub, b_ub)
+            np.testing.assert_array_equal(spec.col_lower, lower)
+            np.testing.assert_array_equal(spec.col_upper, upper)
+
+
+class TestReachabilityShortCircuit:
+    """A free-path coflow with an unreachable sink skips its LP, exactly."""
+
+    @pytest.mark.parametrize("topology", [swan_topology, gscale_topology])
+    def test_blocked_iff_lp_rate_is_zero(self, topology):
+        graph = topology()
+        instance = generate_instance(
+            graph, WorkloadSpec(profile="FB", num_coflows=12, seed=5), rng=5
+        )
+        allocator = RateAllocator(instance)
+        capacity = graph.capacity_vector()
+        remaining = instance.demands()
+        refs = instance.flow_refs()
+        nx_graph = graph.to_networkx()
+        rng = np.random.default_rng(11)
+        outcomes = {True: 0, False: 0}
+        for trial in range(60):
+            j = int(rng.integers(instance.num_coflows))
+            flows = np.array([r.global_index for r in instance.flows_of(j)])
+            closed = rng.random(graph.num_edges) < rng.choice([0.15, 0.3, 0.5])
+            residual = np.where(
+                closed, 0.0, capacity * rng.uniform(0.1, 1.0, graph.num_edges)
+            )
+            blocked = not allocator._sinks_reachable(flows, residual)
+            # The closure agrees with a plain path search on the open edges.
+            open_graph = nx_graph.edge_subgraph(
+                e for e, is_closed in zip(graph.edges, closed) if not is_closed
+            )
+            expect_blocked = not all(
+                r.flow.source in open_graph
+                and r.flow.sink in open_graph
+                and nx.has_path(open_graph, r.flow.source, r.flow.sink)
+                for r in (refs[f] for f in flows)
+            )
+            assert blocked == expect_blocked
+            template = _FreePathTemplate(
+                graph.num_edges, [allocator._commodity(f) for f in flows]
+            )
+            alpha, _ = template.solve(remaining[flows], residual)
+            if blocked:
+                assert alpha <= RATE_TOL
+            else:
+                # Every open edge carries >= 0.1 residual, so progress is positive.
+                assert alpha > RATE_TOL
+            outcomes[blocked] += 1
+        assert outcomes[True] and outcomes[False]
+
+    @pytest.fixture()
+    def two_coflows(self) -> CoflowInstance:
+        coflows = [
+            Coflow([Flow("s", "t", 3.0)], name="from-s"),
+            Coflow([Flow("v1", "t", 1.0)], name="from-v1"),
+        ]
+        return CoflowInstance(paper_example_topology(), coflows, model="free_path")
+
+    def _source_cut(self, instance: CoflowInstance) -> np.ndarray:
+        graph = instance.graph
+        residual = graph.capacity_vector()
+        residual[graph.out_edge_indices("s")] = 0.0
+        return residual
+
+    def _model_solves(self, allocator: RateAllocator) -> list:
+        return [
+            t._persistent.solves
+            for t in allocator._templates.values()
+            if t._persistent is not None
+        ]
+
+    def test_blocked_coflow_builds_and_solves_nothing(self, two_coflows):
+        allocator = RateAllocator(two_coflows)
+        remaining = two_coflows.demands()
+        capacity = two_coflows.graph.capacity_vector()
+        # A resident model for the other coflow, whose solve count must hold.
+        allocator.coflow_allocation(1, remaining, capacity)
+        templates = dict(allocator._templates)
+        solves = self._model_solves(allocator)
+        lp_solves = allocator.lp_solves
+
+        alloc = allocator.coflow_allocation(0, remaining, self._source_cut(two_coflows))
+        assert alloc.flow_idx.size == 0 and alloc.flow_rates.size == 0
+        assert not alloc.usage.any()
+        assert allocator._templates == templates
+        assert self._model_solves(allocator) == solves
+        assert allocator.lp_solves == lp_solves
+        assert allocator.blocked == 1
+
+    def test_blocked_coflow_leaves_its_own_model_alone(self, two_coflows):
+        allocator = RateAllocator(two_coflows)
+        remaining = two_coflows.demands()
+        capacity = two_coflows.graph.capacity_vector()
+        assert allocator.coflow_allocation(0, remaining, capacity).flow_idx.size == 1
+        solves = self._model_solves(allocator)
+        alloc = allocator.coflow_allocation(0, remaining, self._source_cut(two_coflows))
+        assert alloc.flow_idx.size == 0
+        assert self._model_solves(allocator) == solves
+        assert allocator.lp_solves == 1
+
+    @pytest.mark.skipif(not HIGHS_AVAILABLE, reason="scipy HiGHS API not importable")
+    def test_resident_models_skip_presolve(self, free_instance):
+        allocator = RateAllocator(free_instance)
+        remaining = free_instance.demands()
+        capacity = free_instance.graph.capacity_vector()
+        for j in range(free_instance.num_coflows):
+            allocator.coflow_allocation(j, remaining, capacity)
+        assert len(allocator._templates) == free_instance.num_coflows
+        for template in allocator._templates.values():
+            assert template._persistent.presolve == "off"

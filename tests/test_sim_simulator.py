@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance, TransmissionModel
@@ -146,3 +147,85 @@ class TestTimelineAndDiagnostics:
             shared_edge_instance, static_order_priority([1])
         )
         np.testing.assert_allclose(result.coflow_completion_times, [3.0, 1.0])
+
+
+def sub_tolerance_instance(model: str, *, late: bool) -> CoflowInstance:
+    """A coflow of demand 1e-9 (below RATE_TOL) released at 0, optionally
+    followed by a one-unit coflow released at t=5."""
+    coflows = [Coflow([Flow("v1", "t", 1e-9, path=("v1", "t"))], name="tiny")]
+    if late:
+        coflows.append(
+            Coflow(
+                [Flow("v1", "t", 1.0, path=("v1", "t"))],
+                release_time=5.0,
+                name="late",
+            )
+        )
+    return CoflowInstance(paper_example_topology(), coflows, model=model)
+
+
+SUB_TOLERANCE_CASES = [
+    ("free_path", "terra"),
+    ("free_path", "sincronia"),
+    ("free_path", "fifo"),
+    ("single_path", "sincronia"),
+    ("single_path", "fifo"),
+]
+
+
+class TestSubToleranceFlows:
+    """A released flow with remaining demand <= RATE_TOL finishes on release."""
+
+    @pytest.mark.parametrize("model,algorithm", SUB_TOLERANCE_CASES)
+    def test_finishes_at_release_before_a_later_coflow(self, model, algorithm):
+        report = repro.solve(sub_tolerance_instance(model, late=True), algorithm)
+        # The late coflow then has the network to itself: v1 -> t carries
+        # 2 units per time on free path (direct edge plus the detour via s)
+        # and 1 on its pinned single path.
+        late_completion = 5.5 if model == "free_path" else 6.0
+        np.testing.assert_allclose(
+            report.coflow_completion_times, [0.0, late_completion], atol=1e-9
+        )
+        assert report.objective == pytest.approx(late_completion, abs=1e-9)
+
+    @pytest.mark.parametrize("model,algorithm", SUB_TOLERANCE_CASES)
+    def test_lone_flow_does_not_stall(self, model, algorithm):
+        report = repro.solve(sub_tolerance_instance(model, late=False), algorithm)
+        assert report.coflow_completion_times.tolist() == [0.0]
+        assert report.objective == 0.0
+
+    @pytest.mark.parametrize("model", ["free_path", "single_path"])
+    def test_simulator_finishes_it_in_one_event(self, model):
+        result = simulate_priority_schedule(
+            sub_tolerance_instance(model, late=False), fifo_priority
+        )
+        assert result.flow_completion_times.tolist() == [0.0]
+        assert result.metadata["events"] == 1
+        assert result.metadata["lp_solves"] == 0
+
+
+class TestSolveTelemetry:
+    def test_lp_solves_are_counted_per_simulation(self):
+        graph = paper_example_topology()
+        coflows = [
+            Coflow([Flow("v1", "t", 1.0)], name="red"),
+            Coflow([Flow("s", "t", 3.0)], name="blue"),
+        ]
+        instance = CoflowInstance(graph, coflows, model="free_path")
+        priority = static_order_priority([0, 1])
+        first = simulate_priority_schedule(instance, priority)
+        assert first.metadata["lp_solves"] > 0
+        assert first.metadata["allocations_blocked"] >= 0
+        # A replay of the same inputs is answered by the allocator's memo.
+        again = simulate_priority_schedule(instance, priority)
+        assert again.metadata["lp_solves"] == 0
+        np.testing.assert_array_equal(
+            again.coflow_completion_times, first.coflow_completion_times
+        )
+
+    def test_single_path_solves_no_lp(self, shared_edge_instance):
+        result = simulate_priority_schedule(
+            shared_edge_instance, static_order_priority([0, 1])
+        )
+        assert result.metadata["lp_solves"] == 0
+        assert result.metadata["allocations_blocked"] == 0
