@@ -260,41 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report store coverage of the sweep without solving anything",
     )
-    sweep.add_argument(
-        "--worker",
-        default=None,
-        metavar="ID",
-        help="run as one fleet worker (lease-based chunk claims through "
-        "the shared store; any number may run concurrently)",
-    )
-    sweep.add_argument(
-        "--launch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="supervise N local worker processes and wait for the fleet",
-    )
-    sweep.add_argument(
-        "--ttl",
-        type=float,
-        default=30.0,
-        help="lease heartbeat TTL in seconds; a worker silent for longer "
-        "is presumed dead and its chunk is reclaimed (default: 30)",
-    )
-    sweep.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help="transient-solver-failure retries per unit before the unit "
-        "is quarantined as failed (default: Backoff policy default)",
-    )
-    sweep.add_argument(
-        "--chaos",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection spec, e.g. 'kill-worker:after=1,worker=w0;"
-        "fail-solve:p=0.3,seed=5' (see repro.fabric.chaos)",
-    )
 
     online = sub.add_parser(
         "online",
@@ -697,41 +662,18 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    from repro.experiments.sweep import SweepSpec, run_sweep
-    from repro.fabric import (
-        ChaosInjector,
-        ChaosSpec,
-        launch_workers,
-        merged_status,
-        run_worker,
-    )
+    from repro.experiments.sweep import SweepSpec, run_sweep, sweep_status
     from repro.store import ResultStore
-    from repro.utils.retry import Backoff
 
     try:
         spec = SweepSpec.load_json(args.spec)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: could not load sweep spec {args.spec}: {exc}", file=sys.stderr)
         return 2
-    if args.worker and args.launch:
-        print("error: --worker and --launch are mutually exclusive", file=sys.stderr)
-        return 2
-    try:
-        # The CLI flag wins; workers spawned by --launch inherit the spec
-        # through the REPRO_CHAOS environment variable instead.
-        chaos_spec = (
-            ChaosSpec.parse(args.chaos)
-            if args.chaos is not None
-            else ChaosSpec.from_env()
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    backoff = Backoff(retries=args.retries) if args.retries is not None else None
     store = ResultStore(args.store)
     if args.status:
         try:
-            status = merged_status(spec, store)
+            status = sweep_status(spec, store)
         except (OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -742,63 +684,7 @@ def _cmd_sweep(args, out) -> int:
             f"({'complete' if status['complete'] else 'incomplete'})",
             file=out,
         )
-        if status["workers"] or status["leases"]:
-            active = sum(1 for lease in status["leases"] if not lease["expired"])
-            print(
-                f"fabric: {len(status['workers'])} worker reports, "
-                f"races {status['races']}, "
-                f"leases {len(status['leases'])} ({active} active), "
-                f"quarantined {status['quarantined']}",
-                file=out,
-            )
         return 0
-    if args.worker:
-        try:
-            report = run_worker(
-                spec,
-                store,
-                worker_id=args.worker,
-                ttl=args.ttl,
-                backoff=backoff,
-                chaos=chaos_spec,
-            )
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"worker {report.worker_id}: chunks {report.chunks_completed} "
-            f"completed, steals {report.steals}, "
-            f"units solved {report.units_solved}, hit {report.units_hit}, "
-            f"failed {report.units_failed}, races {report.races} "
-            f"({report.seconds:.2f}s)",
-            file=out,
-        )
-        return 0 if report.complete else 1
-    if args.launch:
-        try:
-            exits = launch_workers(
-                args.spec,
-                args.store,
-                args.launch,
-                ttl=args.ttl,
-                chaos=chaos_spec,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for worker_exit in exits:
-            print(
-                f"worker {worker_exit.worker_id}: exit {worker_exit.returncode}",
-                file=out,
-            )
-        status = merged_status(spec, store)
-        print(
-            f"fleet: {status['stored']}/{status['units']} units stored, "
-            f"{status['failed']} failed, races {status['races']} "
-            f"({'complete' if status['complete'] else 'incomplete'})",
-            file=out,
-        )
-        return 0 if status["complete"] else 1
     try:
         result = run_sweep(
             spec,
@@ -806,8 +692,6 @@ def _cmd_sweep(args, out) -> int:
             parallel=args.parallel,
             max_chunks=args.max_chunks,
             num_shards=args.shards,
-            backoff=backoff,
-            chaos=ChaosInjector(spec=chaos_spec) if chaos_spec else None,
         )
     except (OSError, KeyError, ValueError) as exc:
         # Unknown algorithm / empty cross product (ValueError), missing

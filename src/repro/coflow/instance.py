@@ -6,7 +6,7 @@ import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,9 +200,6 @@ class CoflowInstance:
     def flow_refs(self) -> Tuple[FlowRef, ...]:
         """All flows with their dense global indices (stable ordering)."""
         return self._flow_refs
-
-    def iter_flows(self) -> Iterator[FlowRef]:
-        return iter(self._flow_refs)
 
     def flows_of(self, coflow_index: int) -> Tuple[FlowRef, ...]:
         """Flow refs belonging to the coflow at *coflow_index* (precomputed)."""

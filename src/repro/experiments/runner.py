@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -288,13 +288,3 @@ def _run_experiment_body(
                 "num_flows": instance.num_flows,
                 "lp_size": lp_solution.lp_result.metadata.get("lp_size"),
             }
-
-
-def run_all_figures(
-    *, scale: float = 1.0, experiment_ids: Optional[List[str]] = None
-) -> Dict[str, ExperimentResult]:
-    """Run every figure experiment (used by the ``examples/reproduce_figures.py`` script)."""
-    from repro.experiments.figures import ALL_EXPERIMENTS
-
-    ids = experiment_ids or [k for k in sorted(ALL_EXPERIMENTS) if k.startswith("fig")]
-    return {eid: run_experiment(ALL_EXPERIMENTS[eid], scale=scale) for eid in ids}

@@ -36,9 +36,7 @@ too are layout-independent).  A unit that still fails after the policy's
 budget becomes a ``failed`` unit: the sweep records the exception under
 ``runs/failures/<key>.json`` (poison-unit quarantine) and keeps going —
 one pathological LP can mark a sweep incomplete, but can never wedge it.
-A later successful solve of the same unit clears its record.  The
-multi-worker execution mode built on these same chunks lives in
-:mod:`repro.fabric`.
+A later successful solve of the same unit clears its record.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import SolverConfig, solve
 from repro.api.algorithms import BUILTIN_ALGORITHMS
@@ -391,10 +389,7 @@ def _failure_record(key: str, algorithm: str, exc: BaseException, attempts: int)
 def _solve_unit_tasks(
     instance: CoflowInstance,
     unit_tasks: List[Tuple[str, str, SolverConfig]],
-    share_lp: bool,
     backoff: Optional[Backoff],
-    chaos=None,
-    on_unit: Optional[Callable[[str], None]] = None,
 ) -> List[Tuple[str, Optional[Dict], Optional[Dict]]]:
     """Solve one instance's units, sharing one time-indexed LP.
 
@@ -418,16 +413,13 @@ def _solve_unit_tasks(
     ``(key, payload, failure)`` with exactly one of payload/failure set.
     If the shared LP itself fails terminally, its consumers fall back to
     solving their own LP (same grid, same deterministic solver, same
-    bytes) rather than failing wholesale.  *chaos* is an optional
-    :class:`repro.fabric.chaos.ChaosInjector` (duck-typed here to keep
-    this module free of fabric imports); *on_unit* is called with each
-    unit's key as it resolves — the fabric worker's heartbeat hook.
+    bytes) rather than failing wholesale.
     """
     policy = backoff if backoff is not None else Backoff()
     results: List[Tuple[str, Optional[Dict], Optional[Dict]]] = []
     with solver_cache():
         shared = None
-        if share_lp and any(
+        if any(
             get_algorithm(algorithm).uses_shared_lp
             for _, algorithm, _ in unit_tasks
         ):
@@ -446,8 +438,6 @@ def _solve_unit_tasks(
             def unit_attempt(
                 attempt: int, key=key, algorithm=algorithm, cfg=cfg
             ) -> Dict:
-                if chaos is not None:
-                    chaos.before_solve(key, attempt)
                 lp = shared if get_algorithm(algorithm).uses_shared_lp else None
                 report = solve(instance, algorithm, config=cfg, lp_solution=lp)
                 return report_to_dict(report)
@@ -461,24 +451,21 @@ def _solve_unit_tasks(
                 results.append(
                     (key, None, _failure_record(key, algorithm, exc, policy.retries + 1))
                 )
-            if on_unit is not None:
-                on_unit(key)
     return results
 
 
 def _run_instance_group(
     task: Tuple[
-        CoflowInstance, List[Tuple[str, str, SolverConfig]], bool, Optional[Backoff], object
+        CoflowInstance, List[Tuple[str, str, SolverConfig]], Optional[Backoff]
     ],
 ) -> List[Tuple[str, Optional[Dict], Optional[Dict]]]:
     """Pool worker: unpack one task tuple for :func:`_solve_unit_tasks`.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can pickle
-    it; the backoff policy and chaos injector ride along in the task tuple
-    (both are plain dataclasses, so they pickle).
+    it; the backoff policy rides along in the task tuple (a frozen
+    dataclass, so it pickles).
     """
-    instance, unit_tasks, share_lp, backoff, chaos = task
-    return _solve_unit_tasks(instance, unit_tasks, share_lp, backoff, chaos)
+    return _solve_unit_tasks(*task)
 
 
 @dataclass
@@ -526,7 +513,6 @@ def run_sweep(
     max_chunks: Optional[int] = None,
     num_shards: Optional[int] = None,
     backoff: Optional[Backoff] = None,
-    chaos=None,
 ) -> SweepResult:
     """Run (or resume) *spec* against *store*.
 
@@ -552,10 +538,6 @@ def run_sweep(
         Retry policy for transient solver failures (default
         :class:`~repro.utils.retry.Backoff`); units still failing after
         its budget are quarantined as failure records, not raised.
-    chaos:
-        Optional :class:`repro.fabric.chaos.ChaosInjector` threading fault
-        injection through solve attempts and store writes (tests and the
-        CI chaos smoke; ``None`` in production use).
     """
     started = time.perf_counter()
     for algorithm in spec.algorithms:
@@ -625,9 +607,7 @@ def run_sweep(
                     )
                     for unit in group
                 ],
-                True,
                 backoff,
-                chaos,
             )
             for (instance_index, epsilon), group in groups.items()
         ]
@@ -656,8 +636,6 @@ def run_sweep(
                 continue
             store.put(unit.key, payload, kind="solve-report")
             store.clear_failure(unit.key)
-            if chaos is not None:
-                chaos.after_store(store.object_path(unit.key), unit.key)
             unit.status = "solved"
             unit.objective = payload.get("objective")
             result.reports[unit.key] = payload

@@ -12,8 +12,8 @@ Since PR 9 the per-file rules are backed by an *interprocedural* layer:
 :mod:`repro.lint.callgraph` builds a project-wide symbol table and call
 graph (digest-cacheable per file), :mod:`repro.lint.dataflow` runs closure
 queries over it, and :mod:`repro.lint.interproc` registers the graph-scoped
-rule families — R1xx seed flow, R2xx fabric write-safety, R3xx kernel
-purity (which also emits the ``KERNEL_PURITY.json`` certificate).
+rules — R1xx seed flow, R203 atomic commit boundary, R3xx kernel purity
+(which also emits the ``KERNEL_PURITY.json`` certificate).
 
 Run it as ``repro lint`` (nonzero exit on findings) or programmatically::
 

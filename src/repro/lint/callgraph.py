@@ -3,7 +3,7 @@
 PR 6's rules see one file at a time, so any discipline violation that
 crosses a function boundary — an unseeded rng threaded through a helper, a
 raw write reached via a wrapper — is invisible to them.  This module gives
-the R1xx/R2xx/R3xx rule families (:mod:`repro.lint.interproc`) the project
+the R1xx/R203/R3xx rules (:mod:`repro.lint.interproc`) the project
 view they need, in two strictly separated stages:
 
 **Extraction** (:func:`extract_file`) walks one parsed file and produces a
@@ -18,7 +18,7 @@ extract of every unchanged file and never re-parses it.
 **Resolution** (:class:`CallGraph`) joins every extract into one graph.
 Name resolution covers module-level names, ``repro.``-absolute imports,
 ``self`` method calls, method calls on locals whose class is inferred from
-an assignment (``leases = LeaseManager(...)``) or a parameter annotation,
+an assignment (``store = ResultStore(...)``) or a parameter annotation,
 and one level of attribute hops through annotated class attributes
 (``instance.graph.capacity_vector()``).  Like the per-file
 :class:`~repro.lint.framework.ImportMap`, the graph only judges what it can
@@ -43,7 +43,7 @@ from repro.lint.framework import FileContext, ImportMap, parse_suppressions
 
 #: Schema stamp for serialized extracts (bump on any shape change: a cache
 #: written by an older analyzer must be discarded, not misread).
-EXTRACT_SCHEMA = 1
+EXTRACT_SCHEMA = 2
 
 # --------------------------------------------------------------------------- #
 # effect tables
@@ -164,7 +164,7 @@ class Effect:
 
     kind: str  # wall_clock | raw_entropy | rng_construct | raw_write |
     #            io_read | io_write | stdout | store_mutation | global_mut |
-    #            param_mut | lease_write | lease_readback | toctou_exists
+    #            param_mut
     line: int
     detail: str
 
@@ -519,7 +519,6 @@ class _FunctionWalker:
             self.effects.append(Effect("stdout", line, "print"))
         elif name in ATOMIC_WRITE_HELPERS:
             self.effects.append(Effect("store_mutation", line, name))
-            self._record_lease_write(call, name)
 
         if attr in IO_WRITE_ATTRS:
             self.effects.append(Effect("io_write", line, f".{attr}"))
@@ -529,19 +528,6 @@ class _FunctionWalker:
             self.effects.append(Effect("io_write", line, ".open"))
         elif attr in STORE_MUTATION_ATTRS:
             self.effects.append(Effect("store_mutation", line, f".{attr}"))
-        elif attr == "read" and isinstance(func, ast.Attribute):
-            # A read-back after a lease write (see R202): any `<x>.read(...)`.
-            self.effects.append(Effect("lease_readback", line, ".read"))
-
-    def _record_lease_write(self, call: ast.Call, helper: str) -> None:
-        """A non-exclusive atomic write whose target looks like a lease file."""
-        if helper == "exclusive_write_json":
-            return  # exclusive create is the sanctioned race-free claim
-        if not call.args:
-            return
-        target = ast.unparse(call.args[0])
-        if ".path(" in target or "lease" in target.lower():
-            self.effects.append(Effect("lease_write", call.lineno, target))
 
     def _record_mutations(self, node: ast.AST) -> None:
         targets: List[ast.expr] = []
@@ -580,41 +566,6 @@ class _FunctionWalker:
             self.effects.append(Effect("global_mut", node.lineno, rendered))
         elif root in self.params:
             self.effects.append(Effect("param_mut", node.lineno, rendered))
-
-    def _record_toctou(self, node: ast.If) -> None:
-        """`if (not) p.exists(): <write to p>` — check-then-act on a path."""
-        test = node.test
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            test = test.operand
-        if not (
-            isinstance(test, ast.Call)
-            and isinstance(test.func, ast.Attribute)
-            and test.func.attr in ("exists", "is_file")
-        ):
-            return
-        guarded = ast.unparse(test.func.value)
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Call):
-                continue
-            name = _call_name(child.func)
-            if name == "exclusive_write_json":
-                continue  # the sanctioned create-if-absent primitive
-            is_write = (
-                name in ATOMIC_WRITE_HELPERS
-                or self.imports.qualify(child.func) in RAW_WRITE_CALLS
-                or (name == "open" and _is_write_mode_call(child, 1))
-                or (
-                    isinstance(child.func, ast.Attribute)
-                    and child.func.attr in IO_WRITE_ATTRS
-                )
-                or self.imports.qualify(child.func) == "os.replace"
-            )
-            if not is_write or not child.args:
-                continue
-            if ast.unparse(child.args[0]).startswith(guarded):
-                self.effects.append(
-                    Effect("toctou_exists", child.lineno, guarded)
-                )
 
     def _record_rng_bind(self, node: ast.AST) -> None:
         if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
@@ -708,8 +659,6 @@ class _FunctionWalker:
                 self._record_effects(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._record_mutations(node)
-            elif isinstance(node, ast.If):
-                self._record_toctou(node)
             elif isinstance(node, (ast.For, ast.While)):
                 self._collect_loop_rng_args(node)
 

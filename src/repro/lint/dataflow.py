@@ -5,9 +5,9 @@ graph questions, answered here:
 
 - **Reachability with provenance** (:func:`reachable`): which functions can
   a set of roots transitively call, and — for diagnostics — through which
-  chain?  Rule messages print the chain (``run_worker -> _solve_units ->
-  _store_results``) so a violation three hops from its root is actionable
-  without the reader re-deriving the path.
+  chain?  Rule messages print the chain (``run_sweep -> _run_instance_group
+  -> _solve_unit_tasks``) so a violation three hops from its root is
+  actionable without the reader re-deriving the path.
 
 - **Effect closure** (:func:`effect_closure`): for each root, every effect
   fact (wall-clock read, raw write, global mutation, ...) observable in its
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.callgraph import CallGraph, Effect
 
@@ -119,8 +119,8 @@ def effect_closure(
 def format_chain(chain: Tuple[str, ...], root_name: str) -> str:
     """Render a call chain compactly, stripping the common root prefix.
 
-    ``repro.fabric.worker.run_worker`` inside root ``repro`` renders as
-    ``fabric.worker.run_worker`` — shorter, and identical across fixture
+    ``repro.experiments.sweep.run_sweep`` inside root ``repro`` renders as
+    ``experiments.sweep.run_sweep`` — shorter, and identical across fixture
     packages and the real tree (golden-test friendly).
     """
     prefix = f"{root_name}."
@@ -129,19 +129,3 @@ def format_chain(chain: Tuple[str, ...], root_name: str) -> str:
         for qual in chain
     ]
     return " -> ".join(trimmed)
-
-
-def callers_outside(
-    graph: CallGraph, targets: Iterable[str], allowed: Set[str]
-) -> List[Tuple[str, str]]:
-    """(caller, target) pairs where caller is not in *allowed*.
-
-    Used by the fabric write-safety rule: the store-mutation surface's
-    callers must all sit inside the lease-holding closure.
-    """
-    out: List[Tuple[str, str]] = []
-    for target in sorted(set(targets)):
-        for caller in sorted(graph.reverse_edges.get(target, ())):
-            if caller not in allowed:
-                out.append((caller, target))
-    return out

@@ -20,7 +20,7 @@ Architecture
   per-path exemptions (the one sanctioned module a rule's discipline
   funnels through).  Graph-scoped checks receive the resolved
   :class:`~repro.lint.callgraph.CallGraph` alongside the project and power
-  the interprocedural R1xx/R2xx/R3xx families.
+  the interprocedural R1xx, R203 and R3xx rules.
 * :class:`Finding` — one violation: rule code, file, position, message.
 
 Suppressions

@@ -1,4 +1,4 @@
-"""Interprocedural lint rules: seed flow, fabric write-safety, kernel purity.
+"""Interprocedural lint rules: seed flow, atomic commits, kernel purity.
 
 These are the graph-scoped rule families built on :mod:`repro.lint.callgraph`
 and :mod:`repro.lint.dataflow`.  Where the per-file rules (R0xx) flag a
@@ -17,13 +17,10 @@ cross-call state) or reused across unit addresses inside a loop (the PR 4
 sweep discipline: one derived stream per unit, or resume is not
 byte-identical).
 
-**R2xx fabric write-safety.**  Store mutation from fabric code is legal
-only inside the lease-holding scope — ``run_worker``'s call closure in
-``fabric/worker.py`` — because PR 7's zero-duplicate-solve guarantee rests
-on "only the lease holder publishes".  Lease files themselves must follow
-the write→read-back→arbitrate protocol, and check-then-act (`exists()`
-then write) on fabric paths is a TOCTOU hole the exclusive-create
-primitive exists to close.
+**R203 atomic commit boundary.**  The raw write and publish primitives
+(``os.fdopen``, ``tempfile.mkstemp``, ``os.link``, ``shutil.copy*``) live
+behind :mod:`repro.utils.io`'s atomic helpers; anywhere else in the tree
+they are findings, however they are aliased.
 
 **R3xx kernel purity.**  The ROADMAP's compiled-kernel item needs a
 machine-checked guarantee that the simulator hot loop — everything
@@ -57,7 +54,6 @@ SEED_ROOT_FILES = (
     "api/batch.py",
     "scenarios/engine.py",
     "experiments/sweep.py",
-    "fabric/worker.py",
     "online/engine.py",
 )
 
@@ -75,10 +71,6 @@ SOLVE_PATH_FILES = (
     "online/engine.py",
     "sim/*.py",
 )
-
-#: The lease-holding entry point: the only scope fabric store mutation may
-#: hang from.
-LEASE_SCOPE = ("fabric/worker.py", "run_worker")
 
 #: Kernel root files: every public module-level function here is a root.
 KERNEL_ROOT_FILES = ("sim/rate_allocation.py",)
@@ -103,7 +95,7 @@ IMPURE_KINDS = {
 #: Files the kernel closure must not touch at all (R302): persistence and
 #: orchestration layers whose presence in the closure means the kernel is
 #: not portable, whatever the individual effects say.
-KERNEL_FORBIDDEN_FILES = ("store/*.py", "fabric/*.py", "cli.py", "utils/io.py")
+KERNEL_FORBIDDEN_FILES = ("store/*.py", "cli.py", "utils/io.py")
 
 
 def seed_roots(graph: CallGraph) -> List[str]:
@@ -242,103 +234,8 @@ def no_rng_reuse(project: ProjectContext, graph: CallGraph) -> Iterable[Finding]
 
 
 # --------------------------------------------------------------------------- #
-# R2xx — fabric write-safety
+# R203 — atomic commit boundary
 # --------------------------------------------------------------------------- #
-@register_rule(
-    "R201",
-    "fabric-write-lease",
-    description=(
-        "store mutation in fabric code must be reachable only from the "
-        "lease-holding scope (run_worker's call closure)"
-    ),
-    rationale=(
-        "PR 7's zero-duplicate-solve guarantee rests on 'only the lease "
-        "holder publishes'; a fabric write outside run_worker's closure "
-        "publishes without holding anything"
-    ),
-    scope="graph",
-)
-def fabric_write_lease(
-    project: ProjectContext, graph: CallGraph
-) -> Iterable[Finding]:
-    lease_file, lease_entry = LEASE_SCOPE
-    lease_roots = [
-        qual
-        for qual in graph.functions_matching(lease_file)
-        if graph.functions[qual].local == lease_entry
-    ]
-    held = set(reachable(graph, lease_roots))
-    for qual in graph.functions_matching("fabric/*.py"):
-        if qual in held:
-            continue
-        fn = graph.functions[qual]
-        rel = graph.symbols[qual].rel
-        for effect in fn.effects:
-            if effect.kind != "store_mutation":
-                continue
-            yield _finding(
-                rel,
-                effect.line,
-                "R201",
-                (
-                    f"store mutation ({effect.detail}) in {fn.local} is not "
-                    f"reachable from {lease_entry}; fabric writes must hang "
-                    "from the lease-holding scope"
-                ),
-            )
-
-
-@register_rule(
-    "R202",
-    "lease-write-readback",
-    description=(
-        "every non-exclusive lease-file write must be followed by a "
-        "read-back in the same function (the arbitration protocol), and "
-        "exists()-guarded writes on fabric paths are TOCTOU holes"
-    ),
-    rationale=(
-        "PR 7's reclaim protocol is write -> read back -> arbitrate: two "
-        "workers may overwrite each other's claim, and only the read-back "
-        "decides who actually holds it; exclusive_write_json is the "
-        "sanctioned create-if-absent"
-    ),
-    scope="graph",
-)
-def lease_write_readback(
-    project: ProjectContext, graph: CallGraph
-) -> Iterable[Finding]:
-    for qual in graph.functions_matching("fabric/*.py"):
-        fn = graph.functions[qual]
-        rel = graph.symbols[qual].rel
-        readback_lines = [
-            e.line for e in fn.effects if e.kind == "lease_readback"
-        ]
-        for effect in fn.effects:
-            if effect.kind == "lease_write":
-                if not any(line > effect.line for line in readback_lines):
-                    yield _finding(
-                        rel,
-                        effect.line,
-                        "R202",
-                        (
-                            f"lease write to {effect.detail} in {fn.local} "
-                            "has no read-back after it; the arbitration "
-                            "protocol is write -> read -> arbitrate"
-                        ),
-                    )
-            elif effect.kind == "toctou_exists":
-                yield _finding(
-                    rel,
-                    effect.line,
-                    "R202",
-                    (
-                        f"exists()-guarded write to {effect.detail} in "
-                        f"{fn.local} races between check and act; use "
-                        "exclusive_write_json (atomic create) instead"
-                    ),
-                )
-
-
 @register_rule(
     "R203",
     "atomic-commit-boundary",
@@ -414,7 +311,7 @@ def kernel_purity(project: ProjectContext, graph: CallGraph) -> Iterable[Finding
     "kernel-boundary",
     description=(
         "the kernel call closure must not enter the persistence or "
-        "orchestration layers (store/, fabric/, cli.py, utils/io.py)"
+        "orchestration layers (store/, cli.py, utils/io.py)"
     ),
     rationale=(
         "a compiled backend can port arithmetic, not a store dependency; "

@@ -500,10 +500,10 @@ def check_broad_except(ctx: FileContext) -> Iterator[Finding]:
         "(utils/retry.py); pauses go through Backoff.sleep"
     ),
     rationale=(
-        "PR 7: the sweep fabric's recovery guarantees depend on every "
-        "delay being bounded, enumerable and deterministically jittered; "
-        "an ad-hoc sleep is an unbounded, unseeded wait the chaos harness "
-        "cannot reason about"
+        "the sweep's retry policy (Backoff) promises that every delay is "
+        "bounded, enumerable and deterministically jittered from the "
+        "unit's address; an ad-hoc sleep is an unbounded, unseeded wait "
+        "outside that policy"
     ),
     allowed_paths=("utils/retry.py",),
 )

@@ -21,12 +21,12 @@ as misses, counted, and quarantined by renaming to a unique
 replace them cleanly — and so that no two quarantines ever clobber each
 other's evidence.
 
-Concurrent writers (the multi-worker sweep fabric of :mod:`repro.fabric`)
-are first-write-wins: :meth:`ResultStore.put` creates entries with an
-exclusive link so exactly one of two racing writers lands; the loser is
-counted under ``races`` and the stored bytes never flap.  Terminal unit
-failures are recorded under ``runs/failures/<key>.json`` so a poison unit
-is quarantined evidence, not an invisible gap.
+Concurrent writers (two sweeps over one store, say) are first-write-wins:
+:meth:`ResultStore.put` creates entries with an exclusive link so exactly
+one of two racing writers lands; the loser is counted under ``races`` and
+the stored bytes never flap.  Terminal unit failures are recorded under
+``runs/failures/<key>.json`` so a poison unit is quarantined evidence, not
+an invisible gap.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class ResultStore:
         """Store *payload* under *key*; ``True`` iff this write landed first.
 
         Entries are created with an exclusive atomic link, so when two
-        workers race on the same key exactly one creation succeeds.  The
+        writers race on the same key exactly one creation succeeds.  The
         loser's payload is discarded (content addressing makes it
         equivalent — a redundant solve is a benign duplicate, never a
         divergent result), the stored bytes never flap, and the race is
@@ -274,11 +274,11 @@ class ResultStore:
     def put_failure(self, key: str, record: Dict) -> Path:
         """Atomically record a terminal unit failure under *key*.
 
-        One record per unit (latest failure wins): the sweep fabric treats
-        a recorded failure as *quarantined* — resolved for chunk-completion
-        purposes, surfaced in status output — so one pathological LP can
-        never wedge a whole sweep.  A later successful solve clears it via
-        :meth:`clear_failure`.
+        One record per unit (latest failure wins): the sweep treats a
+        recorded failure as *quarantined* — a ``failed`` unit in its
+        summary and in ``repro sweep --status`` — so one pathological LP
+        can never wedge a whole sweep.  A later successful solve clears it
+        via :meth:`clear_failure`.
         """
         path = self.failure_path(key)
         self._atomic_write(path, record)

@@ -17,13 +17,7 @@ from repro.utils.io import (
 )
 from repro.utils.retry import SOLVER_FAILURES, Backoff, retry_call
 from repro.utils.rng import RandomSource, derive_rng, derive_seed, spawn_rng
-from repro.utils.timing import (
-    Stopwatch,
-    file_stamp,
-    report_stamp,
-    timed,
-    wall_seconds,
-)
+from repro.utils.timing import Stopwatch, file_stamp, report_stamp, timed
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -41,7 +35,6 @@ __all__ = [
     "timed",
     "report_stamp",
     "file_stamp",
-    "wall_seconds",
     "atomic_writer",
     "atomic_write_text",
     "atomic_write_json",

@@ -5,7 +5,7 @@ output file is produced by writing a temp file *in the destination
 directory* and ``os.replace``-ing it over the target, so a killed process
 never leaves a half-written file — the file either exists completely or not
 at all.  That property is what makes kill-and-resume (sweeps, verify
-checkpoints) and concurrent multi-worker stores safe.
+checkpoints) safe.
 
 This module extracts that logic so *every* writer in the library (result
 store, experiment exports, trace/instance serialization, bench / verify /
@@ -131,14 +131,14 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 def exclusive_write_json(path: str | Path, payload: object) -> bool:
     """Atomically create *path* with *payload* iff it does not already exist.
 
-    The claim primitive under the sweep fabric's lease protocol: the
-    payload is written completely to a temp file in the destination
+    The first-write-wins create under :meth:`repro.store.ResultStore.put`:
+    the payload is written completely to a temp file in the destination
     directory, then ``os.link``-ed to *path* — link fails with
-    ``FileExistsError`` if another process claimed first, so exactly one
-    contender wins and the file is never observable half-written.
+    ``FileExistsError`` if another writer created it first, so exactly one
+    writer lands and the file is never observable half-written.
 
     Returns ``True`` if this call created the file, ``False`` if it
-    already existed (the caller lost the claim race).
+    already existed (another write landed first).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,9 +12,8 @@ retried run sleeps the same amounts in any process (R001-clean).
 
 This module is also the library's **only sanctioned sleep site** (lint
 rule R009): ad-hoc ``time.sleep`` calls and hand-rolled retry loops
-elsewhere in ``src/`` are findings.  Anything that needs to pause —
-worker poll loops, chaos stalls, retry waits — goes through
-:meth:`Backoff.sleep`, so every delay in the library is bounded,
+elsewhere in ``src/`` are findings.  Anything that needs to pause goes
+through :meth:`Backoff.sleep`, so every delay in the library is bounded,
 enumerable and deterministic.
 """
 
@@ -113,8 +112,8 @@ class Backoff:
         """Sleep for :meth:`delay` seconds and return the amount slept.
 
         The library's single sanctioned ``time.sleep`` call site (lint
-        rule R009); worker poll loops and chaos stalls route through here
-        so every pause is bounded and derived from a declared policy.
+        rule R009), so every pause is bounded and derived from a declared
+        policy.
         """
         seconds = self.delay(attempt, *path)
         if seconds > 0.0:
@@ -135,8 +134,8 @@ def retry_call(
     Parameters
     ----------
     fn:
-        The operation; receives the 0-based attempt index so callers (and
-        the chaos harness) can make behavior attempt-dependent.
+        The operation; receives the 0-based attempt index so callers can
+        make behavior attempt-dependent.
     exceptions:
         Exception types considered transient (default
         :data:`SOLVER_FAILURES`).  Anything else propagates immediately.

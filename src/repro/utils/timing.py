@@ -36,18 +36,6 @@ def report_stamp() -> str:
     return datetime.now().isoformat(timespec="seconds")
 
 
-def wall_seconds() -> float:
-    """The wall clock as seconds since the epoch (``time.time()``).
-
-    The sanctioned wall-clock read for **coordination metadata**: lease
-    heartbeats and expiry arithmetic in :mod:`repro.fabric.leases` compare
-    these stamps to decide whether a worker has crashed.  Like
-    :func:`report_stamp`, this never feeds result *content* — who computes
-    a unit may depend on the clock, what the unit computes never does.
-    """
-    return time.time()
-
-
 def file_stamp() -> str:
     """A filename-safe rendering of :func:`report_stamp` (``20260807-123456``).
 

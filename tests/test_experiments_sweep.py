@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 
 import pytest
 
+import repro.experiments.sweep as sweep_module
 from repro.api import SolverConfig
 from repro.experiments.sweep import (
     InstanceSpec,
@@ -15,7 +18,8 @@ from repro.experiments.sweep import (
     shard_units,
     sweep_status,
 )
-from repro.store import ResultStore, canonical_payload_bytes
+from repro.store import ResultStore, canonical_payload_bytes, result_key
+from repro.utils.retry import Backoff
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -311,29 +315,43 @@ class TestReviewRegressions:
 class TestFailureDiscipline:
     """Poison units are quarantined as failure records, never raised."""
 
-    def _chaos(self, p="1.0", seed=5):
-        from repro.fabric import ChaosInjector, ChaosSpec
+    @staticmethod
+    def _inject_failures(monkeypatch, failures):
+        """Make attempt ``a`` of a unit's solve raise ``RuntimeError`` iff
+        ``a < failures(algorithm)``.
 
-        return ChaosInjector(spec=ChaosSpec.parse(f"fail-solve:p={p},seed={seed}"))
+        Attempts are counted per unit key from this call on, so calling it
+        again starts every unit at attempt 0, as a fresh process would.
+        """
+        real_solve = sweep_module.solve
+        attempts = Counter()
 
-    def test_terminal_failures_are_quarantined_not_raised(self, tmp_path):
-        from repro.utils.retry import Backoff
+        def flaky_solve(instance, algorithm, *, config, lp_solution=None):
+            key = result_key(instance, algorithm, config)
+            attempt = attempts[key]
+            attempts[key] += 1
+            if attempt < failures(algorithm):
+                raise RuntimeError(f"injected failure, attempt {attempt}")
+            return real_solve(
+                instance, algorithm, config=config, lp_solution=lp_solution
+            )
 
+        monkeypatch.setattr(sweep_module, "solve", flaky_solve)
+
+    def test_terminal_failures_are_quarantined_not_raised(
+        self, tmp_path, monkeypatch
+    ):
+        self._inject_failures(monkeypatch, lambda algorithm: math.inf)
         spec = tiny_spec()
         store = ResultStore(tmp_path / "store")
-        result = run_sweep(
-            spec,
-            store,
-            backoff=Backoff(retries=1, base=0.0),
-            chaos=self._chaos(),
-        )
+        result = run_sweep(spec, store, backoff=Backoff(retries=1, base=0.0))
         assert not result.complete
         assert result.failed == len(result.units)
         assert result.summary()["failed"] == len(result.units)
         assert all(u.status == "failed" for u in result.units)
         assert sorted(store.failure_keys()) == sorted(u.key for u in result.units)
         record = store.get_failure(result.units[0].key)
-        assert record["error"] == "ChaosFault"
+        assert record["error"] == "RuntimeError"
         assert record["attempts"] == 2  # retries=1 -> two attempts
         assert record["key"] == result.units[0].key
         assert "traceback" in record
@@ -341,18 +359,15 @@ class TestFailureDiscipline:
         manifest = store.get_manifest(spec.sweep_id())
         assert set(manifest["chunks"]) == {"failed"}
 
-    def test_failed_units_are_retried_on_rerun_and_cleared(self, tmp_path):
-        from repro.utils.retry import Backoff
-
+    def test_failed_units_are_retried_on_rerun_and_cleared(
+        self, tmp_path, monkeypatch
+    ):
+        self._inject_failures(monkeypatch, lambda algorithm: math.inf)
         spec = tiny_spec()
         store = ResultStore(tmp_path / "store")
-        run_sweep(
-            spec,
-            store,
-            backoff=Backoff(retries=0, base=0.0),
-            chaos=self._chaos(),
-        )
+        run_sweep(spec, store, backoff=Backoff(retries=0, base=0.0))
         assert store.failure_keys()  # quarantined
+        monkeypatch.undo()
         # Records are history, not a blacklist: a plain re-run retries
         # the units, succeeds, and clears every record.
         healed = run_sweep(spec, store)
@@ -362,26 +377,57 @@ class TestFailureDiscipline:
         status = sweep_status(spec, store)
         assert status["failed"] == 0 and status["complete"]
 
-    def test_transient_failures_are_absorbed_by_retries(self, tmp_path):
-        from repro.utils.retry import Backoff
+    def test_transient_failures_are_absorbed_by_retries(
+        self, tmp_path, monkeypatch
+    ):
+        # With three attempts per unit, a unit that fails once recovers on
+        # a retry; stretch units fail all three and are quarantined.
+        def failures(algorithm):
+            return 3 if algorithm == "stretch" else 1
 
         spec = tiny_spec()
-        store = ResultStore(tmp_path / "store")
-        # p=0.5: with three attempts per unit, units whose first draws
-        # fail usually recover on a retry — and which ones is a pure
-        # function of (seed, key, attempt), so this test is deterministic.
-        result = run_sweep(
-            spec,
-            store,
-            backoff=Backoff(retries=2, base=0.0),
-            chaos=self._chaos(p="0.5", seed=11),
-        )
+        backoff = Backoff(retries=2, base=0.0)
+        self._inject_failures(monkeypatch, failures)
+        result = run_sweep(spec, ResultStore(tmp_path / "store"), backoff=backoff)
         assert result.solved + result.failed == len(result.units)
         assert result.solved > 0  # retries actually rescued units
-        rerun = run_sweep(
-            spec,
-            ResultStore(tmp_path / "store"),
-            backoff=Backoff(retries=2, base=0.0),
-            chaos=self._chaos(p="0.5", seed=11),
-        )
+        assert result.failed == sum(u.algorithm == "stretch" for u in result.units)
+        self._inject_failures(monkeypatch, failures)
+        rerun = run_sweep(spec, ResultStore(tmp_path / "store"), backoff=backoff)
         assert rerun.failed == result.failed  # same fates on a re-run
+
+    def test_rerun_heals_to_the_fault_free_bytes(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        reference = run_sweep(spec, ResultStore(tmp_path / "reference"))
+        store_root = tmp_path / "store"
+        self._inject_failures(monkeypatch, lambda algorithm: math.inf)
+        first = run_sweep(
+            spec, ResultStore(store_root), backoff=Backoff(retries=1, base=0.0)
+        )
+        assert first.failed == len(first.units)
+        monkeypatch.undo()
+        healed = run_sweep(spec, ResultStore(store_root))
+        assert healed.complete
+        assert healed.solved == len(healed.units)
+        assert result_bytes(healed) == result_bytes(reference)
+        assert ResultStore(store_root).failure_keys() == []
+        warm_store = ResultStore(store_root)
+        warm = run_sweep(spec, warm_store)
+        assert warm.solved == 0 and warm.hits == len(warm.units)
+        assert warm_store.misses == 0
+
+    def test_corruption_at_rest_is_quarantined_and_recomputed(self, tmp_path):
+        spec = tiny_spec()
+        store_root = tmp_path / "store"
+        reference = run_sweep(spec, ResultStore(store_root))
+        for unit in reference.units:
+            # A torn write: every stored entry truncated in place.
+            path = ResultStore(store_root).object_path(unit.key)
+            path.write_bytes(path.read_bytes()[:16])
+        heal_store = ResultStore(store_root)
+        healed = run_sweep(spec, heal_store)
+        assert healed.complete
+        assert healed.solved == len(healed.units)
+        assert heal_store.corrupted == len(healed.units)
+        assert len(heal_store.quarantined()) == len(healed.units)
+        assert result_bytes(healed) == result_bytes(reference)

@@ -1,10 +1,10 @@
-"""Interprocedural lint tests: call graph, dataflow, R1xx/R2xx/R3xx rules.
+"""Interprocedural lint tests: call graph, dataflow, R1xx/R203/R3xx rules.
 
 Every rule is proven *catchable* by an injected-violation fixture (the same
 discipline as the invariant tests of PR 3 and the per-file rule tests of
 PR 6: a rule that cannot fire is a rule nobody needs), and every sanctioned
 pattern is proven *not* to fire.  Fixture packages are written under a
-``pkg/`` root so their root-relative layout (``fabric/worker.py``,
+``pkg/`` root so their root-relative layout (``experiments/sweep.py``,
 ``sim/rate_allocation.py``) matches the patterns the rules target, and
 cross-module imports spell ``pkg.`` exactly as the resolver expects.
 """
@@ -65,7 +65,7 @@ class TestSelection:
     def test_issue_spelling_selects_all_new_families(self):
         codes = expand_selection(["R1", "R2", "R3"])
         assert set(codes) == {
-            "R101", "R102", "R103", "R201", "R202", "R203",
+            "R101", "R102", "R103", "R203",
             "R301", "R302", "R303",
         }
 
@@ -272,103 +272,10 @@ class TestSeedFlow:
 
 
 # --------------------------------------------------------------------------- #
-# R2xx fabric write-safety
+# R203 atomic commit boundary
 # --------------------------------------------------------------------------- #
 class TestFabricWriteSafety:
-    def test_r201_store_mutation_outside_lease_scope_fires(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "fabric/worker.py": """
-                def run_worker(spec, store):
-                    _store_results(store)
-
-                def _store_results(store):
-                    store.put("unit", {})
-                """,
-                "fabric/rogue.py": """
-                def publish_early(store):
-                    store.put("unit", {})
-                """,
-            },
-        )
-        findings = findings_for(root, ["R201"])
-        assert [f.path for f in findings] == ["fabric/rogue.py"]
-        assert "publish_early" in findings[0].message
-
-    def test_r201_lease_scope_closure_is_clean(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "fabric/worker.py": """
-                def run_worker(spec, store):
-                    _store_results(store)
-
-                def _store_results(store):
-                    store.put("unit", {})
-                    store.put_run("run", {})
-                """,
-            },
-        )
-        assert findings_for(root, ["R201"]) == []
-
-    def test_r202_lease_write_without_readback_fires(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "fabric/leases.py": """
-                class LeaseManager:
-                    def heartbeat(self, chunk, payload):
-                        atomic_write_json(self.path(chunk), payload)
-                """,
-            },
-        )
-        findings = findings_for(root, ["R202"])
-        assert [f.rule for f in findings] == ["R202"]
-        assert "read-back" in findings[0].message
-
-    def test_r202_write_then_readback_is_clean(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "fabric/leases.py": """
-                class LeaseManager:
-                    def heartbeat(self, chunk, payload):
-                        atomic_write_json(self.path(chunk), payload)
-                        return self.read(chunk)
-                """,
-            },
-        )
-        assert findings_for(root, ["R202"]) == []
-
-    def test_r202_exists_guarded_write_is_toctou(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "fabric/worker.py": """
-                def claim(path, payload):
-                    if not path.exists():
-                        atomic_write_json(path, payload)
-                """,
-            },
-        )
-        findings = findings_for(root, ["R202"])
-        assert [f.rule for f in findings] == ["R202"]
-        assert "races" in findings[0].message
-
-    def test_r202_exclusive_create_is_sanctioned(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "fabric/worker.py": """
-                def claim(path, payload):
-                    if not path.exists():
-                        return exclusive_write_json(path, payload)
-                    return False
-                """,
-            },
-        )
-        assert findings_for(root, ["R202"]) == []
+    """R203: raw write primitives stay behind utils/io's atomic helpers."""
 
     def test_r203_aliased_raw_write_fires_anywhere(self, tmp_path):
         root = write_pkg(

@@ -482,7 +482,7 @@ class TestR009BareSleep:
     def test_time_sleep_is_flagged(self, tmp_path):
         write_module(
             tmp_path,
-            "fabric/poller.py",
+            "experiments/poller.py",
             """
             import time
 
@@ -534,7 +534,7 @@ class TestR009BareSleep:
     def test_backoff_sleep_passes(self, tmp_path):
         write_module(
             tmp_path,
-            "fabric/worker.py",
+            "experiments/sweep.py",
             """
             from repro.utils.retry import Backoff
 
