@@ -2,9 +2,11 @@
 """Regenerate every figure of the paper's evaluation section as a text table.
 
 Runs the experiment configurations of :mod:`repro.experiments.figures`
-(Figures 6-12) at a configurable scale and prints, for each figure, the same
-series the paper plots plus the ratio of every algorithm to the LP lower
-bound.  EXPERIMENTS.md records a reference run of this script.
+(Figures 6-12 and the three ablations) at a configurable scale and prints,
+for each one, the same series the paper plots, the ratio of every algorithm
+to the LP lower bound, and the shape checks of
+:func:`repro.experiments.summarize_shape_checks`.  Exits with status 1 when
+any shape check fails.
 
 Run with::
 
@@ -14,6 +16,7 @@ Run with::
 """
 
 import argparse
+import sys
 import time
 
 from repro.experiments import (
@@ -24,7 +27,7 @@ from repro.experiments import (
 )
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scale",
@@ -36,23 +39,12 @@ def main():
         "--only",
         nargs="*",
         default=None,
-        help="experiment ids to run (default: all paper figures)",
-    )
-    parser.add_argument(
-        "--include-ablations",
-        action="store_true",
-        help="also run the ablation experiments listed in DESIGN.md",
+        help="experiment ids to run (default: all figures and ablations)",
     )
     args = parser.parse_args()
 
-    if args.only:
-        ids = list(args.only)
-    else:
-        ids = [k for k in sorted(ALL_EXPERIMENTS) if k.startswith("fig")]
-        if args.include_ablations:
-            ids += [k for k in sorted(ALL_EXPERIMENTS) if k.startswith("ablation")]
-
-    for experiment_id in ids:
+    failed = []
+    for experiment_id in args.only or sorted(ALL_EXPERIMENTS):
         config = ALL_EXPERIMENTS[experiment_id]
         start = time.perf_counter()
         result = run_experiment(config, scale=args.scale)
@@ -63,8 +55,14 @@ def main():
             print("\nshape checks:", ", ".join(
                 f"{name}={'PASS' if ok else 'FAIL'}" for name, ok in checks.items()
             ))
+        failed += [f"{experiment_id}:{name}" for name, ok in checks.items() if not ok]
         print(f"(elapsed {elapsed:.1f}s)\n" + "=" * 90 + "\n")
+
+    if failed:
+        print("failed shape checks: " + ", ".join(failed))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -47,7 +47,6 @@ from repro.core import (
     evaluate_stretch,
     lp_heuristic_schedule,
     run_stretch,
-    solve_multipath_lp,
     solve_time_indexed_lp,
     suggest_horizon,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "run_stretch",
     "evaluate_stretch",
     "lp_heuristic_schedule",
-    "solve_multipath_lp",
     "api",
     "SolveReport",
     "SolverConfig",

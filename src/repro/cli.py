@@ -1,6 +1,6 @@
 """Command-line interface: ``repro <command>`` (or ``python -m repro``).
 
-Twelve commands cover the common workflows without writing any Python:
+Eleven commands cover the common workflows without writing any Python:
 
 ``topologies``
     List the built-in WAN topologies with their sizes.
@@ -19,11 +19,6 @@ Twelve commands cover the common workflows without writing any Python:
 ``experiment``
     Run one of the paper-figure experiments and print its table (optionally
     exporting CSV/JSON).
-``bench``
-    Run the performance harness (:mod:`repro.perf.harness`): vectorized LP
-    assembly and the incremental simulator against their loop-based
-    references, written to ``BENCH_<date>.json`` and compared against the
-    previous report.
 ``verify``
     Run the differential-verification harness (:mod:`repro.scenarios`):
     sample scenarios across every registered family, run every registered
@@ -155,36 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result-store directory: cache the deterministic per-algorithm "
         "series so repeated runs skip solved series",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="run the performance harness and write BENCH_<date>.json"
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="smaller workloads, fewer repeats"
-    )
-    bench.add_argument(
-        "--output", default=".", help="directory for BENCH_<date>.json (default: .)"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None, help="override best-of repeat count"
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        help="run only this scenario (repeatable); default: all",
-    )
-    bench.add_argument(
-        "--no-compare",
-        action="store_true",
-        help="skip the comparison against the previous BENCH_*.json",
-    )
-    bench.add_argument(
-        "--store",
-        default=None,
-        help="result-store directory: archive the report there and compare "
-        "against the store's trajectory when the output dir has none",
     )
 
     verify = sub.add_parser(
@@ -579,38 +544,6 @@ def _cmd_experiment(args, out) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _cmd_bench(args, out) -> int:
-    from repro.perf.harness import (
-        compare_with_previous,
-        format_report,
-        run_bench,
-        write_report,
-    )
-
-    try:
-        report = run_bench(
-            quick=args.quick, repeats=args.repeats, scenarios=args.scenarios
-        )
-    except ValueError as exc:  # unknown scenario name
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    store = None
-    if args.store:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store)
-    if not args.no_compare:
-        # Tolerates an empty trajectory (no prior BENCH_*.json) and
-        # unreadable/foreign previous files — see compare_with_previous.
-        report["comparison"] = compare_with_previous(
-            report, args.output, store=store
-        )
-    path = write_report(report, args.output, store=store)
-    print(format_report(report), file=out)
-    print(f"wrote {path}", file=out)
-    return 0
-
-
 def _cmd_verify(args, out) -> int:
     from repro.scenarios import (
         family_table,
@@ -973,8 +906,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _cmd_batch(args, out)
     if args.command == "experiment":
         return _cmd_experiment(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)
     if args.command == "sweep":

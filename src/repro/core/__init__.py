@@ -27,12 +27,9 @@ from repro.core.stretch import (
     stretch_fractions,
 )
 from repro.core.heuristic import lp_heuristic_schedule
-from repro.core.multipath import assign_candidate_paths, solve_multipath_lp
 from repro.core.scheduler import lp_solution_for
 
 __all__ = [
-    "assign_candidate_paths",
-    "solve_multipath_lp",
     "CoflowLPSolution",
     "build_time_indexed_lp",
     "solve_time_indexed_lp",

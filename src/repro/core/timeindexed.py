@@ -278,7 +278,7 @@ def build_time_indexed_lp(
     per-flow Python loops on the hot path.  The produced program is
     bit-identical to the loop-based reference in
     :mod:`repro.core.timeindexed_reference`, which the equivalence tests
-    assert and ``repro bench`` measures against.
+    and the ``lp-matrix`` invariant assert.
     """
     num_flows = instance.num_flows
     num_coflows = instance.num_coflows

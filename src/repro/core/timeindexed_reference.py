@@ -3,16 +3,11 @@
 This module assembles the same program as
 :mod:`repro.core.timeindexed` — Eq. 2 in its prefix-sum form included —
 with per-flow, per-slot Python loops instead of batched index arithmetic.
-It exists for two reasons:
-
-1. **Equivalence oracle** — the tests and the ``lp-matrix`` invariant assert
-   that the vectorized builder produces bit-identical matrices (same ``c``,
-   ``A_ub``/``A_eq`` after CSR canonicalization, same right-hand sides and
-   bounds) on both transmission models.
-2. **Benchmark baseline** — ``repro bench`` measures the vectorized builder
-   against this implementation in the same run, so every ``BENCH_*.json``
-   records the speedup of the batched assembly over the loops rather than
-   against a number measured on different hardware.
+It is an equivalence oracle: the ``lp-matrix`` invariant of ``repro
+verify`` and ``tests/test_core_timeindexed_vectorized.py`` assert that the
+vectorized builder produces bit-identical matrices (same ``c``,
+``A_ub``/``A_eq`` after CSR canonicalization, same right-hand sides and
+bounds) on both transmission models.
 
 It is *not* part of the public API and receives no new features; use
 :func:`repro.core.timeindexed.build_time_indexed_lp` everywhere else.

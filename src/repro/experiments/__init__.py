@@ -1,12 +1,14 @@
 """Experiment harness: regenerate every figure of the paper's evaluation.
 
 * :mod:`repro.experiments.figures` — one :class:`ExperimentConfig` per paper
-  figure (Figs. 6–12) plus the ablation studies listed in DESIGN.md.
+  figure (Figs. 6–12) plus three ablations (the 2-approximation, idle-slot
+  compaction, greedy baselines).
 * :mod:`repro.experiments.runner` — runs a configuration and collects the
   per-workload series values (LP bound, heuristic, best λ, average λ,
   Terra, Jahanjou et al., ...).
 * :mod:`repro.experiments.reporting` — renders results as aligned text
-  tables of the same rows/series the paper plots.
+  tables of the same rows/series the paper plots, and checks the paper's
+  qualitative findings on them (:func:`summarize_shape_checks`).
 * :mod:`repro.experiments.sweep` — resumable sharded sweeps over the
   persistent result store (:mod:`repro.store`), behind ``repro sweep``.
 """

@@ -4,7 +4,7 @@ Each :class:`ExperimentConfig` records the topology, transmission model,
 workloads, algorithm series and sizing knobs needed to regenerate one paper
 figure (or one ablation).  Sizes are scaled down relative to the paper's
 200-job traces so that every LP solves in seconds with scipy/HiGHS — see
-DESIGN.md ("Substitutions") — and can be scaled back up through the
+"Paper figures" in the README — and can be scaled back up through the
 ``scale`` argument of :func:`repro.experiments.runner.run_experiment`.
 """
 

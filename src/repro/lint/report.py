@@ -1,9 +1,9 @@
 """Lint report rendering: CLI text, machine-readable JSON, LINT_*.json.
 
-``LINT_<date>.json`` joins the ``BENCH_*.json`` / ``VERIFY_*.json`` report
-family: stamped through :func:`repro.utils.timing.report_stamp`, written
-atomically through :func:`repro.utils.io.atomic_write_json`, and uploaded
-by the CI lint job as an artifact.
+``LINT_<date>.json`` joins the ``VERIFY_*.json`` report family: stamped
+through :func:`repro.utils.timing.report_stamp`, written atomically through
+:func:`repro.utils.io.atomic_write_json`, and uploaded by the CI lint job
+as an artifact.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from repro.network.topologies import (
 )
 from repro.network.paths import (
     all_shortest_paths,
-    k_shortest_paths,
     pin_random_shortest_paths,
     random_shortest_path,
     shortest_path,
@@ -52,7 +51,6 @@ __all__ = [
     "parallel_edges_topology",
     "shortest_path",
     "all_shortest_paths",
-    "k_shortest_paths",
     "random_shortest_path",
     "pin_random_shortest_paths",
     "switch_fabric_topology",

@@ -10,7 +10,6 @@ Jahanjou baseline and the examples.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -50,27 +49,6 @@ def all_shortest_paths(
     except nx.NodeNotFound as exc:
         raise ValueError(str(exc)) from exc
     return result
-
-
-def k_shortest_paths(
-    graph: NetworkGraph, source: str, sink: str, k: int
-) -> List[Tuple[str, ...]]:
-    """The *k* shortest simple paths by hop count (Yen's algorithm).
-
-    Returns fewer than *k* paths if the graph does not contain that many
-    simple paths.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    try:
-        generator = nx.shortest_simple_paths(
-            graph.to_networkx(), str(source), str(sink)
-        )
-        return [tuple(p) for p in islice(generator, k)]
-    except nx.NetworkXNoPath as exc:
-        raise ValueError(f"no path from {source!r} to {sink!r}") from exc
-    except nx.NodeNotFound as exc:
-        raise ValueError(str(exc)) from exc
 
 
 def random_shortest_path(

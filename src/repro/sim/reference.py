@@ -3,13 +3,11 @@
 This module preserves the original (pre-optimization) per-event rate
 allocation and simulator loop of :mod:`repro.sim.rate_allocation` /
 :mod:`repro.sim.simulator` verbatim.  Like
-:mod:`repro.core.timeindexed_reference` it serves two purposes:
-
-1. **Equivalence oracle** — the regression tests assert that the
-   incremental simulator reproduces the reference event-for-event (same
-   event count, same piecewise-constant rates, same completion times).
-2. **Benchmark baseline** — ``repro bench`` measures events/sec of the
-   optimized simulator against this implementation in the same run.
+:mod:`repro.core.timeindexed_reference` it is an equivalence oracle:
+``tests/test_sim_incremental.py``, ``tests/test_sim_churn.py`` and
+``tests/test_sim_rate_allocation.py`` assert that the optimized allocation
+and simulator reproduce it (same event count, same piecewise-constant
+rates, same completion times).
 
 Not part of the public API; use :func:`repro.sim.simulate_priority_schedule`
 everywhere else.

@@ -1,9 +1,9 @@
 """repro.store — persistent, content-addressed result store.
 
 The durable-computation layer under the sweep orchestrator
-(:mod:`repro.experiments.sweep`), the experiment runner, the bench harness
-and the verifier: every solved ``(instance, algorithm, config)`` triple is
-keyed by a stable BLAKE2b fingerprint (the keying discipline of
+(:mod:`repro.experiments.sweep`), the experiment runner and the verifier:
+every solved ``(instance, algorithm, config)`` triple is keyed by a stable
+BLAKE2b fingerprint (the keying discipline of
 :func:`repro.utils.rng.derive_seed`) and written atomically to disk, so
 
 * an interrupted run resumes to a byte-identical result set — completed

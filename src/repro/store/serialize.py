@@ -3,7 +3,7 @@
 The store does not persist the full in-memory report: LP solutions and slot
 schedules are large, numpy-shaped and cheap to regenerate when actually
 needed, while every consumer of cached results (sweeps, experiment tables,
-bench trajectories, verification summaries) reads only the report surface —
+verification summaries) reads only the report surface —
 objective, completion times, bound, timing and JSON-safe extras.  The
 surface round-trips losslessly; ``schedule``/``lp_solution``/``feasibility``
 come back as ``None`` with the original feasibility verdict preserved under

@@ -5,7 +5,7 @@ Layout (all JSON, all human-inspectable)::
     <root>/
       store.json                   # store-level metadata (schema version)
       objects/<k0k1>/<key>.json    # content-addressed entries (fan-out dir)
-      runs/<kind>/<kind>-<n>.json  # append-only run archives (bench, verify,
+      runs/<kind>/<kind>-<n>.json  # append-only run archives (verify and
                                    # sweep summaries) with a monotonic index
 
 Every object entry is an envelope ``{schema, key, kind, created, payload}``;

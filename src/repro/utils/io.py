@@ -8,8 +8,8 @@ at all.  That property is what makes kill-and-resume (sweeps, verify
 checkpoints) safe.
 
 This module extracts that logic so *every* writer in the library (result
-store, experiment exports, trace/instance serialization, bench / verify /
-lint reports) shares one implementation.  ``repro lint`` rule R004 enforces
+store, experiment exports, trace/instance serialization, verify / lint
+reports) shares one implementation.  ``repro lint`` rule R004 enforces
 the discipline mechanically: direct ``open(..., "w")`` / ``write_text``
 calls anywhere else in ``src/`` are findings.
 

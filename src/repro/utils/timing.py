@@ -29,7 +29,8 @@ def report_stamp() -> str:
     """The current wall-clock time as an ISO stamp (``2026-08-07T12:34:56``).
 
     The single place the library reads the wall clock for *content* — the
-    ``created`` field of BENCH / VERIFY / LINT reports and store envelopes.
+    ``created`` field of VERIFY / LINT reports, sweep summaries and store
+    envelopes.
     Everything else must treat time as an input (release times, seeds) or a
     measurement (``perf_counter`` durations), never as hidden state.
     """
@@ -39,8 +40,8 @@ def report_stamp() -> str:
 def file_stamp() -> str:
     """A filename-safe rendering of :func:`report_stamp` (``20260807-123456``).
 
-    Used for the ``BENCH_<stamp>.json`` / ``VERIFY_<stamp>.json`` /
-    ``LINT_<stamp>.json`` report-family filenames.  Derived from
+    Used for the ``VERIFY_<stamp>.json`` / ``LINT_<stamp>.json``
+    report-family filenames and the store's quarantine names.  Derived from
     :func:`report_stamp` so there is exactly one wall-clock read path.
     """
     return report_stamp().replace("-", "").replace(":", "").replace("T", "-")

@@ -34,7 +34,7 @@ class WorkloadSpec:
         Number of coflows to generate.  The paper uses 200 jobs per
         benchmark; the default experiment configurations in this repository
         use smaller counts so the LPs solve quickly with HiGHS — see
-        DESIGN.md ("Substitutions").
+        "Paper figures" in the README.
     weighted:
         Draw weights from the profile's weight range (True, Figs. 6–10) or
         use unit weights (False, Figs. 11–12).

@@ -12,9 +12,14 @@ from repro.core.timeindexed import (
     solve_time_indexed_lp,
     suggest_horizon,
 )
-from repro.network.topologies import parallel_edges_topology, paper_example_topology
+from repro.network.topologies import (
+    parallel_edges_topology,
+    paper_example_topology,
+    swan_topology,
+)
 from repro.schedule.feasibility import check_feasibility
 from repro.schedule.timegrid import TimeGrid
+from repro.workloads.generator import WorkloadSpec, generate_instance
 
 
 class TestSuggestHorizon:
@@ -86,6 +91,33 @@ class TestBuildLP:
         slots_early, nnz_early = built(500.0)
         slots_late, nnz_late = built(1000.0)
         assert nnz_late / nnz_early <= 1.05 * (slots_late / slots_early)
+
+    def test_lp_size_structure_on_swan(self):
+        # TPC-DS on SWAN: the free path LP pays for its per-edge variables,
+        # halving the slot length roughly doubles the LP, and geometric grids
+        # shrink it, the more so the larger ε.
+        sizes = {}
+        for model in ("single_path", "free_path"):
+            spec = WorkloadSpec(
+                profile="TPC-DS", num_coflows=8, seed=42, demand_scale=1.5
+            )
+            instance = generate_instance(swan_topology(), spec, model=model, rng=42)
+            slots = suggest_horizon(instance)
+            grids = {
+                "L=1": TimeGrid.uniform(slots, 1.0),
+                "L=0.5": TimeGrid.uniform(2 * slots, 0.5),
+                "eps=0.2": TimeGrid.geometric(slots, 0.2),
+                "eps=0.5436": TimeGrid.geometric(slots, 0.5436),
+            }
+            for name, grid in grids.items():
+                lp, _ = build_time_indexed_lp(instance, grid)
+                sizes[model, name] = (grid.num_slots, lp.num_variables)
+        for name in ("L=1", "L=0.5"):
+            assert sizes["free_path", name][1] > sizes["single_path", name][1]
+        for model in ("single_path", "free_path"):
+            assert sizes[model, "L=0.5"][1] > 1.5 * sizes[model, "L=1"][1]
+            assert sizes[model, "eps=0.5436"][1] < sizes[model, "L=1"][1]
+            assert sizes[model, "eps=0.5436"][0] <= sizes[model, "eps=0.2"][0]
 
     def test_single_path_without_paths_raises(self, example_free_path_instance):
         # Force the single path builder onto an instance with unpinned flows.

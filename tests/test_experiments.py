@@ -156,3 +156,100 @@ class TestReporting:
         checks = summarize_shape_checks(tiny_fig06_result)
         assert checks["lp_is_lower_bound"]
         assert checks["heuristic_close_to_bound"]
+
+
+def _hand_built(values, **config) -> ExperimentResult:
+    """An experiment result over hand-written rows (no solve)."""
+    return ExperimentResult(
+        config=ExperimentConfig(
+            experiment_id="hand-built",
+            title="hand-built rows",
+            topology="swan",
+            model=TransmissionModel.FREE_PATH,
+            **config,
+        ),
+        values=values,
+    )
+
+
+B, H = F.SERIES_LP_BOUND, F.SERIES_HEURISTIC
+BEST, AVG = F.SERIES_BEST_LAMBDA, F.SERIES_AVERAGE_LAMBDA
+IB, IH = F.SERIES_INTERVAL_LP_BOUND, F.SERIES_INTERVAL_HEURISTIC
+
+#: A row of every series that satisfies every check.
+PASSING_ROW = {
+    B: 100.0,
+    H: 110.0,
+    BEST: 120.0,
+    AVG: 150.0,
+    F.SERIES_STRETCH_NO_COMPACTION: 160.0,
+    F.SERIES_JAHANJOU: 300.0,
+    F.SERIES_TERRA: 100.0,
+    IB: 90.0,
+    IH: 115.0,
+    F.SERIES_FIFO: 105.0,
+    F.SERIES_WSJF: 95.0,
+}
+
+#: (check, the overrides to PASSING_ROW that violate it and nothing else);
+#: an override of None drops the series from the row.
+VIOLATIONS = [
+    ("lp_is_lower_bound", {F.SERIES_STRETCH_NO_COMPACTION: 99.0}),
+    # 1.6x passes the 2x threshold this check used to apply.
+    ("heuristic_close_to_bound", {H: 160.0, BEST: 165.0, F.SERIES_FIFO: 150.0}),
+    ("heuristic_is_best_lambda", {BEST: 109.0}),
+    ("average_lambda_within_2x", {AVG: 201.0}),
+    # Terra <= 1.5x the heuristic holds; the heuristic > 2x Terra does not.
+    ("terra_competitive", {F.SERIES_TERRA: 54.0}),
+    ("interval_lp_is_lower_bound", {IH: 89.0}),
+    ("heuristic_competitive_with_fifo", {F.SERIES_FIFO: 99.0}),
+    # FIFO below half the bound would also put it below the heuristic / 1.1.
+    ("greedy_above_half_bound", {F.SERIES_FIFO: 49.0, H: None}),
+    ("greedy_above_half_bound", {F.SERIES_WSJF: 49.0}),
+]
+
+
+class TestShapeChecks:
+    def test_passing_row_passes_every_check(self):
+        checks = summarize_shape_checks(_hand_built({"W": dict(PASSING_ROW)}))
+        assert checks and all(checks.values()), checks
+
+    @pytest.mark.parametrize("name,overrides", VIOLATIONS)
+    def test_violating_row_fails_only_its_check(self, name, overrides):
+        bad = {s: v for s, v in {**PASSING_ROW, **overrides}.items() if v is not None}
+        values = {"ok": dict(PASSING_ROW), "bad": bad}
+        checks = summarize_shape_checks(_hand_built(values))
+        assert {n for n, ok in checks.items() if not ok} == {name}
+
+    def test_checks_need_their_series(self):
+        checks = summarize_shape_checks(_hand_built({"W": {B: 1.0, H: 1.2}}))
+        assert set(checks) == {"lp_is_lower_bound", "heuristic_close_to_bound"}
+
+
+def _epsilon_sweep(*points):
+    """A hand-built Figure 8 result from (ε, LP variables, heuristic) points."""
+    values = {
+        f"eps={eps:g}": {IB: 0.5 * heuristic, IH: heuristic, "lp_variables": n}
+        for eps, n, heuristic in points
+    }
+    return _hand_built(values, epsilon_values=tuple(p[0] for p in points))
+
+
+class TestEpsilonSweepChecks:
+    def test_shrinking_lp_with_costlier_schedules_passes(self):
+        # Columns in any order: the checks sort them by ε.
+        result = _epsilon_sweep((1.0, 100, 130.0), (0.1, 300, 100.0), (0.5, 200, 95.0))
+        assert summarize_shape_checks(result) == {
+            "interval_lp_is_lower_bound": True,
+            "lp_shrinks_with_epsilon": True,
+            "coarse_epsilon_costs_quality": True,
+        }
+
+    def test_lp_growing_with_epsilon_fails(self):
+        result = _epsilon_sweep((0.1, 300, 100.0), (0.5, 200, 110.0), (1.0, 250, 130.0))
+        assert summarize_shape_checks(result)["lp_shrinks_with_epsilon"] is False
+
+    @pytest.mark.parametrize("coarsest", [99.0, 501.0])
+    def test_coarsest_heuristic_outside_1x_to_5x_fails(self, coarsest):
+        result = _epsilon_sweep((0.1, 300, 100.0), (1.0, 100, coarsest))
+        assert summarize_shape_checks(result)["coarse_epsilon_costs_quality"] is False

@@ -1,9 +1,10 @@
 """Runner coverage for the baseline-heavy experiment series.
 
-The figure benchmarks exercise these code paths at full size; these tests do
-the same on deliberately tiny instances so the branch coverage lives in the
-fast unit-test suite as well (single path + Jahanjou + interval LP series,
-free path + Terra series, and the Sincronia/greedy ablation series).
+``examples/reproduce_figures.py`` exercises these code paths at full size;
+these tests do the same on deliberately tiny instances so the branch
+coverage lives in the fast unit-test suite as well (single path + Jahanjou +
+interval LP series, free path + Terra series, and the Sincronia/greedy
+ablation series).
 """
 
 import pytest

@@ -8,7 +8,6 @@ from repro.coflow.flow import Flow
 from repro.network.paths import (
     all_shortest_paths,
     edge_disjoint_paths,
-    k_shortest_paths,
     path_hop_count,
     pin_random_shortest_paths,
     random_shortest_path,
@@ -50,28 +49,6 @@ class TestAllShortestPaths:
     def test_single_edge_unique(self):
         g = swan_topology()
         assert all_shortest_paths(g, "NY", "FL") == [("NY", "FL")]
-
-
-class TestKShortestPaths:
-    def test_returns_at_most_k(self):
-        g = paper_example_topology()
-        assert len(k_shortest_paths(g, "s", "t", 2)) == 2
-
-    def test_returns_fewer_when_graph_small(self):
-        g = swan_topology()
-        paths = k_shortest_paths(g, "NY", "FL", 50)
-        assert 1 <= len(paths) <= 50
-        assert paths[0] == ("NY", "FL")
-
-    def test_sorted_by_length(self):
-        g = paper_example_topology()
-        paths = k_shortest_paths(g, "s", "t", 5)
-        lengths = [len(p) for p in paths]
-        assert lengths == sorted(lengths)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            k_shortest_paths(paper_example_topology(), "s", "t", 0)
 
 
 class TestRandomShortestPath:

@@ -15,7 +15,7 @@ from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import parallel_edges_topology, swan_topology
 from repro.online import GeometricBatchingPolicy, run_online_policy
 from repro.online.batch import _epoch_index, greedy_online_schedule, wsjf_ratios
-from repro.workloads.generator import random_instance
+from repro.workloads.generator import WorkloadSpec, generate_instance, random_instance
 
 
 def run_batching(
@@ -126,14 +126,33 @@ class TestOnlineBatchSchedule:
         assert sorted(assigned) == list(range(instance.num_coflows))
 
     def test_objective_at_least_offline(self):
-        instance = staggered_instance()
-        offline = solve_time_indexed_lp(instance)
-        offline_objective = lp_heuristic_schedule(offline).weighted_completion_time()
-        online = run_batching(instance, rng=0)
-        assert online.weighted_completion_time >= offline_objective - 1e-6
-        # The doubling framework is O(1)-competitive; on this tiny instance a
-        # factor of 4 is a generous envelope.
-        assert online.weighted_completion_time <= 4.0 * offline_objective
+        # FB arrivals on SWAN, spread out so that batching forms batches.
+        spread = generate_instance(
+            swan_topology(),
+            WorkloadSpec(
+                profile="FB",
+                num_coflows=10,
+                seed=123,
+                demand_scale=1.5,
+                release_spread=2.0,
+            ),
+            model="free_path",
+            rng=123,
+        )
+        for instance in (staggered_instance(), spread):
+            offline = solve_time_indexed_lp(instance)
+            offline_objective = lp_heuristic_schedule(offline).weighted_completion_time()
+            online = run_batching(instance, rng=0)
+            assert online.weighted_completion_time >= offline_objective - 1e-6
+            # The doubling framework is O(1)-competitive; on these instances
+            # a factor of 4 is a generous envelope.
+            assert online.weighted_completion_time <= 4.0 * offline_objective
+        # From here on, offline and online are the spread instance's.
+        assert online.num_batches >= 2
+        # The greedy baseline runs in continuous time: it may beat the slotted
+        # LP bound, but not by half, and stays within 3x of offline.
+        greedy = greedy_online_schedule(spread).weighted_completion_time
+        assert 0.5 * offline.objective <= greedy <= 3.0 * offline_objective
 
     def test_all_released_at_zero_gives_single_batch(self):
         graph = swan_topology()
