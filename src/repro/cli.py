@@ -41,17 +41,17 @@ Eleven commands cover the common workflows without writing any Python:
     N× coflows, or convert a public Facebook-format coflow trace.
 ``lint``
     Run the AST-based determinism & discipline analyzer (:mod:`repro.lint`)
-    over the library source: raw entropy, wall-clock reads, float ``==``,
-    non-atomic writes, numpy-at-the-JSON-boundary, registry completeness,
-    silent broad excepts and deprecated shims are all mechanical findings.
-    Writes a machine-readable ``LINT_<date>.json`` with ``--output``.
+    over the library source: raw entropy and rng construction, wall-clock
+    reads, float ``==``, non-atomic writes, numpy-at-the-JSON-boundary,
+    registry completeness, silent broad excepts, bare sleeps and direct
+    solver-engine calls are all mechanical findings.  Writes a
+    machine-readable ``LINT_<date>.json`` with ``--output``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.api import (
@@ -358,29 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule codes or family prefixes to run "
-        "(e.g. R004 or R1,R2,R3; default: all rules)",
-    )
-    lint.add_argument(
-        "--diff",
-        metavar="REF",
-        default=None,
-        help="lint only files changed vs this git ref plus their "
-        "reverse-dependency closure from the call graph",
-    )
-    lint.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="call-graph extract cache (JSON, keyed by file digests); "
-        "warm runs skip re-extracting unchanged modules",
-    )
-    lint.add_argument(
-        "--certificate",
-        metavar="PATH",
-        default=None,
-        help="also write the kernel-purity certificate "
-        "(directory or .json path; requires R301/R302/R303 in the run)",
+        help="comma-separated rule codes to run (e.g. R003,R007; default: "
+        "all rules)",
     )
     lint.add_argument(
         "--list-rules",
@@ -847,7 +826,6 @@ def _cmd_lint(args, out) -> int:
         format_rule_table,
         result_to_json,
         run_lint,
-        write_certificate,
         write_lint_report,
     )
 
@@ -858,9 +836,7 @@ def _cmd_lint(args, out) -> int:
     if args.select:
         select = [code.strip() for code in args.select.split(",") if code.strip()]
     try:
-        result = run_lint(
-            args.path, select=select, diff=args.diff, cache_path=args.cache
-        )
+        result = run_lint(args.path, select=select)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -874,19 +850,6 @@ def _cmd_lint(args, out) -> int:
     if args.output is not None:
         path = write_lint_report(result, args.output)
         print(f"wrote {path}", file=out)
-        # A directory output also publishes the certificate next to the
-        # report (the CI artifact layout); a .json path names the report
-        # alone, so the certificate needs --certificate explicitly.
-        if result.certificate is not None and Path(args.output).suffix != ".json":
-            cert_path = write_certificate(result, args.output)
-            print(f"wrote {cert_path}", file=out)
-    if args.certificate is not None:
-        try:
-            cert_path = write_certificate(result, args.certificate)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {cert_path}", file=out)
     return 0 if result.ok else 1
 
 

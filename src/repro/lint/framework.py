@@ -16,11 +16,9 @@ Architecture
 * :class:`ProjectContext` — every file of a lint run, for cross-module
   checks (e.g. registry completeness).
 * :func:`register_rule` — decorator registering a check under a stable
-  ``R###`` code with a *file*, *project* or *graph* scope and optional
-  per-path exemptions (the one sanctioned module a rule's discipline
-  funnels through).  Graph-scoped checks receive the resolved
-  :class:`~repro.lint.callgraph.CallGraph` alongside the project and power
-  the interprocedural R1xx, R203 and R3xx rules.
+  ``R###`` code with a *file* or *project* scope and optional per-path
+  exemptions (the one sanctioned module a rule's discipline funnels
+  through).
 * :class:`Finding` — one violation: rule code, file, position, message.
 
 Suppressions
@@ -116,6 +114,8 @@ def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     the runner reports them as ``R000`` findings rather than ignoring them.
     """
     suppressions: Dict[int, Set[str]] = {}
+    if "repro-lint" not in source:
+        return suppressions  # most files have no marker: skip tokenizing
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for token in tokens:
@@ -139,7 +139,7 @@ class FileContext:
     """One parsed file plus the per-file machinery every rule needs."""
 
     path: Path  #: absolute path on disk
-    rel: str  #: posix path relative to the lint root
+    rel: str  #: posix path relative to the enclosing package root
     source: str
     tree: ast.Module
     imports: ImportMap = field(init=False)
@@ -197,7 +197,7 @@ class RuleInfo:
     name: str
     description: str
     rationale: str
-    scope: str  # "file" | "project" | "graph"
+    scope: str  # "file" | "project"
     check: Callable
     allowed_paths: Tuple[str, ...] = ()
 
@@ -222,10 +222,8 @@ def register_rule(
     allowed_paths: Iterable[str] = (),
 ) -> Callable[[Callable], Callable]:
     """Decorator registering *check* under *code* (latest registration wins)."""
-    if scope not in ("file", "project", "graph"):
-        raise ValueError(
-            f"rule scope must be 'file', 'project' or 'graph', got {scope!r}"
-        )
+    if scope not in ("file", "project"):
+        raise ValueError(f"rule scope must be 'file' or 'project', got {scope!r}")
 
     def decorator(check: Callable) -> Callable:
         _RULES[code] = RuleInfo(

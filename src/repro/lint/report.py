@@ -3,7 +3,8 @@
 ``LINT_<date>.json`` joins the ``VERIFY_*.json`` report family: stamped
 through :func:`repro.utils.timing.report_stamp`, written atomically through
 :func:`repro.utils.io.atomic_write_json`, and uploaded by the CI lint job
-as an artifact.
+as an artifact.  A schema 2 document carries ``rules``, ``findings``,
+``summary`` and ``timings`` (``read_parse``, ``rules``, ``total``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.lint.runner import LintResult
 from repro.utils.io import atomic_write_json
 from repro.utils.timing import file_stamp, report_stamp
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def result_to_json(result: LintResult) -> Dict:
@@ -58,34 +59,7 @@ def result_to_json(result: LintResult) -> Dict:
             stage: round(seconds, 6)
             for stage, seconds in result.timings.items()
         },
-        "cache": {
-            "hits": result.cache_hits,
-            "misses": result.cache_misses,
-        },
-        "scope": {
-            "files_targeted": result.files_targeted,
-            "diff_base": result.diff_base,
-        },
     }
-
-
-def write_certificate(result: LintResult, output: str | Path = ".") -> Path:
-    """Write ``KERNEL_PURITY.json``; *output* may be a directory or a path.
-
-    The certificate document itself is deterministic (no timestamps — see
-    :func:`repro.lint.interproc.build_certificate`), so writing it to the
-    same tree state twice produces byte-identical files; the committed copy
-    at the repo root only changes when the kernel or the analyzer does.
-    """
-    if result.certificate is None:
-        raise ValueError(
-            "no certificate on this result: run_lint must have run all of "
-            "R301/R302/R303 (they are included in the default selection)"
-        )
-    path = Path(output)
-    if path.suffix != ".json":
-        path = path / "KERNEL_PURITY.json"
-    return atomic_write_json(path, result.certificate, sort_keys=True)
 
 
 def write_lint_report(result: LintResult, output: str | Path = ".") -> Path:

@@ -44,24 +44,76 @@ _NUMPY_GLOBAL_STATE = {
 _RAW_ENTROPY = {"os.urandom", "uuid.uuid1", "uuid.uuid4", "secrets.token_bytes",
                 "secrets.token_hex", "secrets.randbelow"}
 
+#: Generator / bit-stream constructors: only utils/rng.py may call them.
+_RNG_CONSTRUCTORS = {
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.RandomState",
+    "numpy.random.SeedSequence",
+    "numpy.random.PCG64",
+}
+
+#: The utils.rng factories (by bare name): sanctioned inside a function,
+#: but a module-level binding of their product is still ambient state.
+_RNG_FACTORIES = {"as_generator", "derive_rng", "spawn_rng", "iter_generators"}
+
+
+def _module_rng_bindings(ctx: FileContext) -> Dict[int, List[str]]:
+    """id(call) -> names, for module-level ``NAME = <rng constructor/factory>``."""
+    bindings: Dict[int, List[str]] = {}
+    for node in ctx.tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        call = node.value
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        bare = func.attr if isinstance(func, ast.Attribute) else None
+        if isinstance(func, ast.Name):
+            bare = func.id
+        if ctx.imports.qualify(func) in _RNG_CONSTRUCTORS or bare in _RNG_FACTORIES:
+            targets: List[ast.expr] = (
+                list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+            )
+            bindings[id(call)] = [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    return bindings
+
 
 @register_rule(
     "R001",
     "no-raw-entropy",
     description=(
-        "random.*, argless np.random.default_rng(), os.urandom and uuid4 "
-        "are banned; all randomness flows through utils.rng "
-        "(as_generator / derive_seed / derive_rng)"
+        "random.*, numpy rng constructors (default_rng, Generator, "
+        "RandomState, SeedSequence, PCG64), os.urandom and uuid4 are banned "
+        "outside utils/rng.py, as is a module-level rng binding; all "
+        "randomness flows through utils.rng (as_generator / derive_rng)"
     ),
     rationale=(
         "PR 3: scenario addressing is bit-reproducible only because every "
-        "stream is derived statelessly from (root_seed, *path)"
+        "stream is derived statelessly from (root_seed, *path); a seeded "
+        "constructor elsewhere (once in scenarios/engine.py) or a module "
+        "rng reopens position-dependent streams"
     ),
     allowed_paths=("utils/rng.py",),
 )
 def check_raw_entropy(ctx: FileContext) -> Iterator[Finding]:
+    bindings = _module_rng_bindings(ctx)
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
+            continue
+        if id(node) in bindings:
+            names = ", ".join(repr(name) for name in bindings[id(node)])
+            yield ctx.finding(
+                node,
+                "R001",
+                f"module-level rng binding {names}: generators are per-unit "
+                "values (derive them where used), not module state",
+            )
             continue
         qual = ctx.imports.qualify(node.func)
         if qual is None:
@@ -80,16 +132,12 @@ def check_raw_entropy(ctx: FileContext) -> Iterator[Finding]:
                 f"call to '{qual}' (irreproducible entropy); derive "
                 "randomness from a seed via repro.utils.rng",
             )
-        elif (
-            qual == "numpy.random.default_rng"
-            and not node.args
-            and not node.keywords
-        ):
+        elif qual in _RNG_CONSTRUCTORS:
             yield ctx.finding(
                 node,
                 "R001",
-                "argless np.random.default_rng() seeds from the OS; pass a "
-                "seed or use repro.utils.rng.as_generator / derive_rng",
+                f"rng constructor '{qual}' outside utils/rng.py; derive the "
+                "stream with repro.utils.rng.as_generator / derive_rng",
             )
         elif (
             qual.startswith("numpy.random.")
@@ -224,12 +272,27 @@ def _is_writing(mode: Optional[str]) -> bool:
     return mode is not None and any(ch in mode for ch in "wax+")
 
 
+#: Raw write / publish primitives the atomic helpers of utils/io.py own.
+_RAW_WRITE = {
+    "os.link",
+    "tempfile.mkstemp",
+    "tempfile.NamedTemporaryFile",
+    "shutil.copy",
+    "shutil.copy2",
+    "shutil.copyfile",
+    "shutil.move",
+}
+
+
 @register_rule(
     "R004",
     "no-nonatomic-write",
     description=(
-        "open(..., 'w') / Path.write_text are banned; all output files go "
-        "through utils.io.atomic_writer / atomic_write_* (temp + os.replace)"
+        "open(..., 'w') / Path.write_text and the raw write primitives "
+        "(os.fdopen(..., 'w'), os.link, tempfile.mkstemp / "
+        "NamedTemporaryFile, shutil.copy* / move) are banned; all output "
+        "files go through utils.io.atomic_writer / atomic_write_* "
+        "(temp + os.replace)"
     ),
     rationale=(
         "PR 4: kill-and-resume is safe only because a file either exists "
@@ -253,6 +316,14 @@ def check_nonatomic_write(ctx: FileContext) -> Iterator[Finding]:
                 )
             continue
         qual = ctx.imports.qualify(func)
+        if qual in _RAW_WRITE:
+            yield ctx.finding(
+                node,
+                "R004",
+                f"raw write primitive '{qual}'; it lives behind "
+                "repro.utils.io's atomic helpers, not in caller code",
+            )
+            continue
         if qual == "os.fdopen":
             if _is_writing(_write_mode(node, 1)):
                 yield ctx.finding(

@@ -5,49 +5,30 @@ returns a :class:`LintResult` whose findings are already suppression-
 filtered, augmented with ``R000`` unused-suppression findings and sorted —
 the CLI only formats and exits.
 
-One parse, three scopes
------------------------
 Every file is read and parsed exactly once into a
 :class:`~repro.lint.framework.FileContext`; the same parsed tree feeds the
-file-scoped rules, the project-scoped rules, the per-file *extraction* for
-the call graph, and the suppression pass.  Extraction results are cacheable
-(``cache_path``): the cache is keyed by source digest, so a warm run reuses
-the extract of every unchanged file and the graph build pays only for what
-changed.  ``LintResult.timings`` records where the time went; the numbers
-land in ``LINT_<date>.json`` so a slow lint run is a diagnosable artifact,
-not an anecdote.
+file-scoped rules, the project-scoped rules and the suppression pass.
+``LintResult.timings`` records where the time went; the numbers land in
+``LINT_<date>.json`` so a slow lint run is a diagnosable artifact, not an
+anecdote.
 
-Diff scope
-----------
-``diff="REF"`` narrows the *file-scoped* rules (and the unused-suppression
-meta-check) to the files changed versus a git ref **plus their
-reverse-dependency closure** from the call graph — a change to
-``utils/rng.py`` re-lints every caller, because an interface change there
-can create violations in files whose text did not change.  Project- and
-graph-scoped rules always see the full tree: their semantics are global
-(registry completeness, call closures) and running them on a subset would
-invent false positives.
+Finding paths are relative to the *enclosing package root*, whatever the
+target: linting ``src/repro/utils`` or ``src/repro/utils/io.py`` reports
+``utils/io.py``, so each rule's sanctioned-module exemption applies to a
+subpackage or single-file target exactly as to the whole tree.
+Project-scoped rules (registry completeness) need every registration, so
+they run only when the target is the whole package.
 """
 
 from __future__ import annotations
 
 import ast
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint import interproc as _interproc  # noqa: F401 - registers R1xx-R3xx
 from repro.lint import rules as _rules  # noqa: F401 - registers the built-ins
-from repro.lint.callgraph import (
-    CallGraph,
-    FileExtract,
-    extract_file,
-    load_cache,
-    save_cache,
-    source_digest,
-)
 from repro.lint.framework import (
     PARSE_ERROR,
     UNUSED_SUPPRESSION,
@@ -57,7 +38,6 @@ from repro.lint.framework import (
     get_rule,
     rule_codes,
 )
-from repro.lint.interproc import CERTIFICATE_RULES, build_certificate
 
 
 def default_root() -> Path:
@@ -65,6 +45,18 @@ def default_root() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent
+
+
+def package_root(target: Path) -> Path:
+    """The top of the package enclosing *target* (a directory or a file).
+
+    Climbs from the target while the parent directory is itself a package
+    (has an ``__init__.py``); a target outside any package is its own root.
+    """
+    root = target if target.is_dir() else target.parent
+    while (root.parent / "__init__.py").exists():
+        root = root.parent
+    return root
 
 
 def iter_python_files(root: Path) -> List[Path]:
@@ -78,78 +70,6 @@ def iter_python_files(root: Path) -> List[Path]:
     )
 
 
-def expand_selection(select: Sequence[str]) -> Tuple[str, ...]:
-    """Resolve a ``--select`` list to concrete rule codes.
-
-    Each entry is either an exact code (``R101``, ``R000``, ``E001``) or a
-    family prefix (``R1`` selects every registered ``R1xx`` rule) — the
-    spelling the issue tracker uses (``--select R1,R2,R3``).  Unknown
-    entries raise ``ValueError`` with the catalogue, mirroring the scenario
-    engine's fail-fast validation.
-    """
-    registered = rule_codes()
-    meta = (UNUSED_SUPPRESSION, PARSE_ERROR)
-    chosen: List[str] = []
-    for entry in select:
-        if entry in registered or entry in meta:
-            if entry not in chosen:
-                chosen.append(entry)
-            continue
-        expanded = [code for code in registered if code.startswith(entry)]
-        if not expanded:
-            raise ValueError(
-                f"unknown lint rule or family {entry!r}; registered rules: "
-                + ", ".join(registered)
-            )
-        for code in expanded:
-            if code not in chosen:
-                chosen.append(code)
-    return tuple(chosen)
-
-
-def changed_files(root: Path, ref: str) -> List[str]:
-    """Root-relative posix paths of ``.py`` files changed versus *ref*.
-
-    Includes uncommitted changes (``git diff REF`` semantics).  Raises
-    ``ValueError`` when *root* is not inside a git work tree or the ref
-    does not resolve — a typo'd ref must fail the run, not silently lint
-    nothing.
-    """
-    anchor = root if root.is_dir() else root.parent
-    try:
-        toplevel_proc = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=anchor,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        diff_proc = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            cwd=anchor,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        raise ValueError(
-            f"--diff {ref!r} failed: {detail.strip()}"
-        ) from None
-    toplevel = Path(toplevel_proc.stdout.strip())
-    out: List[str] = []
-    for name in diff_proc.stdout.splitlines():
-        name = name.strip()
-        if not name.endswith(".py"):
-            continue
-        absolute = toplevel / name
-        try:
-            out.append(absolute.relative_to(root).as_posix())
-        except ValueError:
-            continue  # changed, but outside the lint root
-    return sorted(set(out))
-
-
 @dataclass
 class LintResult:
     """Outcome of one lint run (already filtered and sorted)."""
@@ -159,17 +79,8 @@ class LintResult:
     files_checked: int
     rules_run: Tuple[str, ...]
     suppressions_used: int = 0
-    #: Seconds per stage: read_parse, extract, graph, rules, total.
+    #: Seconds per stage: read_parse, rules, total.
     timings: Dict[str, float] = field(default_factory=dict)
-    #: Extract-cache statistics (both zero when no cache_path was given).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Files the file-scoped rules ran on (== files_checked without --diff).
-    files_targeted: int = 0
-    #: The git ref of a --diff run, None otherwise.
-    diff_base: Optional[str] = None
-    #: Kernel-purity certificate (present when all of R301/R302/R303 ran).
-    certificate: Optional[Dict] = None
 
     @property
     def ok(self) -> bool:
@@ -183,16 +94,12 @@ class LintResult:
 
 
 def _build_contexts(
-    root: Path, files: Sequence[Path]
+    base: Path, files: Sequence[Path]
 ) -> Tuple[List[FileContext], List[Finding]]:
     contexts: List[FileContext] = []
     parse_failures: List[Finding] = []
     for path in files:
-        rel = (
-            path.relative_to(root).as_posix()
-            if root.is_dir()
-            else path.name
-        )
+        rel = path.relative_to(base).as_posix()
         try:
             source = path.read_text(encoding="utf-8")
             tree = ast.parse(source, filename=str(path))
@@ -216,8 +123,6 @@ def run_lint(
     root: Optional[str | Path] = None,
     *,
     select: Optional[Sequence[str]] = None,
-    diff: Optional[str] = None,
-    cache_path: Optional[str | Path] = None,
 ) -> LintResult:
     """Lint *root* (default: the installed ``repro`` package).
 
@@ -226,17 +131,9 @@ def run_lint(
     root:
         Directory (or single file) to analyze.
     select:
-        Rule codes or family prefixes to run (default: all registered
-        rules).  ``"R1"`` expands to every ``R1xx`` rule; unknown entries
-        raise ``ValueError`` with the catalogue.
-    diff:
-        Git ref; when given, file-scoped rules run only on files changed
-        versus the ref plus their reverse-dependency closure.  Project-
-        and graph-scoped rules still analyze the full tree.
-    cache_path:
-        JSON extract-cache location.  Loaded if present (entries keyed by
-        source digest), rewritten after the run.  Corrupt or
-        schema-mismatched caches are ignored, never trusted.
+        Exact rule codes to run (default: all registered rules; ``R000``
+        and ``E001`` may be named too).  Unknown codes raise
+        ``ValueError`` with the catalogue.
 
     Returns
     -------
@@ -250,123 +147,61 @@ def run_lint(
     if not root.exists():
         raise ValueError(f"lint target {root} does not exist")
     if select is not None:
-        chosen = expand_selection(tuple(select))
+        chosen = tuple(dict.fromkeys(select))
         if not chosen:
             raise ValueError("select must name at least one rule")
     else:
         chosen = rule_codes()
-    infos = [
-        get_rule(code)
-        for code in chosen
-        if code not in (UNUSED_SUPPRESSION, PARSE_ERROR)
-    ]
+    meta = (UNUSED_SUPPRESSION, PARSE_ERROR)
+    infos = [get_rule(code) for code in chosen if code not in meta]
+    target = root.resolve()
+    base = package_root(target)
+    if target != base:
+        # Project-scoped rules need every registration in the package.
+        infos = [info for info in infos if info.scope == "file"]
+    ran = {info.code for info in infos}
 
-    # ---- read + parse (once, shared by every scope) ---------------------- #
+    # ---- read + parse (once, shared by every rule) ------------------------ #
     t0 = time.perf_counter()
-    files = iter_python_files(root)
-    contexts, findings = _build_contexts(root, files)
+    files = iter_python_files(target)
+    contexts, findings = _build_contexts(base, files)
     by_rel = {ctx.rel: ctx for ctx in contexts}
-    project = ProjectContext(root=root, files=contexts)
+    project = ProjectContext(root=base, files=contexts)
     read_parse_seconds = time.perf_counter() - t0
-
-    # ---- extraction (digest-keyed cache) --------------------------------- #
-    t0 = time.perf_counter()
-    digests = {ctx.rel: source_digest(ctx.source) for ctx in contexts}
-    cached = load_cache(cache_path) if cache_path is not None else {}
-    extracts: Dict[str, FileExtract] = {}
-    cache_hits = 0
-    cache_misses = 0
-    need_graph = diff is not None or any(info.scope == "graph" for info in infos)
-    if need_graph:
-        entries: Dict[str, Dict] = {}
-        for ctx in contexts:
-            digest = digests[ctx.rel]
-            entry = cached.get(ctx.rel)
-            if entry is not None and entry.get("digest") == digest:
-                try:
-                    extracts[ctx.rel] = FileExtract.from_dict(entry["extract"])
-                    cache_hits += 1
-                except (KeyError, TypeError, ValueError):
-                    entry = None  # damaged entry: fall through to re-extract
-            if ctx.rel not in extracts:
-                extracts[ctx.rel] = extract_file(ctx)
-                if cache_path is not None:
-                    cache_misses += 1
-            entries[ctx.rel] = {
-                "digest": digest,
-                "extract": extracts[ctx.rel].to_dict(),
-            }
-        if cache_path is not None:
-            save_cache(cache_path, entries)
-    extract_seconds = time.perf_counter() - t0
-
-    # ---- graph build ------------------------------------------------------ #
-    t0 = time.perf_counter()
-    graph: Optional[CallGraph] = None
-    if need_graph:
-        root_name = root.name if root.is_dir() else root.stem
-        graph = CallGraph(root_name, extracts)
-    graph_seconds = time.perf_counter() - t0
-
-    # ---- diff scope ------------------------------------------------------- #
-    target_rels: Set[str] = set(by_rel)
-    if diff is not None:
-        changed = changed_files(root, diff)
-        assert graph is not None  # need_graph covers diff mode
-        target_rels = graph.reverse_file_closure(changed)
 
     # ---- rules ------------------------------------------------------------ #
     t0 = time.perf_counter()
     raw: List[Finding] = []
     for info in infos:
-        if info.scope == "graph":
-            assert graph is not None
-            raw.extend(
-                finding
-                for finding in info.check(project, graph)
-                if not info.exempts(finding.path)
-            )
-        elif info.scope == "project":
+        if info.scope == "project":
             raw.extend(info.check(project))
-        else:
-            for ctx in contexts:
-                if ctx.rel not in target_rels or info.exempts(ctx.rel):
-                    continue
+            continue
+        for ctx in contexts:
+            if not info.exempts(ctx.rel):
                 raw.extend(info.check(ctx))
     rules_seconds = time.perf_counter() - t0
 
     # Apply suppressions: an allow[CODE] comment on the finding's line
-    # silences it and marks the suppression as consumed.  Suppressed R3xx
-    # findings are kept aside: the purity certificate lists them as
-    # sanctioned effects rather than letting them vanish.
+    # silences it and marks the suppression as consumed.
     consumed: Set[Tuple[str, int, str]] = set()
-    sanctioned_r3: List[Finding] = []
-    surviving_r3: List[Finding] = []
     for finding in raw:
         ctx = by_rel.get(finding.path)
         allowed = ctx.suppressions.get(finding.line, set()) if ctx else set()
         if finding.rule in allowed:
             consumed.add((finding.path, finding.line, finding.rule))
-            if finding.rule in CERTIFICATE_RULES:
-                sanctioned_r3.append(finding)
         else:
             findings.append(finding)
-            if finding.rule in CERTIFICATE_RULES:
-                surviving_r3.append(finding)
 
     # Report unused (or unknown-code) suppressions, unless R000 itself was
-    # deselected.  A suppression for a rule outside the current selection
-    # is not "unused" — the rule never ran, so it had no chance to match.
-    # Under --diff only target files are judged: a file-scoped rule never
-    # ran on the others, so their suppressions had no chance to match.
+    # deselected.  A suppression for a rule that did not run (outside the
+    # selection, or project-scoped on a partial target) is not "unused" —
+    # it had no chance to match.
     registered = set(rule_codes())
     if UNUSED_SUPPRESSION in chosen or select is None:
         for ctx in contexts:
-            if ctx.rel not in target_rels:
-                continue
             for line, codes in sorted(ctx.suppressions.items()):
                 for code in sorted(codes):
-                    if code in registered and code not in chosen:
+                    if code in registered and code not in ran:
                         continue
                     if (ctx.rel, line, code) in consumed:
                         continue
@@ -388,29 +223,15 @@ def run_lint(
                         )
                     )
 
-    certificate: Optional[Dict] = None
-    if graph is not None and all(code in chosen for code in CERTIFICATE_RULES):
-        certificate = build_certificate(
-            graph, digests, surviving_r3, sanctioned_r3
-        )
-
-    total_seconds = time.perf_counter() - started
     return LintResult(
         root=root,
         findings=sorted(findings),
         files_checked=len(files),
-        rules_run=chosen,
+        rules_run=tuple(code for code in chosen if code in ran or code in meta),
         suppressions_used=len(consumed),
         timings={
             "read_parse": read_parse_seconds,
-            "extract": extract_seconds,
-            "graph": graph_seconds,
             "rules": rules_seconds,
-            "total": total_seconds,
+            "total": time.perf_counter() - started,
         },
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        files_targeted=len(target_rels),
-        diff_base=diff,
-        certificate=certificate,
     )

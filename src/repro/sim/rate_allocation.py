@@ -537,11 +537,11 @@ def get_rate_allocator(instance: CoflowInstance) -> RateAllocator:
     allocator = _ALLOCATORS.get(instance)
     if allocator is None:
         allocator = RateAllocator(instance)
-        # Sanctioned kernel-purity waiver: a content-transparent memo —
-        # the mapping is weak, keyed by instance identity, and the cached
-        # allocator is a pure function of the (immutable) instance, so
-        # results never depend on whether the entry was present.
-        _ALLOCATORS[instance] = allocator  # repro-lint: allow[R301]
+        # A content-transparent memo: the mapping is weak, keyed by
+        # instance identity, and the cached allocator is a pure function of
+        # the (immutable) instance, so results never depend on whether the
+        # entry was present.
+        _ALLOCATORS[instance] = allocator
     return allocator
 
 

@@ -11,7 +11,8 @@ This module extracts that logic so *every* writer in the library (result
 store, experiment exports, trace/instance serialization, verify / lint
 reports) shares one implementation.  ``repro lint`` rule R004 enforces
 the discipline mechanically: direct ``open(..., "w")`` / ``write_text``
-calls anywhere else in ``src/`` are findings.
+calls and the raw write primitives (``mkstemp``, ``os.link``,
+``shutil.copy*``) anywhere else in ``src/`` are findings.
 
 JSON payloads additionally pass through :func:`normalize_json`, which
 converts numpy scalars and arrays to plain Python values — the library's
@@ -106,7 +107,7 @@ def scratch_path(*, suffix: str = "", prefix: str = "repro-") -> Iterator[Path]:
     The save→load round-trip helpers (e.g. the trace-replay scenario
     family) need a real filesystem path to exercise serialization; this is
     the sanctioned way to get one.  Keeping the ``tempfile`` primitive here
-    rather than at the call sites preserves lint rule R203's invariant:
+    rather than at the call sites preserves lint rule R004's invariant:
     raw write primitives appear only inside ``utils/io.py``.
     """
     fd, tmp = tempfile.mkstemp(suffix=suffix, prefix=prefix)

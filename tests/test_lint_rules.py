@@ -56,7 +56,9 @@ class TestR001RawEntropy:
         )
         assert "R001" in lint_codes(tmp_path, select=["R001"])
 
-    def test_seeded_default_rng_passes(self, tmp_path):
+    def test_seeded_default_rng_is_flagged(self, tmp_path):
+        # Seeding does not sanction a constructor: only utils/rng.py builds
+        # generators, so a stream is always derived from its address.
         write_module(
             tmp_path,
             "mod.py",
@@ -67,7 +69,7 @@ class TestR001RawEntropy:
                 return np.random.default_rng(seed)
             """,
         )
-        assert lint_codes(tmp_path, select=["R001"]) == []
+        assert lint_codes(tmp_path, select=["R001"]) == ["R001"]
 
     def test_legacy_numpy_global_state_is_flagged(self, tmp_path):
         write_module(
@@ -109,6 +111,86 @@ class TestR001RawEntropy:
             """,
         )
         assert lint_codes(tmp_path, select=["R001"]) == []
+
+    def test_constructor_in_a_function_is_flagged(self, tmp_path):
+        write_module(
+            tmp_path,
+            "scenarios/engine.py",
+            """
+            import numpy as np
+            from numpy.random import Generator as Gen
+
+            def build_scenario(family, index, root_seed):
+                return _make(index)
+
+            def _make(index):
+                legacy = np.random.RandomState(index)
+                seq = np.random.SeedSequence(index)
+                return Gen(np.random.PCG64(seq)), legacy
+            """,
+        )
+        result = run_lint(tmp_path, select=["R001"])
+        assert [f.path for f in result.findings] == ["scenarios/engine.py"] * 4
+        named = " ".join(f.message for f in result.findings)
+        for ctor in ("RandomState", "SeedSequence", "Generator", "PCG64"):
+            assert f"numpy.random.{ctor}" in named
+
+    def test_derived_stream_is_clean(self, tmp_path):
+        write_module(
+            tmp_path,
+            "scenarios/engine.py",
+            """
+            from repro.utils.rng import as_generator, derive_seed
+
+            def build_scenario(family, index, root_seed):
+                return as_generator(derive_seed(root_seed, family, index))
+            """,
+        )
+        assert lint_codes(tmp_path, select=["R001"]) == []
+
+    def test_rng_module_constructors_are_exempt(self, tmp_path):
+        write_module(
+            tmp_path,
+            "utils/rng.py",
+            """
+            import numpy as np
+
+            ROOT = np.random.SeedSequence(0)
+
+            def as_generator(seed):
+                return np.random.Generator(np.random.PCG64(seed))
+            """,
+        )
+        assert lint_codes(tmp_path, select=["R001"]) == []
+
+    def test_module_level_rng_binding_is_flagged(self, tmp_path):
+        write_module(
+            tmp_path,
+            "streams.py",
+            """
+            import numpy as np
+
+            RNG = np.random.default_rng(7)
+            """,
+        )
+        result = run_lint(tmp_path, select=["R001"])
+        assert [f.rule for f in result.findings] == ["R001"]
+        assert "module-level rng binding 'RNG'" in result.findings[0].message
+
+    def test_module_level_derived_rng_is_flagged(self, tmp_path):
+        # A derive_rng product is still hidden shared state at module level.
+        write_module(
+            tmp_path,
+            "streams.py",
+            """
+            from repro.utils.rng import derive_rng
+
+            GEN: object = derive_rng(1, "ambient")
+            """,
+        )
+        result = run_lint(tmp_path, select=["R001"])
+        assert [f.rule for f in result.findings] == ["R001"]
+        assert "'GEN'" in result.findings[0].message
 
 
 # --------------------------------------------------------------------------- #
@@ -292,6 +374,48 @@ class TestR004NonAtomicWrite:
 
             def writer(fd):
                 return os.fdopen(fd, "w")
+            """,
+        )
+        assert lint_codes(tmp_path, select=["R004"]) == []
+
+    def test_aliased_raw_write_primitives_are_flagged_anywhere(self, tmp_path):
+        write_module(
+            tmp_path,
+            "experiments/export.py",
+            """
+            import os
+            import shutil as sh
+            from os import fdopen as open_fd
+            from tempfile import mkstemp
+
+            FD, TMP = mkstemp()
+
+            def export(payload, dest):
+                with open_fd(FD, "w") as handle:
+                    handle.write(payload)
+                sh.copy(TMP, dest)
+                os.link(TMP, dest + ".bak")
+            """,
+        )
+        result = run_lint(tmp_path, select=["R004"])
+        # One finding per site, the module-level mkstemp included.
+        assert [f.rule for f in result.findings] == ["R004"] * 4
+        named = " ".join(f.message for f in result.findings)
+        for primitive in ("tempfile.mkstemp", "os.fdopen", "shutil.copy", "os.link"):
+            assert primitive in named
+
+    def test_raw_write_primitives_in_utils_io_are_exempt(self, tmp_path):
+        write_module(
+            tmp_path,
+            "utils/io.py",
+            """
+            import os
+            import tempfile
+
+            def atomic_writer(path):
+                fd, tmp = tempfile.mkstemp(dir=".")
+                os.link(tmp, path)
+                return fd, tmp
             """,
         )
         assert lint_codes(tmp_path, select=["R004"]) == []

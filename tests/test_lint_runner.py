@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
+    default_root,
     format_result,
     format_rule_table,
     result_to_json,
@@ -41,18 +42,43 @@ def stamp():
 """
 
 
-class TestCleanTree:
-    def test_shipped_source_tree_is_clean(self):
-        """The acceptance gate: zero findings on the library itself."""
-        result = run_lint()
-        assert result.ok, "\n".join(f.render() for f in result.findings)
-        assert result.files_checked > 50
-        assert result.rules_run == rule_codes()
+@pytest.fixture(scope="module")
+def shipped():
+    """One full lint of the installed package, shared by the tree checks."""
+    return run_lint()
 
-    def test_shipped_tree_uses_its_suppressions(self):
+
+class TestCleanTree:
+    def test_shipped_source_tree_is_clean(self, shipped):
+        """The acceptance gate: zero findings on the library itself."""
+        assert shipped.ok, "\n".join(f.render() for f in shipped.findings)
+        assert shipped.files_checked > 50
+        assert shipped.rules_run == rule_codes()
+
+    def test_shipped_tree_uses_its_suppressions(self, shipped):
         """Every allow[...] comment in src/ suppresses a live finding."""
-        result = run_lint()
-        assert result.suppressions_used >= 1
+        assert shipped.suppressions_used >= 1
+
+    def test_folded_rng_and_write_rules_are_clean(self, shipped):
+        """No rng constructor or raw write escapes utils/rng.py, utils/io.py."""
+        assert {"R001", "R004"} <= set(shipped.rules_run)
+        folded = [f for f in shipped.findings if f.rule in ("R001", "R004")]
+        assert not folded, "\n".join(f.render() for f in folded)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "utils",
+            "utils/io.py",
+            "store/serialize.py",
+            "lp/backends/highs.py",
+            "baselines",
+        ],
+    )
+    def test_subpackage_and_file_targets_are_clean(self, target):
+        """Sanctioned modules stay exempt below the package root."""
+        result = run_lint(default_root() / target)
+        assert result.ok, "\n".join(f.render() for f in result.findings)
 
 
 class TestRunner:
@@ -69,6 +95,39 @@ class TestRunner:
         result = run_lint(path)
         assert [f.rule for f in result.findings] == ["R002"]
         assert result.files_checked == 1
+
+    def test_nested_file_reports_package_relative_path(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        write_module(pkg, "__init__.py", "")
+        write_module(pkg, "utils/__init__.py", "")
+        write_module(pkg, "utils/clock.py", VIOLATION)
+        write_module(pkg, "utils/timing.py", VIOLATION)
+        result = run_lint(pkg / "utils" / "clock.py")
+        assert [f.path for f in result.findings] == ["utils/clock.py"]
+        # utils/timing.py is R002's sanctioned module from any target.
+        assert run_lint(pkg / "utils" / "timing.py").ok
+        # R006 needs every registration, so it runs on the whole package only.
+        assert "R006" not in run_lint(pkg / "utils").rules_run
+        assert "R006" in run_lint(pkg).rules_run
+
+    def test_select_exact_code_passes_through(self, tmp_path):
+        write_module(tmp_path, "mod.py", VIOLATION)
+        result = run_lint(tmp_path, select=["R004"])
+        assert result.rules_run == ("R004",)
+        assert result.ok
+
+    def test_select_duplicates_collapse(self, tmp_path):
+        write_module(tmp_path, "mod.py", VIOLATION)
+        result = run_lint(tmp_path, select=["R004", "R002", "R004", "R002"])
+        assert result.rules_run == ("R004", "R002")
+        assert [f.rule for f in result.findings] == ["R002"]
+
+    def test_select_family_prefix_fails_fast(self, tmp_path):
+        """--select takes exact codes only; a family prefix is unknown."""
+        write_module(tmp_path, "mod.py", "x = 1\n")
+        for prefix in ("R1", "R9"):
+            with pytest.raises(ValueError, match=prefix):
+                run_lint(tmp_path, select=[prefix])
 
     def test_unknown_rule_code_fails_fast(self, tmp_path):
         write_module(tmp_path, "mod.py", "x = 1\n")
@@ -172,13 +231,20 @@ class TestReport:
     def test_result_to_json_shape(self, tmp_path):
         write_module(tmp_path, "mod.py", VIOLATION)
         doc = result_to_json(run_lint(tmp_path, select=["R002"]))
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["files_checked"] == 1
         assert [r["code"] for r in doc["rules"]] == ["R002"]
         assert doc["findings"][0]["rule"] == "R002"
         assert doc["summary"]["ok"] is False
         assert doc["summary"]["by_rule"] == {"R002": 1}
         json.dumps(doc)  # repro-lint not applicable: tests are unlinted
+
+    def test_timings_land_in_result_and_report(self, tmp_path):
+        write_module(tmp_path, "mod.py", VIOLATION)
+        result = run_lint(tmp_path, select=["R002"])
+        assert set(result.timings) == {"read_parse", "rules", "total"}
+        doc = result_to_json(result)
+        assert set(doc["timings"]) == set(result.timings)
 
     def test_write_lint_report_into_directory(self, tmp_path):
         write_module(tmp_path, "mod.py", VIOLATION)
@@ -251,6 +317,25 @@ class TestCli:
         reports = list(out_dir.glob("LINT_*.json"))
         assert len(reports) == 1
         assert json.loads(reports[0].read_text())["summary"]["ok"] is False
+
+    def test_output_directory_publishes_only_the_report(self, tmp_path):
+        root = tmp_path / "pkg"
+        write_module(root, "__init__.py", "")
+        write_module(
+            root,
+            "sim/rate_allocation.py",
+            """
+            def allocate_rates(instance):
+                return 1
+            """,
+        )
+        report_dir = tmp_path / "reports"
+        out = io.StringIO()
+        code = main(["lint", str(root), "--output", str(report_dir)], out)
+        assert code == 0
+        names = [p.name for p in report_dir.iterdir()]
+        assert len(names) == 1
+        assert names[0].startswith("LINT_") and names[0].endswith(".json")
 
     def test_list_rules(self):
         out = io.StringIO()
