@@ -17,7 +17,7 @@ Components
   (:func:`register_algorithm`, :func:`available_algorithms`, capability
   flags such as ``supported_models``).
 * :mod:`~repro.api.request` — the :class:`SolverConfig` input object
-  gathering grid/ε/rng/backend/sampling knobs in one place.
+  gathering grid/ε/rng/solver-method/sampling knobs in one place.
 * :mod:`~repro.api.report` — the common :class:`SolveReport` result type.
 * :mod:`~repro.api.batch` — :func:`solve` and the parallel batch runner
   :func:`solve_many` with shared-LP reuse across algorithms.

@@ -219,8 +219,6 @@ def _solve_jahanjou(
 ) -> SolveReport:
     # Jahanjou rounds its own interval-indexed LP; a shared uniform-grid LP
     # cannot be substituted, but its objective still serves as the bound.
-    # The interval LP is always solved directly: the α-point rounding needs
-    # the exact geometric grid, which a staged strategy may not return.
     epsilon = config.epsilon if config.epsilon is not None else OPTIMAL_EPSILON
     start = time.perf_counter()
     interval_solution = solve_time_indexed_lp(

@@ -9,9 +9,9 @@ that consumes it (exactly the reuse the paper's own evaluation performs when
 comparing the LP heuristic against the λ-sampling series).
 
 The shared LP is the one the config asks for
-(:meth:`~repro.api.request.SolverConfig.lp_kwargs`, strategy and backend
-included), and :func:`~repro.core.scheduler.lp_solution_for` reuses it only
-for algorithms whose request it answers, logging a debug line when reuse is
+(:meth:`~repro.api.request.SolverConfig.lp_kwargs`: grid and solver method),
+and :func:`~repro.core.scheduler.lp_solution_for` reuses it only for
+algorithms whose request it answers, logging a debug line when reuse is
 skipped.  Each instance batch additionally runs under an
 :class:`~repro.lp.solver.LPSolveCache`, so any algorithm that re-solves a
 program identical to one already solved in the batch (Jahanjou's interval

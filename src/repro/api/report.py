@@ -99,21 +99,6 @@ class SolveReport:
         return float(self.coflow_completion_times.sum())
 
     @property
-    def solve_path(self) -> Optional[dict]:
-        """Staged-solve telemetry of the underlying LP, when one was solved.
-
-        A JSON-safe dict recorded by
-        :func:`repro.core.timeindexed.solve_time_indexed_lp`: the strategy
-        (``direct``/``refine``/``coarsen``), per-stage wall time, simplex
-        iteration counts and warm-start provenance.  ``None`` for baselines
-        that never solved the time-indexed LP.
-        """
-        if self.lp_solution is None:
-            return None
-        path = self.lp_solution.metadata.get("solve_path")
-        return path if isinstance(path, dict) else None
-
-    @property
     def makespan(self) -> float:
         return float(self.coflow_completion_times.max(initial=0.0))
 

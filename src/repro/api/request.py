@@ -1,8 +1,8 @@
 """The input object of the unified solver API.
 
 :class:`SolverConfig` gathers every solver knob (time grid, ε, λ-sampling,
-LP backend, randomness, verification) into one immutable value object, and
-:meth:`SolverConfig.lp_kwargs` is the one place that says which
+LP solver method, randomness, verification) into one immutable value
+object, and :meth:`SolverConfig.lp_kwargs` is the one place that says which
 time-indexed LP a config asks for.
 """
 
@@ -37,17 +37,7 @@ class SolverConfig:
         Random source for the λ-sampling algorithms (``None``, an int seed,
         or a :class:`numpy.random.Generator`).
     solver_method:
-        scipy ``linprog`` backend for every LP solve (``"highs"`` default).
-    strategy:
-        Staged-solve strategy for the time-indexed LP: ``"direct"`` (one
-        cold solve), ``"refine"`` (geometric stage warm-starts the fine
-        grid) or ``"coarsen"`` (dual-guided adaptive grid with an explicit
-        (1+ε) guarantee).  See
-        :func:`repro.core.timeindexed.solve_time_indexed_lp`.
-    backend:
-        Solver backend selector (``"auto"``, ``"linprog"`` or
-        ``"persistent-highs"``); ``"auto"`` uses the resident HiGHS backend
-        when available and falls back to ``linprog`` otherwise.
+        scipy ``linprog`` method for every LP solve (``"highs"`` default).
     num_samples:
         Number of λ draws for ``stretch-best`` / ``stretch-average``.
     compact:
@@ -62,8 +52,6 @@ class SolverConfig:
     epsilon: Optional[float] = None
     rng: RandomSource = None
     solver_method: str = "highs"
-    strategy: str = "direct"
-    backend: str = "auto"
     num_samples: int = DEFAULT_NUM_SAMPLES
     compact: bool = True
     verify: bool = True
@@ -86,8 +74,6 @@ class SolverConfig:
             "slot_length": self.slot_length,
             "epsilon": self.epsilon,
             "solver_method": self.solver_method,
-            "strategy": self.strategy,
-            "backend": self.backend,
         }
 
     def make_rng(self) -> np.random.Generator:

@@ -104,18 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--slot-length", type=float, default=1.0)
     solve_cmd.add_argument("--epsilon", type=float, default=None)
     solve_cmd.add_argument("--solver-method", default="highs")
-    solve_cmd.add_argument(
-        "--strategy",
-        choices=["direct", "refine", "coarsen"],
-        default="direct",
-        help="staged LP solve strategy (see repro.core.timeindexed)",
-    )
-    solve_cmd.add_argument(
-        "--backend",
-        choices=["auto", "linprog", "persistent-highs"],
-        default="auto",
-        help="LP solver backend (auto falls back to linprog without HiGHS)",
-    )
     solve_cmd.add_argument("--seed", type=int, default=0)
 
     batch = sub.add_parser(
@@ -132,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--slot-length", type=float, default=1.0)
     batch.add_argument("--epsilon", type=float, default=None)
     batch.add_argument("--solver-method", default="highs")
-    batch.add_argument(
-        "--strategy",
-        choices=["direct", "refine", "coarsen"],
-        default="direct",
-        help="staged LP solve strategy (see repro.core.timeindexed)",
-    )
     batch.add_argument("--seed", type=int, default=0)
 
     exp = sub.add_parser("experiment", help="run a paper-figure experiment")
@@ -433,29 +415,26 @@ def _cmd_solve(args, out) -> int:
             rng=args.seed,
             num_samples=args.num_samples,
             solver_method=args.solver_method,
-            strategy=args.strategy,
-            backend=args.backend,
         )
-    except ValueError as exc:  # model mismatch, bad backend, ...
+    except ValueError as exc:  # model mismatch, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     bound = "n/a" if report.lower_bound is None else f"{report.lower_bound:.3f}"
     gap = "n/a" if report.lower_bound is None else f"{report.gap:.3f}x"
     print(f"instance          : {instance}", file=out)
     print(f"algorithm         : {report.algorithm}", file=out)
-    path = report.solve_path
-    if path is not None:
-        stages = ", ".join(
-            f"{s['stage']}[{s['slots']} slots, {s['solve_seconds']:.3f}s"
-            + (
-                f", {s['simplex_iterations']} it"
-                if s.get("simplex_iterations") is not None
-                else ""
-            )
-            + (", warm]" if s.get("warm_start") else "]")
-            for s in path.get("stages", [])
+    if report.lp_solution is not None:
+        lp_result = report.lp_solution.lp_result
+        iterations = (
+            ""
+            if lp_result.simplex_iterations is None
+            else f", {lp_result.simplex_iterations} it"
         )
-        print(f"solve path        : {path['strategy']} — {stages}", file=out)
+        print(
+            f"LP solve          : {report.lp_solution.grid.num_slots} slots, "
+            f"{lp_result.solve_seconds:.3f}s{iterations}",
+            file=out,
+        )
     print(f"LP lower bound    : {bound}", file=out)
     print(f"objective         : {report.objective:.3f}", file=out)
     print(f"gap to bound      : {gap}", file=out)
@@ -474,7 +453,6 @@ def _cmd_batch(args, out) -> int:
         rng=args.seed,
         num_samples=args.num_samples,
         solver_method=args.solver_method,
-        strategy=args.strategy,
     )
     try:
         reports = solve_many(

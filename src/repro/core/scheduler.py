@@ -37,17 +37,14 @@ def lp_solution_for(
     slot_length: float = 1.0,
     epsilon: Optional[float] = None,
     solver_method: str = "highs",
-    strategy: str = "direct",
-    backend: str = "auto",
 ) -> CoflowLPSolution:
     """The time-indexed LP solution of *instance* for one request.
 
     The keyword arguments are those of
     :func:`~repro.core.timeindexed.solve_time_indexed_lp`, usually
     ``**config.lp_kwargs()``.  *shared* is returned as is when it answers
-    the same request — same resolved grid, strategy, backend and solver
-    method; otherwise the LP is solved (and the skipped reuse logged at
-    debug level).
+    the same request — same resolved grid and solver method; otherwise the
+    LP is solved (and the skipped reuse logged at debug level).
 
     Raises
     ------
@@ -64,9 +61,7 @@ def lp_solution_for(
             slot_length=slot_length,
             epsilon=epsilon,
         )
-        request = lp_request(
-            grid, solver_method=solver_method, strategy=strategy, backend=backend
-        )
+        request = lp_request(grid, solver_method=solver_method)
         if shared.metadata.get("request") == request:
             return shared
         logger.debug(
@@ -83,6 +78,4 @@ def lp_solution_for(
         slot_length=slot_length,
         epsilon=epsilon,
         solver_method=solver_method,
-        strategy=strategy,
-        backend=backend,
     )

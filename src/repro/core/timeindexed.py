@@ -36,7 +36,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.lp.backends import BACKEND_NAMES, LPSpec, get_backend
 from repro.lp.model import ConstraintSense, LinearProgram
 from repro.lp.result import LPResult
 from repro.lp.solver import solve_lp
@@ -108,7 +107,6 @@ def resolve_grid(
     num_slots: Optional[int] = None,
     slot_length: float = 1.0,
     epsilon: Optional[float] = None,
-    horizon_slack: float = 1.1,
 ) -> TimeGrid:
     """Resolve a grid specification to a concrete :class:`TimeGrid`.
 
@@ -128,32 +126,17 @@ def resolve_grid(
     if grid is not None:
         return grid
     if epsilon is not None:
-        horizon_slots = suggest_horizon(
-            instance, slot_length=slot_length, slack=horizon_slack
-        )
+        horizon_slots = suggest_horizon(instance, slot_length=slot_length)
         return TimeGrid.geometric(horizon_slots * slot_length, epsilon)
     if num_slots is None:
-        num_slots = suggest_horizon(
-            instance, slot_length=slot_length, slack=horizon_slack
-        )
+        num_slots = suggest_horizon(instance, slot_length=slot_length)
     return TimeGrid.uniform(num_slots, slot_length)
 
 
-def lp_request(
-    grid: TimeGrid, *, solver_method: str, strategy: str, backend: str
-) -> Dict[str, str]:
-    """The identity of one LP solve request, as recorded on its solution.
-
-    *grid* is the resolved grid the request asked for — not the adaptive
-    grid a ``coarsen`` solve ends on — so a solution answers exactly the
-    requests that would reproduce it.
-    """
-    return {
-        "grid": grid.boundary_digest(),
-        "solver_method": solver_method,
-        "strategy": strategy,
-        "backend": backend,
-    }
+def lp_request(grid: TimeGrid, *, solver_method: str) -> Dict[str, str]:
+    """The identity of one LP solve request, as recorded on its solution:
+    the resolved grid's digest and the solver method."""
+    return {"grid": grid.boundary_digest(), "solver_method": solver_method}
 
 
 # --------------------------------------------------------------------------- #
@@ -180,10 +163,9 @@ class CoflowLPSolution:
     lp_result:
         The raw solver result (status, timings, sizes).
     metadata:
-        LP size, staged-solve telemetry (``"solve_path"``) and, for
-        solutions of :func:`solve_time_indexed_lp`, the :func:`lp_request`
-        they answer (``"request"``: resolved-grid digest, solver method,
-        strategy, backend), which shared-LP reuse compares.
+        LP size and, for solutions of :func:`solve_time_indexed_lp`, the
+        :func:`lp_request` they answer (``"request"``: resolved-grid digest
+        and solver method), which shared-LP reuse compares.
     """
 
     instance: CoflowInstance
@@ -237,24 +219,13 @@ class CoflowLPSolution:
 
 @dataclass
 class _LPIndexBundle:
-    """Variable-index arrays for one assembled coflow LP.
-
-    ``capacity_ub_offset`` / ``capacity_row_slots`` locate the per-edge
-    bandwidth rows (Eq. 6 / Eq. 10) inside the inequality block:
-    ``ub_duals[capacity_ub_offset + k]`` is the dual of a capacity row whose
-    slot is ``capacity_row_slots[k]``.  Dual-guided coarsening reads these
-    to decide which slots are binding.
-    """
+    """Variable-index arrays for one assembled coflow LP."""
 
     x: np.ndarray  # (num_flows, T)
     big_x: np.ndarray  # (num_coflows, T)
     c: np.ndarray  # (num_coflows,)
     s: np.ndarray  # (num_flows, T)
     y: Optional[np.ndarray]  # (num_flows, T, E) or None
-    capacity_ub_offset: int = 0
-    capacity_row_slots: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -371,21 +342,11 @@ def build_time_indexed_lp(
     # ------------------------ model-specific part ----------------------- #
     if free_path:
         assert y_idx is not None
-        cap_offset, cap_slots = _add_free_path_constraints(
-            lp, instance, grid, x_idx, y_idx
-        )
+        _add_free_path_constraints(lp, instance, grid, x_idx, y_idx)
     else:
-        cap_offset, cap_slots = _add_single_path_constraints(lp, instance, grid, x_idx)
+        _add_single_path_constraints(lp, instance, grid, x_idx)
 
-    bundle = _LPIndexBundle(
-        x=x_idx,
-        big_x=big_x_idx,
-        c=c_idx,
-        s=s_idx,
-        y=y_idx,
-        capacity_ub_offset=cap_offset,
-        capacity_row_slots=cap_slots,
-    )
+    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, s=s_idx, y=y_idx)
     return lp, bundle
 
 
@@ -394,27 +355,24 @@ def _add_single_path_constraints(
     instance: CoflowInstance,
     grid: TimeGrid,
     x_idx: np.ndarray,
-) -> tuple[int, np.ndarray]:
+) -> None:
     """Edge bandwidth constraints along pinned paths (paper Eq. 6 / 19).
 
     Built from the cached flow→edge incidence of the instance: entry *k* of
     the incidence contributes one coefficient per slot, giving row
-    ``rank(edge_k) * T + t`` directly by arithmetic.  Returns the capacity
-    block's offset within the inequality rows plus each row's slot index
-    (for dual-guided coarsening).
+    ``rank(edge_k) * T + t`` directly by arithmetic.
     """
     graph = instance.graph
     capacities = graph.capacity_vector()
     durations = grid.durations
     num_slots = grid.num_slots
-    offset = lp.num_inequality_constraints
 
     try:
         inc_flows, inc_edges = instance.path_edge_incidence()
     except ValueError as exc:
         raise ValueError(str(exc).replace("path incidence", "single path LP")) from exc
     if inc_flows.size == 0:
-        return offset, np.empty(0, dtype=np.int64)
+        return
 
     # Stable sort groups incidence entries by edge while preserving the
     # flow-insertion order within each edge (matching the loop reference).
@@ -429,8 +387,6 @@ def _add_single_path_constraints(
     vals = np.repeat(instance.demands()[inc_flows], num_slots)
     rhs = (capacities[used_edges][:, None] * durations[None, :]).reshape(-1)
     lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
-    # Row layout is edge-major: local row k covers slot k % num_slots.
-    return offset, np.tile(slot_range, used_edges.size)
 
 
 def _add_free_path_constraints(
@@ -439,7 +395,7 @@ def _add_free_path_constraints(
     grid: TimeGrid,
     x_idx: np.ndarray,
     y_idx: np.ndarray,
-) -> tuple[int, np.ndarray]:
+) -> None:
     """Multicommodity-flow constraints of the free path model (Eqs. 7–10 / 20–23).
 
     In addition to the paper's constraints we fix ``y = 0`` on edges entering
@@ -565,7 +521,6 @@ def _add_free_path_constraints(
         )
 
     # Eq. (10): edge bandwidths.  Row (t, e) sums y over all flows.
-    offset = lp.num_inequality_constraints
     demands = instance.demands()
     te_range = np.arange(num_slots * num_edges, dtype=np.int64)
     rows = np.repeat(te_range, num_flows)
@@ -577,192 +532,6 @@ def _add_free_path_constraints(
     vals = np.tile(demands, num_slots * num_edges)
     rhs = (durations[:, None] * capacities[None, :]).reshape(-1)
     lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
-    # Row layout is slot-major: local row k covers slot k // num_edges.
-    return offset, np.repeat(slot_range, num_edges)
-
-
-# --------------------------------------------------------------------------- #
-# staged solve pipeline
-# --------------------------------------------------------------------------- #
-#: Recognised values of the ``strategy`` knob of :func:`solve_time_indexed_lp`.
-SOLVE_STRATEGIES = ("direct", "refine", "coarsen")
-
-#: Epsilon of the cheap geometric stage the "refine"/"coarsen" strategies
-#: solve first.  0.2 keeps the coarse LP an order of magnitude smaller than
-#: typical fine uniform grids while staying close enough that the mapped
-#: primal point seeds the fine solve well.
-DEFAULT_STAGE_EPSILON = 0.2
-
-#: A coarse slot counts as *binding* for dual-guided coarsening when its
-#: largest capacity-row dual magnitude exceeds this fraction of the largest
-#: capacity dual anywhere; slots below it stay merged.
-DEFAULT_COARSEN_THRESHOLD = 1e-6
-
-
-def map_solution_to_grid(
-    coarse: CoflowLPSolution,
-    grid: TimeGrid,
-    bundle: _LPIndexBundle,
-    num_variables: int,
-) -> np.ndarray:
-    """A coarse-grid LP solution spread onto *grid* as a full primal vector.
-
-    Every fine slot receives the time-proportional share of its containing
-    coarse slot's allocation (via :meth:`TimeGrid.refine_map`), the prefix
-    sums and completion indicators are rebuilt from the mapped fractions, and
-    the coarse completion-time variables carry over unchanged.  The point is a
-    warm-start *seed* — it need not satisfy the fine LP exactly (release
-    boundaries may cut through coarse slots); HiGHS repairs it in crossover.
-    """
-    owner = grid.refine_map(coarse.grid)
-    frac_share = grid.durations / coarse.grid.durations[owner]
-    x = coarse.fractions[:, owner] * frac_share[None, :]
-
-    column = np.zeros(num_variables, dtype=float)
-    column[bundle.x] = x
-
-    # S_f(t) is the cumulative sent fraction, and X_j(t) its minimum over
-    # the coflow's flows.
-    cumulative = np.cumsum(x, axis=1)
-    column[bundle.s] = cumulative
-    coflow_of_flow = coarse.instance.coflow_of_flow()
-    big_x = np.full((coarse.instance.num_coflows, grid.num_slots), np.inf)
-    np.minimum.at(big_x, coflow_of_flow, cumulative)
-    column[bundle.big_x] = np.clip(big_x, 0.0, 1.0)
-
-    column[bundle.c] = coarse.completion_times
-    if bundle.y is not None and coarse.edge_fractions is not None:
-        column[bundle.y] = coarse.edge_fractions[:, owner, :] * frac_share[None, :, None]
-    return column
-
-
-def _stage_entry(
-    name: str, grid: TimeGrid, result: LPResult, warm_start: bool
-) -> Dict[str, object]:
-    """One JSON-safe per-stage record for ``metadata["solve_path"]``."""
-    return {
-        "stage": name,
-        "slots": grid.num_slots,
-        "grid": "uniform" if grid.is_uniform else "nonuniform",
-        "solve_seconds": float(result.solve_seconds),
-        "simplex_iterations": result.simplex_iterations,
-        "warm_start": warm_start,
-    }
-
-
-def _backend_lp_result(lp: LinearProgram, solution) -> LPResult:
-    """Shape a :class:`~repro.lp.backends.base.BackendSolution` as an LPResult."""
-    return LPResult(
-        status=solution.status,
-        objective=solution.objective,
-        x=solution.x,
-        solve_seconds=solution.solve_seconds,
-        message=solution.message,
-        metadata={**lp.size_summary(), "warm_start": "primal-seeded"},
-        simplex_iterations=solution.simplex_iterations,
-        ub_duals=solution.ub_duals,
-        eq_duals=solution.eq_duals,
-    )
-
-
-def _warm_solve(
-    lp: LinearProgram,
-    warm_primal: np.ndarray,
-    *,
-    backend: str,
-    solver_method: str,
-    time_limit: Optional[float],
-) -> tuple[LPResult, bool]:
-    """Solve *lp* seeded with *warm_primal*, falling back to a cold solve.
-
-    Returns ``(result, warm_used)``.  The fallback (backend without
-    warm-start support, or a seeded solve that did not reach optimality)
-    goes through :func:`solve_lp`, i.e. exactly the "direct" path — the
-    staged pipeline can only ever change *how fast* the optimum is found.
-    """
-    backend_obj = get_backend(backend, method=solver_method)
-    if backend_obj.supports_warm_start:
-        solution = backend_obj.solve(
-            LPSpec.from_program(lp), time_limit=time_limit, warm_primal=warm_primal
-        )
-        if solution.is_optimal:
-            return _backend_lp_result(lp, solution), True
-    result = solve_lp(
-        lp, method=solver_method, time_limit=time_limit, require_optimal=True
-    )
-    return result, False
-
-
-def _coarsen_boundaries(
-    fine: TimeGrid,
-    coarse: TimeGrid,
-    binding: np.ndarray,
-) -> np.ndarray:
-    """Boundaries of the dual-guided adaptive grid.
-
-    Keeps every coarse boundary and splits only the *binding* coarse slots
-    by re-inserting the fine boundaries they contain.  Because the result
-    refines the coarse geometric grid slot-by-slot, the coarse grid's
-    (1+ε) interval-indexed guarantee (Appendix A) carries over: splitting
-    a slot only tightens the LP relaxation.
-    """
-    interior = fine.boundaries[1:-1]
-    # Coarse slot containing each interior fine boundary b: (b_{j} < b <= b_{j+1}).
-    tol = 1e-12 * np.maximum(1.0, interior)
-    owner = np.searchsorted(coarse.boundaries, interior - tol, side="left") - 1
-    owner = np.clip(owner, 0, coarse.num_slots - 1)
-    keep = interior[binding[owner]]
-    merged = np.concatenate([coarse.boundaries, keep])
-    merged = np.unique(np.round(merged, 9))
-    # Drop near-duplicate boundaries the rounding left distinct.
-    deltas = np.diff(merged)
-    mask = np.concatenate([[True], deltas > 1e-9 * np.maximum(1.0, merged[1:])])
-    return merged[mask]
-
-
-def _solve_direct(
-    instance: CoflowInstance,
-    grid: TimeGrid,
-    *,
-    solver_method: str,
-    time_limit: Optional[float],
-) -> tuple[LinearProgram, _LPIndexBundle, LPResult]:
-    lp, bundle = build_time_indexed_lp(instance, grid)
-    result = solve_lp(
-        lp, method=solver_method, time_limit=time_limit, require_optimal=True
-    )
-    return lp, bundle, result
-
-
-def _package_solution(
-    instance: CoflowInstance,
-    grid: TimeGrid,
-    lp: LinearProgram,
-    bundle: _LPIndexBundle,
-    result: LPResult,
-    request: Dict[str, str],
-    solve_path: Dict[str, object],
-) -> CoflowLPSolution:
-    fractions = result.values(bundle.x)
-    completion_times = result.values(bundle.c)
-    edge_fractions = None
-    if bundle.y is not None:
-        edge_fractions = result.values(bundle.y)
-    objective = float(np.dot(instance.weights, completion_times))
-    return CoflowLPSolution(
-        instance=instance,
-        grid=grid,
-        objective=objective,
-        completion_times=completion_times,
-        fractions=fractions,
-        edge_fractions=edge_fractions,
-        lp_result=result,
-        metadata={
-            "lp_size": lp.size_summary(),
-            "solve_path": solve_path,
-            "request": request,
-        },
-    )
 
 
 def solve_time_indexed_lp(
@@ -772,47 +541,15 @@ def solve_time_indexed_lp(
     num_slots: Optional[int] = None,
     slot_length: float = 1.0,
     epsilon: Optional[float] = None,
-    horizon_slack: float = 1.1,
     solver_method: str = "highs",
-    time_limit: Optional[float] = None,
-    strategy: str = "direct",
-    backend: str = "auto",
-    stage_epsilon: float = DEFAULT_STAGE_EPSILON,
-    coarsen_threshold: float = DEFAULT_COARSEN_THRESHOLD,
 ) -> CoflowLPSolution:
-    """Build and solve the coflow LP for *instance*.
+    """Build and solve the coflow LP for *instance* with one cold solve.
 
-    Exactly one time-grid specification is used, in this order of precedence:
-
-    1. an explicit *grid*;
-    2. *epsilon* — a geometric grid ``0, 1, (1+eps), ...`` covering the
-       suggested horizon (Appendix A);
-    3. *num_slots* uniform slots of *slot_length*;
-    4. otherwise, a uniform grid sized by :func:`suggest_horizon`.
-
-    Solve strategies
-    ----------------
-    ``"direct"``
-        One cold solve on the resolved grid (historical behaviour).
-    ``"refine"``
-        Progressive grid refinement: solve a cheap geometric grid
-        (*stage_epsilon*) first, spread its optimum onto the resolved grid
-        (:func:`map_solution_to_grid`) and warm-start the fine solve from
-        that primal seed.  Identical optimum, typically far fewer simplex
-        iterations.  Degrades to "direct" when the resolved grid is not
-        meaningfully finer than the geometric stage, or when the selected
-        *backend* cannot warm-start.
-    ``"coarsen"``
-        Dual-guided slot coarsening: solve the geometric stage, inspect its
-        capacity-row duals and re-solve on an adaptive grid that re-splits
-        only the binding slots.  The result lives on the adaptive grid
-        (``solution.grid``) and retains the geometric stage's explicit
-        (1 + *stage_epsilon*) guarantee, recorded in
-        ``metadata["solve_path"]["coarsen"]``.
-
-    Per-stage wall time, iteration counts and warm-start provenance are
-    recorded under ``metadata["solve_path"]`` for every strategy, and the
-    request itself (:func:`lp_request`) under ``metadata["request"]``.
+    The grid is resolved by :func:`resolve_grid` (explicit *grid*, then
+    *epsilon*, then *num_slots* uniform slots of *slot_length*, then a
+    suggested uniform horizon).  The request itself (:func:`lp_request`) is
+    recorded under ``metadata["request"]`` and the LP size under
+    ``metadata["lp_size"]``.
 
     Returns
     -------
@@ -820,150 +557,26 @@ def solve_time_indexed_lp(
         The optimal LP solution; raises :class:`~repro.lp.solver.LPSolverError`
         if the LP cannot be solved to optimality.
     """
-    if strategy not in SOLVE_STRATEGIES:
-        raise ValueError(
-            f"unknown solve strategy {strategy!r}; expected one of {SOLVE_STRATEGIES}"
-        )
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown solver backend {backend!r}; expected one of {BACKEND_NAMES}"
-        )
     grid = resolve_grid(
         instance,
         grid=grid,
         num_slots=num_slots,
         slot_length=slot_length,
         epsilon=epsilon,
-        horizon_slack=horizon_slack,
     )
-    request = lp_request(
-        grid, solver_method=solver_method, strategy=strategy, backend=backend
-    )
-
-    if strategy == "direct":
-        lp, bundle, result = _solve_direct(
-            instance, grid, solver_method=solver_method, time_limit=time_limit
-        )
-        solve_path: Dict[str, object] = {
-            "strategy": "direct",
-            "stages": [_stage_entry("direct", grid, result, warm_start=False)],
-        }
-        return _package_solution(
-            instance, grid, lp, bundle, result, request, solve_path
-        )
-
-    # Both staged strategies start from the cheap geometric grid.
-    check_positive(stage_epsilon, "stage_epsilon")
-    coarse_grid = TimeGrid.geometric(grid.horizon, stage_epsilon)
-    if coarse_grid.num_slots >= grid.num_slots:
-        # The target grid is already as coarse as the stage — staging would
-        # only add overhead.  Solve directly but record why.
-        lp, bundle, result = _solve_direct(
-            instance, grid, solver_method=solver_method, time_limit=time_limit
-        )
-        solve_path = {
-            "strategy": strategy,
-            "degraded_to": "direct",
-            "reason": (
-                f"coarse stage ({coarse_grid.num_slots} slots) not cheaper than "
-                f"target grid ({grid.num_slots} slots)"
-            ),
-            "stages": [_stage_entry("direct", grid, result, warm_start=False)],
-        }
-        return _package_solution(
-            instance, grid, lp, bundle, result, request, solve_path
-        )
-
-    coarse_lp, coarse_bundle, coarse_result = _solve_direct(
-        instance, coarse_grid, solver_method=solver_method, time_limit=time_limit
-    )
-    coarse_solution = _package_solution(
-        instance,
-        coarse_grid,
-        coarse_lp,
-        coarse_bundle,
-        coarse_result,
-        request,
-        {"strategy": "direct", "stages": []},
-    )
-    stages = [_stage_entry("coarse", coarse_grid, coarse_result, warm_start=False)]
-
-    if strategy == "refine":
-        fine_lp, fine_bundle = build_time_indexed_lp(instance, grid)
-        seed = map_solution_to_grid(
-            coarse_solution, grid, fine_bundle, fine_lp.num_variables
-        )
-        fine_result, warm_used = _warm_solve(
-            fine_lp,
-            seed,
-            backend=backend,
-            solver_method=solver_method,
-            time_limit=time_limit,
-        )
-        stages.append(_stage_entry("fine", grid, fine_result, warm_start=warm_used))
-        solve_path = {"strategy": "refine", "stages": stages}
-        return _package_solution(
-            instance, grid, fine_lp, fine_bundle, fine_result, request, solve_path
-        )
-
-    # strategy == "coarsen": adaptive grid from the stage's capacity duals.
-    cap_slots = coarse_bundle.capacity_row_slots
-    ub_duals = coarse_result.ub_duals
-    if ub_duals is None or cap_slots.size == 0:
-        binding = np.ones(coarse_grid.num_slots, dtype=bool)
-    else:
-        cap_duals = np.abs(
-            ub_duals[
-                coarse_bundle.capacity_ub_offset : coarse_bundle.capacity_ub_offset
-                + cap_slots.size
-            ]
-        )
-        slot_score = np.zeros(coarse_grid.num_slots)
-        np.maximum.at(slot_score, cap_slots, cap_duals)
-        peak = float(slot_score.max())
-        binding = (
-            slot_score > coarsen_threshold * peak
-            if peak > 0.0
-            else np.zeros(coarse_grid.num_slots, dtype=bool)
-        )
-
-    boundaries = _coarsen_boundaries(grid, coarse_grid, binding)
-    final_grid = TimeGrid.from_boundaries(boundaries)
-    if final_grid == coarse_grid:
-        final_lp, final_bundle, final_result = (
-            coarse_lp,
-            coarse_bundle,
-            coarse_result,
-        )
-        warm_used = False
-    else:
-        final_lp, final_bundle = build_time_indexed_lp(instance, final_grid)
-        seed = map_solution_to_grid(
-            coarse_solution, final_grid, final_bundle, final_lp.num_variables
-        )
-        final_result, warm_used = _warm_solve(
-            final_lp,
-            seed,
-            backend=backend,
-            solver_method=solver_method,
-            time_limit=time_limit,
-        )
-        stages.append(
-            _stage_entry("adaptive", final_grid, final_result, warm_start=warm_used)
-        )
-    solve_path = {
-        "strategy": "coarsen",
-        "stages": stages,
-        "coarsen": {
-            "epsilon": float(stage_epsilon),
-            "guarantee_factor": 1.0 + float(stage_epsilon),
-            "dual_threshold": float(coarsen_threshold),
-            "slots_fine": int(grid.num_slots),
-            "slots_coarse": int(coarse_grid.num_slots),
-            "slots_final": int(final_grid.num_slots),
-            "binding_slots": int(np.count_nonzero(binding)),
+    lp, bundle = build_time_indexed_lp(instance, grid)
+    result = solve_lp(lp, method=solver_method, require_optimal=True)
+    completion_times = result.values(bundle.c)
+    return CoflowLPSolution(
+        instance=instance,
+        grid=grid,
+        objective=float(np.dot(instance.weights, completion_times)),
+        completion_times=completion_times,
+        fractions=result.values(bundle.x),
+        edge_fractions=None if bundle.y is None else result.values(bundle.y),
+        lp_result=result,
+        metadata={
+            "lp_size": lp.size_summary(),
+            "request": lp_request(grid, solver_method=solver_method),
         },
-    }
-    return _package_solution(
-        instance, final_grid, final_lp, final_bundle, final_result, request, solve_path
     )

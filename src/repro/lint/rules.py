@@ -601,14 +601,15 @@ def check_bare_sleep(ctx: FileContext) -> Iterator[Finding]:
     "no-direct-linprog",
     description=(
         "scipy.optimize.linprog and the private _highspy engine are only "
-        "touched inside repro.lp.backends; everything else solves through "
-        "a SolverBackend (or the solve_lp wrapper on top of it)"
+        "touched inside repro.lp.backends; everything else solves one-shot "
+        "LPs through repro.lp.solver.solve_lp and keeps resident models in "
+        "repro.lp.backends.PersistentHighsLP"
     ),
     rationale=(
-        "PR 10: the staged solve pipeline's warm starts, dual extraction "
-        "and caching discipline live in the backend layer; a direct engine "
-        "call bypasses result normalization, the optimal-only cache rule "
-        "and the HIGHS_AVAILABLE fallback"
+        "the engine layer normalizes every result into an LPResult, "
+        "solve_lp caches only optimal results, and resident models fall "
+        "back to linprog when HIGHS_AVAILABLE is false; a direct engine "
+        "call bypasses all three"
     ),
     allowed_paths=("lp/backends/linprog.py", "lp/backends/highs.py"),
 )
@@ -621,8 +622,8 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                         node,
                         "R010",
                         f"import of private HiGHS engine '{alias.name}'; "
-                        "use repro.lp.backends (PersistentHighsBackend) "
-                        "instead",
+                        "keep resident models in "
+                        "repro.lp.backends.PersistentHighsLP instead",
                     )
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
@@ -630,8 +631,9 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                 yield ctx.finding(
                     node,
                     "R010",
-                    f"import from private HiGHS engine '{module}'; use "
-                    "repro.lp.backends (PersistentHighsBackend) instead",
+                    f"import from private HiGHS engine '{module}'; keep "
+                    "resident models in repro.lp.backends.PersistentHighsLP "
+                    "instead",
                 )
                 continue
             for alias in node.names:
@@ -640,16 +642,15 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                         node,
                         "R010",
                         f"import of private HiGHS engine '{alias.name}'; "
-                        "use repro.lp.backends (PersistentHighsBackend) "
-                        "instead",
+                        "keep resident models in "
+                        "repro.lp.backends.PersistentHighsLP instead",
                     )
                 elif module == "scipy.optimize" and alias.name == "linprog":
                     yield ctx.finding(
                         node,
                         "R010",
                         "direct import of scipy.optimize.linprog; solve "
-                        "through repro.lp.backends.LinprogBackend (or "
-                        "repro.lp.solver.solve_lp) instead",
+                        "through repro.lp.solver.solve_lp instead",
                     )
         elif isinstance(node, ast.Call):
             qual = ctx.imports.qualify(node.func)
@@ -658,8 +659,7 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                     node,
                     "R010",
                     "direct call to scipy.optimize.linprog; solve through "
-                    "repro.lp.backends.LinprogBackend (or "
-                    "repro.lp.solver.solve_lp) instead",
+                    "repro.lp.solver.solve_lp instead",
                 )
 
 

@@ -1,30 +1,20 @@
-"""Backend-neutral LP data structures and the :class:`SolverBackend` protocol.
+"""The solver-agnostic standard form every LP solve in the repository uses.
 
-The staged solve pipeline (PR 10) routes every LP solve in the repository
-through one of two interchangeable backends:
-
-* :class:`~repro.lp.backends.linprog.LinprogBackend` — the always-available
-  wrapper around :func:`scipy.optimize.linprog` (HiGHS), preserving the exact
-  semantics ``repro.lp.solver.solve_lp`` has had since PR 1;
-* :class:`~repro.lp.backends.highs.PersistentHighsBackend` — resident HiGHS
-  models through scipy's in-process API, supporting primal warm starts,
-  basis snapshot/restore and dual extraction.
-
-Both consume an :class:`LPSpec` (the solver-agnostic standard form an
-assembled :class:`~repro.lp.model.LinearProgram` reduces to) and produce a
-:class:`BackendSolution`.  Code outside :mod:`repro.lp.backends` never
-imports a solver engine directly — lint rule R010 enforces it.
+An assembled :class:`~repro.lp.model.LinearProgram` reduces to an
+:class:`LPSpec`; :func:`repro.lp.backends.linprog.solve_spec` solves one
+spec once, and :class:`~repro.lp.backends.highs.PersistentHighsLP` keeps a
+model resident for the simulator's delta re-solves.  Code outside
+:mod:`repro.lp.backends` never imports a solver engine directly — lint rule
+R010 enforces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
-
-from repro.lp.result import LPStatus
 
 #: HiGHS dual-simplex is the most robust choice for these very sparse,
 #: highly degenerate scheduling LPs; "highs" lets scipy pick between simplex
@@ -39,8 +29,7 @@ class LPSpec:
     Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``
     and ``col_lower <= x <= col_upper``.  Either constraint block may be
     absent (``None``).  The row order inside each block is the emission
-    order of the originating :class:`~repro.lp.model.LinearProgram`, which
-    is what dual-guided coarsening relies on to identify capacity rows.
+    order of the originating :class:`~repro.lp.model.LinearProgram`.
     """
 
     c: np.ndarray
@@ -79,87 +68,3 @@ class LPSpec:
     @property
     def num_eq_rows(self) -> int:
         return 0 if self.b_eq is None else int(self.b_eq.size)
-
-    def combined(self) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """One stacked ``(matrix, row_lower, row_upper)`` triple.
-
-        Inequality rows come first, equality rows second — the fixed order
-        every backend uses, so row duals can always be split back into
-        ``(ub_duals, eq_duals)`` by row count alone.
-        """
-        matrices = []
-        lower_parts = []
-        upper_parts = []
-        if self.a_ub is not None:
-            matrices.append(self.a_ub)
-            lower_parts.append(np.full(self.num_ub_rows, -np.inf))
-            upper_parts.append(self.b_ub)
-        if self.a_eq is not None:
-            matrices.append(self.a_eq)
-            lower_parts.append(self.b_eq)
-            upper_parts.append(self.b_eq)
-        if not matrices:
-            empty = sparse.csr_matrix((0, self.num_cols))
-            return empty, np.empty(0), np.empty(0)
-        return (
-            sparse.vstack(matrices, format="csr"),
-            np.concatenate(lower_parts),
-            np.concatenate(upper_parts),
-        )
-
-
-@dataclass
-class BackendSolution:
-    """What one backend solve produced, independent of the engine.
-
-    ``ub_duals`` / ``eq_duals`` are the row duals (marginals) of the two
-    constraint blocks when the backend could extract them; their sign
-    convention is the backend's own, so consumers compare magnitudes
-    (dual-guided coarsening only asks "is this row binding?").
-    """
-
-    status: LPStatus
-    objective: float
-    x: np.ndarray
-    solve_seconds: float
-    message: str = ""
-    backend: str = ""
-    simplex_iterations: Optional[int] = None
-    ub_duals: Optional[np.ndarray] = None
-    eq_duals: Optional[np.ndarray] = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LPStatus.OPTIMAL
-
-
-@runtime_checkable
-class SolverBackend(Protocol):
-    """The one interface every LP solve in the repository goes through.
-
-    Attributes
-    ----------
-    name:
-        Stable identifier (used in cache keys and report metadata).
-    supports_warm_start:
-        Whether :meth:`solve` can exploit ``warm_primal``; backends that
-        cannot must silently ignore it (a warm start is an optimization,
-        never a semantic change).
-    supports_duals:
-        Whether solutions carry row duals.
-    """
-
-    name: str
-    supports_warm_start: bool
-    supports_duals: bool
-
-    def solve(
-        self,
-        spec: LPSpec,
-        *,
-        presolve: bool = True,
-        time_limit: Optional[float] = None,
-        warm_primal: Optional[np.ndarray] = None,
-    ) -> BackendSolution:
-        """Solve *spec* and return a :class:`BackendSolution`."""
-        ...

@@ -1,98 +1,50 @@
-"""The always-available backend: :func:`scipy.optimize.linprog` with HiGHS.
+"""One-shot LP solves through :func:`scipy.optimize.linprog` (HiGHS).
 
 This module is one of the two sanctioned homes of a direct solver-engine
-import (lint rule R010); everything else reaches HiGHS through the backend
-layer.  The call semantics are byte-for-byte those ``repro.lp.solver``
-used before the backend split, so cached fingerprints and optimal vertices
-are unchanged.
+import (lint rule R010).  :func:`repro.lp.solver.solve_lp` solves every
+assembled program through :func:`solve_spec`, and the simulator falls back
+to it when the resident HiGHS API of :mod:`repro.lp.backends.highs` is
+unavailable.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.lp.backends.base import DEFAULT_METHOD, BackendSolution, LPSpec
-from repro.lp.result import LPStatus
+from repro.lp.backends.base import DEFAULT_METHOD, LPSpec
+from repro.lp.result import LPResult, LPStatus
 
 
-class LinprogBackend:
-    """Stateless one-shot solves through :func:`scipy.optimize.linprog`.
+def solve_spec(spec: LPSpec, *, method: str = DEFAULT_METHOD) -> LPResult:
+    """Solve *spec* once, cold, and report the outcome as an :class:`LPResult`.
 
-    No warm-start support (scipy's wrapper exposes neither basis injection
-    nor a primal starting point), but HiGHS marginals are surfaced as row
-    duals, which is all dual-guided coarsening needs.
+    A non-optimal outcome is reported in the result's status, not raised;
+    its ``x`` is empty and its objective ``nan``.
     """
+    bounds = np.column_stack([spec.col_lower, spec.col_upper])
+    start = time.perf_counter()
+    scipy_result = linprog(
+        spec.c,
+        A_ub=spec.a_ub,
+        b_ub=spec.b_ub,
+        A_eq=spec.a_eq,
+        b_eq=spec.b_eq,
+        bounds=bounds,
+        method=method,
+    )
+    elapsed = time.perf_counter() - start
 
-    supports_warm_start = False
-    supports_duals = True
-
-    def __init__(self, method: str = DEFAULT_METHOD) -> None:
-        self.method = method
-
-    @property
-    def name(self) -> str:
-        return f"linprog-{self.method}"
-
-    def solve(
-        self,
-        spec: LPSpec,
-        *,
-        presolve: bool = True,
-        time_limit: Optional[float] = None,
-        warm_primal: Optional[np.ndarray] = None,
-    ) -> BackendSolution:
-        del warm_primal  # not supported; a warm start is never semantic
-        options: dict = {"presolve": presolve}
-        if time_limit is not None and self.method.startswith("highs"):
-            options["time_limit"] = float(time_limit)
-
-        bounds = np.column_stack([spec.col_lower, spec.col_upper])
-        start = time.perf_counter()
-        scipy_result = linprog(
-            spec.c,
-            A_ub=spec.a_ub,
-            b_ub=spec.b_ub,
-            A_eq=spec.a_eq,
-            b_eq=spec.b_eq,
-            bounds=bounds,
-            method=self.method,
-            options=options,
-        )
-        elapsed = time.perf_counter() - start
-
-        status = LPStatus.from_scipy(scipy_result.status)
-        if status is LPStatus.OPTIMAL:
-            x = np.asarray(scipy_result.x, dtype=float)
-            objective = float(scipy_result.fun)
-        else:
-            x = np.empty(0)
-            objective = float("nan")
-
-        ub_duals = _marginals(getattr(scipy_result, "ineqlin", None))
-        eq_duals = _marginals(getattr(scipy_result, "eqlin", None))
-        iterations = getattr(scipy_result, "nit", None)
-
-        return BackendSolution(
-            status=status,
-            objective=objective,
-            x=x,
-            solve_seconds=elapsed,
-            message=str(scipy_result.message),
-            backend=self.name,
-            simplex_iterations=None if iterations is None else int(iterations),
-            ub_duals=ub_duals,
-            eq_duals=eq_duals,
-        )
-
-
-def _marginals(block) -> Optional[np.ndarray]:
-    if block is None:
-        return None
-    marginals = getattr(block, "marginals", None)
-    if marginals is None:
-        return None
-    return np.asarray(marginals, dtype=float)
+    status = LPStatus.from_scipy(scipy_result.status)
+    optimal = status is LPStatus.OPTIMAL
+    iterations = getattr(scipy_result, "nit", None)
+    return LPResult(
+        status=status,
+        objective=float(scipy_result.fun) if optimal else float("nan"),
+        x=np.asarray(scipy_result.x, dtype=float) if optimal else np.empty(0),
+        solve_seconds=elapsed,
+        message=str(scipy_result.message),
+        simplex_iterations=None if iterations is None else int(iterations),
+    )

@@ -1,26 +1,23 @@
 """Program-level LP solving: caching, error policy, result shaping.
 
 The paper used Gurobi; HiGHS (bundled with scipy) solves the exact same LPs
-to optimality, just more slowly.  Since the backend split this module no
-longer talks to a solver engine directly — it drives a
-:class:`~repro.lp.backends.linprog.LinprogBackend` (the engine-import-free
-layer above it owns caching and the ``require_optimal`` contract).  Staged
-solves that need warm starts or duals reach for
-:func:`repro.lp.backends.get_backend` instead.
+to optimality, just more slowly.  :func:`solve_lp` reduces a program to an
+:class:`~repro.lp.backends.base.LPSpec` and solves it once, cold, through
+:func:`~repro.lp.backends.linprog.solve_spec`; this module owns caching and
+the ``require_optimal`` contract, never a solver engine.
 
-Warm starting
--------------
+Solution reuse
+--------------
 scipy's ``linprog`` interface exposes neither basis injection nor a primal
-starting point for HiGHS, so "warm starting" here degrades to the strongest
-form that backend allows: **exact solution reuse**.  A :class:`LPSolveCache`
-fingerprints every solved program (objective, constraint matrices, bounds,
-method) and returns the cached optimal solution when an identical program is
-solved again — which happens constantly in the batch runner (the shared
-uniform-grid LP requested by several algorithms), in the λ-sampling
-evaluation (every draw reuses one LP), and in repeated benchmark rounds.
-Real warm starts (primal seeding of a resident HiGHS model) live in
-:class:`~repro.lp.backends.highs.PersistentHighsBackend` and are driven by
-the staged pipeline in :mod:`repro.core.timeindexed`.
+starting point for HiGHS, so reuse here is **exact solution reuse**.  A
+:class:`LPSolveCache` fingerprints every solved program (objective,
+constraint matrices, bounds, method) and returns the cached optimal solution
+when an identical program is solved again — which happens constantly in the
+batch runner (the shared uniform-grid LP requested by several algorithms),
+in the λ-sampling evaluation (every draw reuses one LP), and in repeated
+sweep units.  The only warm-started solves in the repository are the
+simulator's delta re-solves on resident
+:class:`~repro.lp.backends.highs.PersistentHighsLP` models.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.lp.backends.base import DEFAULT_METHOD, LPSpec
-from repro.lp.backends.linprog import LinprogBackend
+from repro.lp.backends.linprog import solve_spec
 from repro.lp.model import LinearProgram
-from repro.lp.result import LPResult, LPStatus
+from repro.lp.result import LPResult
 
 
 class LPSolverError(RuntimeError):
@@ -50,18 +47,18 @@ def _fingerprint(parts: Iterator[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _program_key(program: LinearProgram, matrices, method: str, presolve: bool) -> str:
-    """Stable fingerprint of an assembled program + solver configuration."""
-    c, a_ub, b_ub, a_eq, b_eq, _bounds = matrices
-    lower, upper = program.bounds_arrays()
+def _program_key(spec: LPSpec, method: str) -> str:
+    """Stable fingerprint of an assembled program + solver method."""
 
     def parts() -> Iterator[bytes]:
         yield method.encode()
-        yield b"presolve" if presolve else b"no-presolve"
-        yield np.ascontiguousarray(c).tobytes()
-        yield lower.tobytes()
-        yield upper.tobytes()
-        for matrix, rhs, tag in ((a_ub, b_ub, b"ub"), (a_eq, b_eq, b"eq")):
+        yield spec.c.tobytes()
+        yield spec.col_lower.tobytes()
+        yield spec.col_upper.tobytes()
+        for matrix, rhs, tag in (
+            (spec.a_ub, spec.b_ub, b"ub"),
+            (spec.a_eq, spec.b_eq, b"eq"),
+        ):
             yield tag
             if matrix is None:
                 continue
@@ -69,7 +66,7 @@ def _program_key(program: LinearProgram, matrices, method: str, presolve: bool) 
             yield matrix.indptr.tobytes()
             yield matrix.indices.tobytes()
             yield matrix.data.tobytes()
-            yield np.ascontiguousarray(rhs).tobytes()
+            yield rhs.tobytes()
 
     return _fingerprint(parts())
 
@@ -77,11 +74,9 @@ def _program_key(program: LinearProgram, matrices, method: str, presolve: bool) 
 class LPSolveCache:
     """LRU cache of solved programs, keyed by exact program fingerprint.
 
-    Backend-agnostic: it stores finished :class:`LPResult` objects, so any
-    backend whose solves are deterministic for a given fingerprint can sit
-    beneath it.  Only **optimal** results are admitted — caching a failure
-    would replay a transient solver hiccup as a permanent one for the rest
-    of the process.
+    It stores finished :class:`LPResult` objects.  Only **optimal** results
+    are admitted — caching a failure would replay a transient solver hiccup
+    as a permanent one for the rest of the process.
 
     Cached entries are returned as shallow copies with a fresh ``metadata``
     dict (tagged ``warm_start: "reused"``), so callers may annotate results
@@ -162,8 +157,6 @@ def solve_lp(
     program: LinearProgram,
     *,
     method: str = DEFAULT_METHOD,
-    presolve: bool = True,
-    time_limit: Optional[float] = None,
     require_optimal: bool = False,
     cache: Optional[LPSolveCache] = None,
 ) -> LPResult:
@@ -176,70 +169,23 @@ def solve_lp(
     method:
         Any method accepted by :func:`scipy.optimize.linprog`; defaults to
         HiGHS.
-    presolve:
-        Whether to let the backend presolve (recommended; the time-indexed
-        LPs contain many fixed variables from release-time constraints).
-    time_limit:
-        Optional wall-clock limit in seconds passed to HiGHS.
     require_optimal:
         When true, raise :class:`LPSolverError` unless the status is optimal.
     cache:
-        Warm-start cache; defaults to the cache installed by
+        Solution-reuse cache; defaults to the cache installed by
         :func:`solver_cache` (or no caching when none is installed).
-        Time-limited solves are never cached (the limit may have truncated
-        the solve nondeterministically), and non-optimal results are never
-        cached (a transient failure must not become permanent).
+        Non-optimal results are never cached (a transient failure must not
+        become permanent).
     """
-    matrices = program.build_matrices()
-
+    spec = LPSpec.from_program(program)
     active = cache if cache is not None else _ACTIVE_CACHE
-    cacheable = active is not None and time_limit is None
-    key = _program_key(program, matrices, method, presolve) if cacheable else None
-    if cacheable:
-        hit = active.lookup(key)
-        if hit is not None:
-            if require_optimal and not hit.is_optimal:
-                raise LPSolverError(
-                    f"LP {program.name!r} failed to solve: {hit.status.value} "
-                    f"({hit.message})"
-                )
-            return hit
-
-    c, a_ub, b_ub, a_eq, b_eq, _bounds = matrices
-    lower, upper = program.bounds_arrays()
-    spec = LPSpec(
-        c=np.ascontiguousarray(c, dtype=float),
-        a_ub=a_ub,
-        b_ub=None if b_ub is None else np.ascontiguousarray(b_ub, dtype=float),
-        a_eq=a_eq,
-        b_eq=None if b_eq is None else np.ascontiguousarray(b_eq, dtype=float),
-        col_lower=lower,
-        col_upper=upper,
-        name=program.name,
-    )
-    backend = LinprogBackend(method=method)
-    solution = backend.solve(spec, presolve=presolve, time_limit=time_limit)
-
-    if solution.status is LPStatus.OPTIMAL:
-        result = LPResult(
-            status=solution.status,
-            objective=solution.objective,
-            x=solution.x,
-            solve_seconds=solution.solve_seconds,
-            message=solution.message,
-            metadata=program.size_summary(),
-            simplex_iterations=solution.simplex_iterations,
-            ub_duals=solution.ub_duals,
-            eq_duals=solution.eq_duals,
-        )
-    else:
-        result = LPResult.failed(solution.status, message=solution.message)
-        result.solve_seconds = solution.solve_seconds
+    key = None if active is None else _program_key(spec, method)
+    result = None if active is None else active.lookup(key)
+    if result is None:
+        result = solve_spec(spec, method=method)
         result.metadata = program.size_summary()
-        result.simplex_iterations = solution.simplex_iterations
-
-    if cacheable:
-        active.store(key, result)
+        if active is not None:
+            active.store(key, result)
 
     if require_optimal and not result.is_optimal:
         raise LPSolverError(

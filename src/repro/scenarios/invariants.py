@@ -29,10 +29,6 @@ independent oracle that is kept in the codebase for exactly this purpose —
 ``feasibility-under-churn``  simulated reservations stay within the churned
                           capacity in every interval, completions stay finite,
                           and incremental ≡ full re-allocation under churn
-``refine-equivalence``    the staged solve pipeline preserves the LP optimum:
-                          ``strategy="refine"`` reproduces the direct objective
-                          exactly, and ``strategy="coarsen"`` stays inside its
-                          recorded (1+ε) guarantee band
 ====================      =====================================================
 
 The checked implementations are referenced through module-level names so
@@ -59,7 +55,6 @@ from repro.core.timeindexed import (
     CoflowLPSolution,
     build_time_indexed_lp,
     resolve_grid,
-    solve_time_indexed_lp,
 )
 from repro.core.timeindexed_reference import build_time_indexed_lp_reference
 from repro.schedule.feasibility import check_feasibility
@@ -526,92 +521,6 @@ def check_online_lower_bound(run: ScenarioRun) -> List[str]:
 # --------------------------------------------------------------------------- #
 #: Relative slack for comparing reserved capacity against churned capacity.
 CHURN_FEASIBILITY_RTOL = 1e-6
-
-
-# --------------------------------------------------------------------------- #
-# 10. staged solve strategies preserve the LP optimum
-# --------------------------------------------------------------------------- #
-#: Relative tolerance for refine ≡ direct objectives.  Both strategies solve
-#: the *same* fine LP to HiGHS default accuracy — only the starting point
-#: differs — so this is solver roundoff, not a modelling band.
-REFINE_EQUALITY_RTOL = 1e-6
-
-#: Skip the strategy cross-solve above this estimated fine-LP variable count:
-#: the invariant re-solves the fine LP twice plus a coarse stage, and the
-#: nightly sweep runs it on every scenario.
-REFINE_CHECK_MAX_VARIABLES = 200_000
-
-
-@register_invariant(
-    "refine-equivalence",
-    description="refine reproduces the direct LP optimum; coarsen stays within "
-    "its recorded (1+ε) guarantee",
-)
-def check_refine_equivalence(run: ScenarioRun) -> List[str]:
-    """Cross-solve the instance with all three strategies and compare optima.
-
-    ``refine`` solves the *identical* fine LP as ``direct`` (the geometric
-    stage only supplies a warm-start point), so its objective must match to
-    solver roundoff.  ``coarsen`` solves a dual-guided adaptive grid whose
-    geometric stage carries the paper's Appendix A (1+ε) guarantee; its
-    objective may land on either side of the direct optimum (the adaptive
-    grid neither refines nor coarsens the fine uniform grid), so the band
-    is checked in *both* directions against the recorded guarantee factor.
-    """
-    instance = run.instance
-    grid = (
-        run.lp_solution.grid
-        if run.lp_solution is not None
-        else resolve_grid(instance)
-    )
-    num_edges = (
-        instance.graph.num_edges
-        if instance.model is TransmissionModel.FREE_PATH
-        else 1
-    )
-    estimated_variables = instance.num_flows * grid.num_slots * (1 + num_edges)
-    if estimated_variables > REFINE_CHECK_MAX_VARIABLES:
-        return []
-
-    direct = solve_time_indexed_lp(instance, grid=grid, strategy="direct")
-    refine = solve_time_indexed_lp(instance, grid=grid, strategy="refine")
-    coarsen = solve_time_indexed_lp(instance, grid=grid, strategy="coarsen")
-    violations: List[str] = []
-
-    scale = max(abs(direct.objective), 1.0)
-    if abs(refine.objective - direct.objective) > REFINE_EQUALITY_RTOL * scale:
-        violations.append(
-            f"refine objective {refine.objective:.12g} differs from direct "
-            f"objective {direct.objective:.12g} beyond solver roundoff"
-        )
-    for label, solution in (("refine", refine), ("coarsen", coarsen)):
-        path = solution.metadata.get("solve_path")
-        if not isinstance(path, dict):
-            violations.append(f"{label}: solution carries no solve_path telemetry")
-    coarsen_path = coarsen.metadata.get("solve_path") or {}
-    coarsen_info = (
-        coarsen_path.get("coarsen") if isinstance(coarsen_path, dict) else None
-    )
-    # A coarsen run that degraded to direct solved the exact target LP, so
-    # its band is 1.0 (solver roundoff only); otherwise the recorded
-    # geometric-stage guarantee applies.
-    if isinstance(coarsen_path, dict) and coarsen_path.get("degraded_to"):
-        guarantee = 1.0
-    elif isinstance(coarsen_info, dict):
-        guarantee = float(coarsen_info.get("guarantee_factor", 1.0))
-    else:
-        guarantee = 1.0
-    rel_gap = abs(coarsen.objective - direct.objective) / max(
-        abs(direct.objective), 1e-12
-    )
-    if 1.0 + rel_gap > guarantee + REFINE_EQUALITY_RTOL:
-        violations.append(
-            f"coarsen objective {coarsen.objective:.12g} deviates from "
-            f"direct objective {direct.objective:.12g} by "
-            f"{rel_gap * 100:.2f}%, outside the recorded (1+ε) guarantee "
-            f"factor {guarantee:.3g}"
-        )
-    return violations
 
 
 @register_invariant(

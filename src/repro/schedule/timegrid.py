@@ -209,30 +209,6 @@ class TimeGrid:
         tol = 1e-12 * np.maximum(1.0, np.abs(release))
         return ends > release + tol
 
-    def refine_map(self, coarse: "TimeGrid") -> np.ndarray:
-        """For each of this grid's slots, the *coarse* slot containing it.
-
-        The workhorse of progressive grid refinement: a solution on a coarse
-        grid is mapped onto this (finer) grid by giving every fine slot the
-        time-proportional share of its containing coarse slot's allocation.
-        Returns an int array of length ``num_slots`` with values in
-        ``[0, coarse.num_slots)``.
-
-        Fine slots are matched by midpoint containment, so this grid need
-        not subdivide *coarse* exactly — any fine slot straddling a coarse
-        boundary is attributed to the coarse slot holding its midpoint.
-        Both grids must share horizon (within boundary tolerance); mapping
-        against a shorter coarse grid would silently drop demand.
-        """
-        if self.horizon > coarse.horizon + relative_tol(coarse.horizon, 1e-9):
-            raise ValueError(
-                f"cannot refine: fine horizon {self.horizon} exceeds coarse "
-                f"horizon {coarse.horizon}"
-            )
-        mids = 0.5 * (self._bounds[:-1] + self._bounds[1:])
-        owner = np.searchsorted(coarse._bounds, mids, side="left") - 1
-        return np.clip(owner, 0, coarse.num_slots - 1).astype(np.int64)
-
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.num_slots))
 

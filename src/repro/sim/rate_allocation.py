@@ -55,10 +55,10 @@ from scipy import sparse
 
 from repro.coflow.instance import CoflowInstance, FlowRef, TransmissionModel
 from repro.lp.backends import (
-    LinprogBackend,
     LPSpec,
     PersistentHighsError,
     make_persistent_lp,
+    solve_spec,
 )
 from repro.lp.solver import LPSolverError
 from repro.network.graph import NetworkGraph
@@ -296,7 +296,7 @@ class _FreePathTemplate:
                     f"LP 'max-concurrent-flow' failed to solve: {exc}"
                 ) from exc
         else:
-            solution = LinprogBackend().solve(self.spec(rem_active, residual_clipped))
+            solution = solve_spec(self.spec(rem_active, residual_clipped))
             if not solution.is_optimal:
                 raise LPSolverError(
                     f"LP 'max-concurrent-flow' failed to solve: "

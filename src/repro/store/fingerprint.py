@@ -37,11 +37,13 @@ from repro.schedule.timegrid import TimeGrid
 
 #: Bump when the fingerprint scheme (or the serialized report surface it
 #: addresses) changes incompatibly; old entries then simply miss.  Schema 2
-#: covers every LP argument of the config (strategy and backend included).
+#: covers every LP argument of the config.
 #: Schema 3 marks the prefix-sum form of the time-indexed LP's Eq. 2: its
 #: optimum is unchanged, but a degenerate LP may now return a different
 #: optimal vertex, so LP-heuristic and Stretch results can move.
-FINGERPRINT_SCHEMA = 3
+#: Schema 4: the config fingerprint no longer carries the removed staged-solve
+#: and solver-backend selectors.
+FINGERPRINT_SCHEMA = 4
 
 
 class FingerprintError(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro import api
 from repro.api import SolverConfig, UnknownAlgorithmError, solve_many
-from repro.core.timeindexed import solve_time_indexed_lp
+from repro.core.timeindexed import resolve_grid, solve_time_indexed_lp
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
@@ -39,9 +39,9 @@ def instances():
 
 @pytest.fixture(scope="module")
 def swan_single_path():
-    """6 FB coflows on SWAN, single path, seed 3: at slot length 0.5 the
-    coarsen strategy ends on a 12-slot adaptive grid (bound 1115.21) where
-    direct solves 21 uniform slots (976.45)."""
+    """6 FB coflows on SWAN, single path, seed 3: 21 uniform slots at slot
+    length 0.5, long enough that an ε = 0.2 grid differs from the uniform
+    one."""
     spec = WorkloadSpec(profile="FB", num_coflows=6, seed=3)
     return generate_instance(swan_topology(), spec, model="single_path", rng=3)
 
@@ -178,34 +178,29 @@ class TestSharedLPGridKeying:
             "shared LP reuse skipped" in record.message for record in caplog.records
         )
 
-    @pytest.mark.parametrize("strategy", ["direct", "refine", "coarsen"])
-    def test_same_request_is_reused(self, swan_single_path, strategy):
-        # Regression: reuse was keyed on the grid a solution lives on, so a
-        # coarsen solution (adaptive grid) was never reused for its own
-        # request and every algorithm re-solved it.
-        shared = solve_time_indexed_lp(
-            swan_single_path, slot_length=0.5, strategy=strategy
-        )
+    @pytest.mark.parametrize(
+        "grid_kwargs",
+        [{"slot_length": 0.5}, {"epsilon": 0.2}, {"num_slots": 40}],
+        ids=["slot_length", "epsilon", "num_slots"],
+    )
+    def test_same_request_is_reused(self, swan_single_path, grid_kwargs):
+        # Every grid specification is reused for the request it answers,
+        # not re-solved by each algorithm.
+        shared = solve_time_indexed_lp(swan_single_path, **grid_kwargs)
         report = api.solve(
-            swan_single_path,
-            "lp-heuristic",
-            lp_solution=shared,
-            slot_length=0.5,
-            strategy=strategy,
+            swan_single_path, "lp-heuristic", lp_solution=shared, **grid_kwargs
         )
         assert report.lp_solution is shared
 
-    def test_strategy_mismatch_triggers_fresh_solve(self, swan_single_path):
+    def test_slot_length_mismatch_triggers_fresh_solve(self, swan_single_path):
         shared = solve_time_indexed_lp(swan_single_path, slot_length=0.5)
         report = api.solve(
-            swan_single_path,
-            "lp-heuristic",
-            lp_solution=shared,
-            slot_length=0.5,
-            strategy="coarsen",
+            swan_single_path, "lp-heuristic", lp_solution=shared, slot_length=0.25
         )
         assert report.lp_solution is not shared
-        assert report.solve_path["strategy"] == "coarsen"
+        assert report.lp_solution.grid == resolve_grid(
+            swan_single_path, slot_length=0.25
+        )
 
     def test_explicit_grid_mismatch_triggers_fresh_solve(self, instances):
         from repro.schedule.timegrid import TimeGrid
@@ -317,49 +312,47 @@ class TestStartMethodNotLocked:
         assert "OK" in result.stdout
 
 
-class TestSolveStrategyThreading:
-    """strategy/backend flow from SolverConfig through to the LP telemetry."""
+class TestSolveGridThreading:
+    """The config's grid fields flow from SolverConfig through to the LP."""
 
-    def test_default_strategy_is_direct(self):
-        report = api.solve(make_instances(1)[0], "lp-heuristic")
-        assert report.solve_path is not None
-        assert report.solve_path["strategy"] == "direct"
-
-    def test_refine_override_reaches_the_lp(self):
+    def test_default_grid_is_the_suggested_uniform_horizon(self):
         instance = make_instances(1)[0]
-        report = api.solve(
-            instance, "lp-heuristic", strategy="refine", slot_length=0.25
-        )
-        path = report.solve_path
-        assert path is not None and path["strategy"] == "refine"
-        direct = api.solve(instance, "lp-heuristic", slot_length=0.25)
-        assert report.lower_bound == pytest.approx(
-            direct.lower_bound, rel=1e-6
-        )
+        report = api.solve(instance, "lp-heuristic")
+        assert report.lp_solution.grid.is_uniform
+        assert report.lp_solution.grid == resolve_grid(instance)
 
-    def test_config_strategy_field(self):
-        config = SolverConfig(strategy="refine", slot_length=0.25)
-        report = api.solve(make_instances(1)[0], "lp-heuristic", config=config)
-        assert report.solve_path["strategy"] == "refine"
+    def test_slot_length_override_reaches_the_lp(self):
+        instance = make_instances(1)[0]
+        report = api.solve(instance, "lp-heuristic", slot_length=0.25)
+        grid = report.lp_solution.grid
+        assert grid == resolve_grid(instance, slot_length=0.25)
+        np.testing.assert_allclose(grid.durations, 0.25)
 
-    def test_solve_many_shares_the_requested_strategy(self, swan_single_path):
-        # Regression: solve_many's shared LP dropped strategy and backend, so
-        # core reports came back "direct" under a refine config.
-        config = SolverConfig(strategy="refine", slot_length=0.5, rng=0)
+    def test_config_epsilon_field(self, swan_single_path):
+        config = SolverConfig(epsilon=0.2)
+        report = api.solve(swan_single_path, "lp-heuristic", config=config)
+        grid = report.lp_solution.grid
+        assert grid == resolve_grid(swan_single_path, epsilon=0.2)
+        assert grid != resolve_grid(swan_single_path)
+
+    def test_solve_many_shares_the_requested_grid(self, swan_single_path):
+        # Regression: solve_many's shared LP dropped config fields, so core
+        # reports came back on an LP the config did not ask for.
+        config = SolverConfig(slot_length=0.5, rng=0)
+        expected = resolve_grid(swan_single_path, slot_length=0.5)
         reports = solve_many(
             [swan_single_path], CORE_ALGORITHMS + ("fifo",), config=config
         )
         core = [r for r in reports if r.algorithm in CORE_ALGORITHMS]
         assert len(core) == len(CORE_ALGORITHMS)
         for report in core:
-            assert report.solve_path["strategy"] == "refine"
+            assert report.lp_solution.grid == expected
             assert report.lp_solution is core[0].lp_solution
         single = api.solve(swan_single_path, "lp-heuristic", config=config)
-        assert single.solve_path["strategy"] == "refine"
+        assert single.lp_solution.grid == expected
+        assert single.lower_bound == pytest.approx(core[0].lower_bound)
 
-    def test_baselines_have_no_solve_path(self):
-        # An LP-free baseline solved standalone gets no shared LP, hence no
-        # staged-solve telemetry.
+    def test_baselines_have_no_lp_solution(self):
+        # An LP-free baseline solved standalone gets no shared LP.
         report = api.solve(make_instances(1)[0], "fifo")
         assert report.lp_solution is None
-        assert report.solve_path is None

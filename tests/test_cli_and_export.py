@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -67,6 +68,19 @@ class TestCliParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "t.json", "--strategy", "refine"],
+            ["solve", "t.json", "--backend", "auto"],
+            ["batch", "t.json", "--strategy", "direct"],
+        ],
+    )
+    def test_rejects_removed_lp_solve_flags(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class TestCliCommands:
     def test_topologies_lists_both_wans(self):
@@ -102,6 +116,7 @@ class TestCliCommands:
         text = out.getvalue()
         assert "LP lower bound" in text
         assert "gap to bound" in text
+        assert re.search(r"LP solve\s+: \d+ slots, [\d.]+s", text)
 
     def test_generate_single_path_model(self, tmp_path):
         trace = tmp_path / "sp.json"

@@ -27,8 +27,6 @@ class TestCoflowScheduler:
         assert first.metadata["request"] == {
             "grid": first.grid.boundary_digest(),
             "solver_method": "highs",
-            "strategy": "direct",
-            "backend": "auto",
         }
 
     def test_shared_solution_of_another_instance_rejected(

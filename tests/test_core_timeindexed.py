@@ -175,6 +175,11 @@ class TestSolveSinglePath:
         )
         assert solution.objective == pytest.approx(manual)
 
+    def test_simplex_iterations_in_lp_result(self, example_single_path_instance):
+        solution = solve_time_indexed_lp(example_single_path_instance)
+        assert solution.lp_result.simplex_iterations is not None
+        assert solution.lp_result.simplex_iterations >= 0
+
 
 class TestSolveFreePath:
     def test_paper_example_bound_is_five(self, example_free_path_instance):

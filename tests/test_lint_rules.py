@@ -753,10 +753,16 @@ class TestR010DirectLinprog:
             tmp_path,
             "sim/allocator.py",
             """
-            from repro.lp.backends import LinprogBackend, LPSpec
+            from repro.lp.backends import make_persistent_lp
+            from repro.lp.solver import solve_lp
 
-            def solve(spec: LPSpec):
-                return LinprogBackend().solve(spec)
+            def solve(program):
+                return solve_lp(program, require_optimal=True)
+
+            def resident(c, matrix, row_lower, row_upper, lower, upper):
+                return make_persistent_lp(
+                    c, matrix, row_lower, row_upper, lower, upper
+                )
             """,
         )
         assert lint_codes(tmp_path, select=["R010"]) == []

@@ -1,31 +1,15 @@
-"""Tests for the unified solver-backend layer (repro.lp.backends).
+"""Tests for the solver-engine layer (repro.lp.backends).
 
-Covers the backend-neutral containers (LPSpec row ordering, BackendSolution
-status), name-based selection with HiGHS fallback, parity between the two
-backends on the same spec, and the warm-start / basis / dual surface of
-the persistent HiGHS backend.
+Covers the solver-agnostic LPSpec, and the one-shot linprog solve of a spec
+(status, objective, iterations, failures reported rather than raised).
 """
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-import repro.lp.backends as backends_package
-from repro.lp.backends import (
-    BACKEND_NAMES,
-    BackendSolution,
-    HIGHS_AVAILABLE,
-    LinprogBackend,
-    LPSpec,
-    PersistentHighsBackend,
-    SolverBackend,
-    get_backend,
-)
+from repro.lp.backends import LPSpec, solve_spec
 from repro.lp.model import LinearProgram
-
-needs_highs = pytest.mark.skipif(
-    not HIGHS_AVAILABLE, reason="scipy.optimize._highspy not importable"
-)
 
 
 def toy_spec() -> LPSpec:
@@ -79,15 +63,6 @@ class TestLPSpec:
         assert spec.num_ub_rows == 1
         assert spec.num_eq_rows == 1
 
-    def test_combined_orders_ub_rows_first(self):
-        spec = eq_spec()
-        matrix, row_lower, row_upper = spec.combined()
-        assert matrix.shape == (2, 2)
-        # Row 0 is the <= row (lower bound -inf), row 1 the == row.
-        assert row_lower[0] == -np.inf and row_upper[0] == 0.5
-        assert row_lower[1] == 2.0 and row_upper[1] == 2.0
-        np.testing.assert_allclose(matrix.toarray(), [[1.0, -1.0], [1.0, 1.0]])
-
     def test_from_program_matches_manual_spec(self):
         lp = LinearProgram(name="toy")
         idx = lp.add_variables("x", 2, upper=3.0).indices()
@@ -101,128 +76,21 @@ class TestLPSpec:
         assert spec.a_eq is None and manual.a_eq is None
 
 
-class TestBackendSelection:
-    def test_known_names(self):
-        for name in BACKEND_NAMES:
-            backend = get_backend(name)
-            assert isinstance(backend, SolverBackend)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            get_backend("cplex")
-
-    def test_linprog_explicitly(self):
-        backend = get_backend("linprog")
-        assert isinstance(backend, LinprogBackend)
-        assert not backend.supports_warm_start
-        assert backend.supports_duals
-
-    def test_auto_falls_back_without_highs(self, monkeypatch):
-        monkeypatch.setattr(backends_package, "HIGHS_AVAILABLE", False)
-        assert isinstance(get_backend("auto"), LinprogBackend)
-        assert isinstance(get_backend("persistent-highs"), LinprogBackend)
-
-    @needs_highs
-    def test_auto_prefers_persistent_highs(self):
-        assert isinstance(get_backend("auto"), PersistentHighsBackend)
-
-
 class TestLinprogBackend:
     def test_optimal_solve(self):
-        solution = LinprogBackend().solve(toy_spec())
-        assert solution.is_optimal
-        assert solution.objective == pytest.approx(-11.0)
-        np.testing.assert_allclose(solution.x, [3.0, 1.0], atol=1e-6)
-        assert solution.solve_seconds >= 0.0
-        assert solution.backend.startswith("linprog")
+        result = solve_spec(toy_spec())
+        assert result.is_optimal
+        assert result.objective == pytest.approx(-11.0)
+        np.testing.assert_allclose(result.x, [3.0, 1.0], atol=1e-6)
+        assert result.solve_seconds >= 0.0
 
     def test_simplex_iterations_reported(self):
-        solution = LinprogBackend().solve(toy_spec())
-        assert solution.simplex_iterations is not None
-        assert solution.simplex_iterations >= 0
-
-    def test_duals_reported(self):
-        solution = LinprogBackend().solve(eq_spec())
-        assert solution.is_optimal
-        assert solution.ub_duals is not None and solution.ub_duals.shape == (1,)
-        assert solution.eq_duals is not None and solution.eq_duals.shape == (1,)
-        # The equality row's dual is the objective's sensitivity to the
-        # RHS: d(obj)/d(rhs) = 1 here (x + y == 2, min x + y).
-        assert solution.eq_duals[0] == pytest.approx(1.0, abs=1e-6)
+        result = solve_spec(toy_spec())
+        assert result.simplex_iterations is not None
+        assert result.simplex_iterations >= 0
 
     def test_infeasible_reported_not_raised(self):
-        solution = LinprogBackend().solve(infeasible_spec())
-        assert not solution.is_optimal
-        assert solution.x.size == 0
-        assert np.isnan(solution.objective)
-
-
-@needs_highs
-class TestPersistentHighsBackend:
-    def test_optimal_solve_matches_linprog(self):
-        for spec in (toy_spec(), eq_spec()):
-            reference = LinprogBackend().solve(spec)
-            solution = PersistentHighsBackend().solve(spec)
-            assert solution.is_optimal
-            assert solution.objective == pytest.approx(reference.objective)
-            assert solution.backend == "persistent-highs"
-
-    def test_warm_start_accepted(self):
-        backend = PersistentHighsBackend()
-        assert backend.supports_warm_start
-        cold = backend.solve(toy_spec())
-        warm = backend.solve(toy_spec(), warm_primal=cold.x)
-        assert warm.is_optimal
-        assert warm.objective == pytest.approx(cold.objective)
-        # Seeded at the optimum, the solver verifies rather than searches.
-        assert warm.simplex_iterations is not None
-        assert warm.simplex_iterations <= max(cold.simplex_iterations, 1)
-
-    def test_duals_split_by_row_kind(self):
-        solution = PersistentHighsBackend().solve(eq_spec())
-        assert solution.ub_duals.shape == (1,)
-        assert solution.eq_duals.shape == (1,)
-        assert solution.eq_duals[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_infeasible_reported_not_raised(self):
-        solution = PersistentHighsBackend().solve(infeasible_spec())
-        assert not solution.is_optimal
-
-    def test_basis_snapshot_roundtrip(self):
-        from repro.lp.backends.highs import PersistentHighsLP
-
-        spec = toy_spec()
-        matrix, row_lower, row_upper = spec.combined()
-        lp = PersistentHighsLP(
-            c=spec.c,
-            matrix=matrix,
-            row_lower=row_lower,
-            row_upper=row_upper,
-            col_lower=spec.col_lower,
-            col_upper=spec.col_upper,
-        )
-        x = lp.solve()
-        assert x.shape == (spec.num_cols,)
-        snapshot = lp.basis_snapshot()
-        assert snapshot.col_status and snapshot.row_status
-        lp.restore_basis(snapshot)
-        assert lp.basis_snapshot() == snapshot
-
-
-class TestBackendSolution:
-    def test_is_optimal_flag(self):
-        from repro.lp.result import LPStatus
-
-        good = BackendSolution(
-            status=LPStatus.OPTIMAL,
-            objective=1.0,
-            x=np.zeros(1),
-            solve_seconds=0.0,
-        )
-        bad = BackendSolution(
-            status=LPStatus.INFEASIBLE,
-            objective=float("nan"),
-            x=np.empty(0),
-            solve_seconds=0.0,
-        )
-        assert good.is_optimal and not bad.is_optimal
+        result = solve_spec(infeasible_spec())
+        assert not result.is_optimal
+        assert result.x.size == 0
+        assert np.isnan(result.objective)

@@ -228,12 +228,6 @@ class TestLPSolveCache:
         assert len(cache) == 0
         assert cache.lookup("some-key") is None
 
-    def test_time_limited_solves_are_not_cached(self):
-        cache = LPSolveCache()
-        solve_lp(toy_program(), cache=cache, time_limit=10.0)
-        assert len(cache) == 0
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
-
     def test_solver_cache_context_installs_and_restores(self):
         from repro.lp.solver import active_solver_cache
 

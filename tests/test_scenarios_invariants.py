@@ -550,76 +550,3 @@ class TestAmplifierMarginalBugCaught:
         report = check_marginals(base, buggy)
         assert not report.ok
         assert any("outside the base support" in m for m in report.messages)
-
-
-# --------------------------------------------------------------------------- #
-# refine-equivalence: staged-solve bugs and their catchers
-# --------------------------------------------------------------------------- #
-class TestRefineEquivalenceBugsCaught:
-    """Planted staged-solve bugs: a refine path whose warm-started fine
-    solve silently lands on a different objective (the exact bug a broken
-    primal-seed mapping would produce), and a coarsen path that drifts
-    outside its advertised (1+ε) band."""
-
-    def test_clean_run_passes(self, single_run):
-        assert violations_of(single_run, "refine-equivalence") == []
-
-    def test_diverging_refine_objective_is_caught(self, single_run, monkeypatch):
-        real = invariants_module.solve_time_indexed_lp
-
-        def buggy(instance, **kwargs):
-            solution = real(instance, **kwargs)
-            if kwargs.get("strategy") == "refine":
-                solution = _perturbed_solution(solution, 1.01)
-            return solution
-
-        monkeypatch.setattr(
-            invariants_module, "solve_time_indexed_lp", buggy
-        )
-        messages = violations_of(single_run, "refine-equivalence")
-        assert messages and any("refine objective" in m for m in messages)
-
-    def test_coarsen_outside_guarantee_is_caught(self, single_run, monkeypatch):
-        real = invariants_module.solve_time_indexed_lp
-
-        def buggy(instance, **kwargs):
-            solution = real(instance, **kwargs)
-            if kwargs.get("strategy") == "coarsen":
-                guarantee = (
-                    solution.metadata["solve_path"]
-                    .get("coarsen", {})
-                    .get("guarantee_factor", 1.2)
-                )
-                solution = _perturbed_solution(solution, guarantee * 1.05)
-            return solution
-
-        monkeypatch.setattr(
-            invariants_module, "solve_time_indexed_lp", buggy
-        )
-        messages = violations_of(single_run, "refine-equivalence")
-        assert messages and any("(1+ε) guarantee" in m for m in messages)
-
-    def test_missing_solve_path_telemetry_is_caught(self, single_run, monkeypatch):
-        real = invariants_module.solve_time_indexed_lp
-
-        def buggy(instance, **kwargs):
-            solution = real(instance, **kwargs)
-            if kwargs.get("strategy") == "refine":
-                solution = _perturbed_solution(solution, 1.0)
-                solution.metadata.pop("solve_path", None)
-            return solution
-
-        monkeypatch.setattr(
-            invariants_module, "solve_time_indexed_lp", buggy
-        )
-        messages = violations_of(single_run, "refine-equivalence")
-        assert messages and any("solve_path" in m for m in messages)
-
-
-def _perturbed_solution(solution, objective_scale):
-    import copy
-
-    clone = copy.copy(solution)
-    clone.metadata = copy.deepcopy(solution.metadata)
-    clone.objective = solution.objective * objective_scale
-    return clone

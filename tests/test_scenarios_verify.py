@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import SolverConfig
 from repro.cli import main as cli_main
+from repro.core.timeindexed import resolve_grid
 from repro.scenarios import (
     build_scenario,
     execute_scenario,
@@ -117,16 +118,20 @@ class TestVerifyScenario:
             assert stats["objective"] >= 0
             assert stats["feasible"]
 
-    def test_shared_lp_honours_the_config_strategy(self):
-        # Regression: the shared LP dropped strategy/backend and was solved
-        # "direct" whatever the config asked for.
+    def test_shared_lp_honours_the_config_grid(self):
+        # Regression: the shared LP dropped config fields and was solved on
+        # the default grid whatever the config asked for.
+        scenario = build_scenario("link-failure", 0, 4)
         run = execute_scenario(
-            build_scenario("link-failure", 0, 4),
-            config=SolverConfig(strategy="refine"),
+            scenario,
+            config=SolverConfig(slot_length=0.5),
             algorithms=["lp-heuristic", "fifo"],
         )
-        assert run.lp_solution.metadata["solve_path"]["strategy"] == "refine"
-        assert run.lp_solution.metadata["request"]["strategy"] == "refine"
+        expected = resolve_grid(run.instance, slot_length=0.5)
+        assert run.lp_solution.grid == expected
+        assert run.lp_solution.metadata["request"]["grid"] == (
+            expected.boundary_digest()
+        )
         assert run.reports["lp-heuristic"].lp_solution is run.lp_solution
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import SolverConfig, solve
 from repro.network.topologies import named_topology
+from repro.schedule.timegrid import TimeGrid
 from repro.store import (
     FingerprintError,
     ResultStore,
@@ -61,14 +62,28 @@ class TestFingerprints:
         assert config_fingerprint(base) != config_fingerprint(
             base.replace(num_samples=3)
         )
-        # Regression: strategy and backend pick a different LP, so they must
-        # give a different key (coarsen and direct bounds differ).
-        assert config_fingerprint(base) != config_fingerprint(
-            base.replace(strategy="coarsen")
-        )
-        assert config_fingerprint(base) != config_fingerprint(
-            base.replace(backend="linprog")
-        )
+
+    #: A non-default value for every LP field of SolverConfig.
+    LP_FIELD_VALUES = {
+        "grid": TimeGrid.uniform(4),
+        "num_slots": 12,
+        "slot_length": 0.5,
+        "epsilon": 0.2,
+        "solver_method": "highs-ds",
+    }
+
+    def test_lp_field_table_covers_lp_kwargs(self):
+        # A new LP field must be added to the table, so the test below
+        # cannot silently miss it.
+        assert set(self.LP_FIELD_VALUES) == set(SolverConfig().lp_kwargs())
+
+    @pytest.mark.parametrize("field", sorted(SolverConfig().lp_kwargs()))
+    def test_every_lp_field_changes_the_fingerprint(self, field):
+        # Regression: an LP argument the key ignored served one config's
+        # cached results to another.
+        base = SolverConfig()
+        changed = base.replace(**{field: self.LP_FIELD_VALUES[field]})
+        assert config_fingerprint(base) != config_fingerprint(changed)
 
     def test_live_generator_has_no_fingerprint(self):
         with pytest.raises(FingerprintError):
@@ -82,8 +97,6 @@ class TestFingerprints:
         )
 
     def test_explicit_grid_is_fingerprinted(self):
-        from repro.schedule.timegrid import TimeGrid
-
         a = SolverConfig(grid=TimeGrid.uniform(4))
         b = SolverConfig(grid=TimeGrid.uniform(5))
         assert config_fingerprint(a) != config_fingerprint(b)
