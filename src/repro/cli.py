@@ -425,13 +425,16 @@ def _cmd_solve(args, out) -> int:
     print(f"algorithm         : {report.algorithm}", file=out)
     if report.lp_solution is not None:
         lp_result = report.lp_solution.lp_result
+        metadata = report.lp_solution.metadata
         iterations = (
             ""
             if lp_result.simplex_iterations is None
             else f", {lp_result.simplex_iterations} it"
         )
         print(
-            f"LP solve          : {report.lp_solution.grid.num_slots} slots, "
+            f"LP solve          : {report.lp_solution.grid.num_slots} of "
+            f"{metadata['requested_slots']} slots, "
+            f"{len(metadata['horizon_rounds'])} rounds, "
             f"{lp_result.solve_seconds:.3f}s{iterations}",
             file=out,
         )

@@ -43,7 +43,7 @@ def lp_solution_for(
     The keyword arguments are those of
     :func:`~repro.core.timeindexed.solve_time_indexed_lp`, usually
     ``**config.lp_kwargs()``.  *shared* is returned as is when it answers
-    the same request — same resolved grid and solver method; otherwise the
+    the same request — same requested grid and solver method; otherwise the
     LP is solved (and the skipped reuse logged at debug level).
 
     Raises

@@ -31,7 +31,7 @@ Variables
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,16 +81,12 @@ def suggest_horizon(
     check_positive(slack, "slack")
     serial_time = 0.0
     graph = instance.graph
-    rate_cache: Dict[tuple, float] = {}
     for ref in instance.flow_refs():
         flow = ref.flow
         if instance.model is TransmissionModel.SINGLE_PATH and flow.has_path:
             rate = graph.path_bottleneck(flow.path)  # type: ignore[arg-type]
         else:
-            key = (flow.source, flow.sink)
-            if key not in rate_cache:
-                rate_cache[key] = graph.max_flow_value(flow.source, flow.sink)
-            rate = rate_cache[key]
+            rate = graph.max_flow_value(flow.source, flow.sink)
         if rate <= 0:
             raise ValueError(
                 f"flow {ref.label} has no positive-rate route; instance infeasible"
@@ -108,7 +104,7 @@ def resolve_grid(
     slot_length: float = 1.0,
     epsilon: Optional[float] = None,
 ) -> TimeGrid:
-    """Resolve a grid specification to a concrete :class:`TimeGrid`.
+    """Resolve a grid specification to the requested :class:`TimeGrid`.
 
     Exactly one specification is used, in this order of precedence:
 
@@ -118,10 +114,13 @@ def resolve_grid(
     3. *num_slots* uniform slots of *slot_length*;
     4. otherwise, a uniform grid sized by :func:`suggest_horizon`.
 
-    This is the single source of truth shared by
-    :func:`solve_time_indexed_lp` and the shared-LP reuse decision of
-    :func:`repro.core.scheduler.lp_solution_for` — both must resolve the
-    same parameters to the same grid or shared-LP reuse silently degrades.
+    The result is the *requested* grid: its digest is the request identity
+    (:func:`lp_request`) shared by :func:`solve_time_indexed_lp` and the
+    shared-LP reuse decision of :func:`repro.core.scheduler.lp_solution_for`
+    — both must resolve the same parameters to the same grid or shared-LP
+    reuse silently degrades.  For the default uniform grid (case 4) it is
+    also the growth cap of the certified horizon: the LP is solved on the
+    shortest prefix of it that provably holds the optimum, never on more.
     """
     if grid is not None:
         return grid
@@ -135,7 +134,7 @@ def resolve_grid(
 
 def lp_request(grid: TimeGrid, *, solver_method: str) -> Dict[str, str]:
     """The identity of one LP solve request, as recorded on its solution:
-    the resolved grid's digest and the solver method."""
+    the requested grid's digest and the solver method."""
     return {"grid": grid.boundary_digest(), "solver_method": solver_method}
 
 
@@ -149,7 +148,9 @@ class CoflowLPSolution:
     Attributes
     ----------
     instance, grid:
-        The problem and time grid the LP was built on.
+        The problem and time grid the LP was built on.  For a default
+        uniform request this is the certified prefix of the requested grid
+        (see :func:`solve_time_indexed_lp`), otherwise the requested grid.
     objective:
         The LP objective ``sum_j w_j C_j*`` — a valid lower bound on the
         optimal weighted completion time (paper Eq. 11).
@@ -163,9 +164,12 @@ class CoflowLPSolution:
     lp_result:
         The raw solver result (status, timings, sizes).
     metadata:
-        LP size and, for solutions of :func:`solve_time_indexed_lp`, the
-        :func:`lp_request` they answer (``"request"``: resolved-grid digest
-        and solver method), which shared-LP reuse compares.
+        For solutions of :func:`solve_time_indexed_lp`: the size of the
+        solved LP (``"lp_size"``), the :func:`lp_request` they answer
+        (``"request"``: the *requested* grid's digest and the solver method),
+        which shared-LP reuse compares, the requested grid's slot count
+        (``"requested_slots"``) and one ``(num_slots, LP status)`` pair per
+        solve in order (``"horizon_rounds"``).
     """
 
     instance: CoflowInstance
@@ -534,6 +538,29 @@ def _add_free_path_constraints(
     lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
 
 
+def _horizon_certified(
+    instance: CoflowInstance,
+    grid: TimeGrid,
+    result: LPResult,
+    bundle: _LPIndexBundle,
+) -> bool:
+    """Whether the LP optimum on *grid* is also the optimum of every longer
+    grid that has *grid* as its prefix.
+
+    It is when the round is optimal, sends nothing in its last slot, and
+    every flow may send in that slot: a longer-horizon optimum, mixed in at
+    a small weight with everything from the last slot onward folded into
+    it, then fits on *grid*, and moving data earlier never lowers a prefix
+    sum ``S_f(t)``.  So a strictly better longer optimum would beat this one.
+    """
+    if not result.is_optimal:
+        return False
+    last = grid.num_slots - 1
+    sends_last = np.any(result.values(bundle.x[:, last]) > 0.0)
+    release_mask = grid.release_mask(instance.flow_release_times())
+    return not sends_last and bool(np.all(release_mask[:, last]))
+
+
 def solve_time_indexed_lp(
     instance: CoflowInstance,
     *,
@@ -543,33 +570,54 @@ def solve_time_indexed_lp(
     epsilon: Optional[float] = None,
     solver_method: str = "highs",
 ) -> CoflowLPSolution:
-    """Build and solve the coflow LP for *instance* with one cold solve.
+    """Build and solve the coflow LP for *instance*.
 
-    The grid is resolved by :func:`resolve_grid` (explicit *grid*, then
-    *epsilon*, then *num_slots* uniform slots of *slot_length*, then a
-    suggested uniform horizon).  The request itself (:func:`lp_request`) is
-    recorded under ``metadata["request"]`` and the LP size under
-    ``metadata["lp_size"]``.
+    The requested grid is resolved by :func:`resolve_grid` (explicit *grid*,
+    then *epsilon*, then *num_slots* uniform slots of *slot_length*, then a
+    suggested uniform horizon); the first three are solved as given.  The
+    suggested uniform grid is solved on growing prefixes instead, each with
+    a cold solve: the first ends two slots after the one the latest release
+    may first use, each next one is 1.5× longer, and growth stops at the
+    first prefix :func:`_horizon_certified` accepts, or at the whole grid.
+
+    ``metadata`` records the request (:func:`lp_request` on the requested
+    grid), the requested slot count, the solved LP's size and one
+    ``(num_slots, LP status)`` pair per round (``"horizon_rounds"``).
 
     Returns
     -------
     CoflowLPSolution
-        The optimal LP solution; raises :class:`~repro.lp.solver.LPSolverError`
-        if the LP cannot be solved to optimality.
+        The optimal LP solution on the solved grid; raises
+        :class:`~repro.lp.solver.LPSolverError` if the LP on the requested
+        grid cannot be solved to optimality.
     """
-    grid = resolve_grid(
+    requested = resolve_grid(
         instance,
         grid=grid,
         num_slots=num_slots,
         slot_length=slot_length,
         epsilon=epsilon,
     )
-    lp, bundle = build_time_indexed_lp(instance, grid)
-    result = solve_lp(lp, method=solver_method, require_optimal=True)
+    slots = requested.num_slots
+    if grid is None and num_slots is None and epsilon is None:
+        first = requested.first_usable_slot(instance.max_release_time()) + 2
+        slots = min(first, slots)
+    rounds: List[Tuple[int, str]] = []
+    while True:
+        final = slots == requested.num_slots
+        solved = (
+            requested if final else TimeGrid(requested.boundaries[: slots + 1])
+        )
+        lp, bundle = build_time_indexed_lp(instance, solved)
+        result = solve_lp(lp, method=solver_method, require_optimal=final)
+        rounds.append((slots, result.status.value))
+        if final or _horizon_certified(instance, solved, result, bundle):
+            break
+        slots = min(int(np.ceil(1.5 * slots)), requested.num_slots)
     completion_times = result.values(bundle.c)
     return CoflowLPSolution(
         instance=instance,
-        grid=grid,
+        grid=solved,
         objective=float(np.dot(instance.weights, completion_times)),
         completion_times=completion_times,
         fractions=result.values(bundle.x),
@@ -577,6 +625,8 @@ def solve_time_indexed_lp(
         lp_result=result,
         metadata={
             "lp_size": lp.size_summary(),
-            "request": lp_request(grid, solver_method=solver_method),
+            "request": lp_request(requested, solver_method=solver_method),
+            "requested_slots": requested.num_slots,
+            "horizon_rounds": rounds,
         },
     )

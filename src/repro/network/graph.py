@@ -51,6 +51,7 @@ class NetworkGraph:
         self._nx_cache: Optional[nx.DiGraph] = None
         self._node_edges_cache: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
         self._capacity_vector_cache: Optional[np.ndarray] = None
+        self._max_flow_cache: Dict[Edge, float] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -88,6 +89,7 @@ class NetworkGraph:
         self._nx_cache = None
         self._node_edges_cache = None
         self._capacity_vector_cache = None
+        self._max_flow_cache = {}
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -255,12 +257,15 @@ class NetworkGraph:
     def max_flow_value(self, source: str, sink: str) -> float:
         """Maximum ``source -> sink`` flow value (per unit time).
 
-        Used by the free-path simulator and by Terra's standalone
-        completion-time computation for single-flow coflows.
+        Used by :func:`repro.core.timeindexed.suggest_horizon` for the
+        free-path serial bound.  Memoized per ``(source, sink)`` until the
+        topology changes.
         """
-        g = self.to_networkx()
-        value, _ = nx.maximum_flow(g, str(source), str(sink), capacity="capacity")
-        return float(value)
+        key = (str(source), str(sink))
+        if key not in self._max_flow_cache:
+            value, _ = nx.maximum_flow(self.to_networkx(), *key, capacity="capacity")
+            self._max_flow_cache[key] = float(value)
+        return self._max_flow_cache[key]
 
     # ------------------------------------------------------------------ #
     # dunder helpers

@@ -29,6 +29,8 @@ independent oracle that is kept in the codebase for exactly this purpose —
 ``feasibility-under-churn``  simulated reservations stay within the churned
                           capacity in every interval, completions stay finite,
                           and incremental ≡ full re-allocation under churn
+``horizon-certificate``   a default uniform LP solved on a certified grid
+                          prefix has the optimum of the whole requested grid
 ====================      =====================================================
 
 The checked implementations are referenced through module-level names so
@@ -54,11 +56,13 @@ from repro.network.churn import ChurnSchedule
 from repro.core.timeindexed import (
     CoflowLPSolution,
     build_time_indexed_lp,
+    lp_request,
     resolve_grid,
+    solve_time_indexed_lp,
 )
 from repro.core.timeindexed_reference import build_time_indexed_lp_reference
 from repro.schedule.feasibility import check_feasibility
-from repro.schedule.timegrid import relative_tol
+from repro.schedule.timegrid import TimeGrid, relative_tol
 from repro.sim.rate_allocation import coflow_standalone_time
 from repro.sim.simulator import fifo_priority, simulate_priority_schedule
 
@@ -610,5 +614,70 @@ def check_feasibility_under_churn(run: ScenarioRun) -> List[str]:
             f"completion times diverge under churn (coflow {worst}: "
             f"incremental={result.coflow_completion_times[worst]:.12g} "
             f"full={full.coflow_completion_times[worst]:.12g})"
+        )
+    return violations
+
+
+# --------------------------------------------------------------------------- #
+# 10. the certified LP horizon holds the requested grid's optimum
+# --------------------------------------------------------------------------- #
+#: Relative tolerance between the certified-prefix objective and the
+#: requested grid's: both are optima of LPs with one optimal value.
+HORIZON_OBJECTIVE_RTOL = 1e-9
+
+
+@register_invariant(
+    "horizon-certificate",
+    description="a default uniform LP solved on a grid prefix has the optimum "
+    "of the whole requested grid, and the prefix ends on an empty slot",
+)
+def check_horizon_certificate(run: ScenarioRun) -> List[str]:
+    """Re-solve a default uniform request on the whole requested grid.
+
+    Applies to runs whose config asks for neither a grid, a slot count nor
+    ε: their LP may be solved on a prefix of the requested grid, which must
+    (a) keep the requested grid's digest as the request identity, (b) be a
+    prefix of the requested grid, (c) send nothing in its last slot unless
+    it is the whole requested grid, and (d) have the requested grid's
+    objective.
+    """
+    solution, config = run.lp_solution, run.config
+    if solution is None or config is None:
+        return []
+    if any(v is not None for v in (config.grid, config.num_slots, config.epsilon)):
+        return []
+    instance = run.instance
+    requested = resolve_grid(instance, slot_length=config.slot_length)
+    solved = solution.grid
+    violations: List[str] = []
+    if solution.metadata.get("request") != lp_request(
+        requested, solver_method=config.solver_method
+    ):
+        violations.append("the LP does not record the requested grid as its request")
+    if solved != TimeGrid(requested.boundaries[: solved.num_slots + 1]):
+        violations.append(
+            f"the solved grid ({solved!r}) is not a prefix of the requested "
+            f"grid ({requested!r})"
+        )
+    elif solved.num_slots < requested.num_slots and np.any(
+        solution.fractions[:, -1] > 0.0
+    ):
+        violations.append(
+            f"the last solved slot ({solved.num_slots - 1}) carries x, but the "
+            f"solved grid stops before the requested {requested.num_slots} slots"
+        )
+    reference = solve_time_indexed_lp(
+        instance,
+        num_slots=requested.num_slots,
+        slot_length=config.slot_length,
+        solver_method=config.solver_method,
+    )
+    if not np.isclose(
+        solution.objective, reference.objective, rtol=HORIZON_OBJECTIVE_RTOL, atol=0
+    ):
+        violations.append(
+            f"objective {solution.objective:.12g} on {solved.num_slots} slots "
+            f"!= {reference.objective:.12g} on the requested "
+            f"{requested.num_slots} slots"
         )
     return violations

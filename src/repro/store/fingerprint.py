@@ -43,7 +43,10 @@ from repro.schedule.timegrid import TimeGrid
 #: optimal vertex, so LP-heuristic and Stretch results can move.
 #: Schema 4: the config fingerprint no longer carries the removed staged-solve
 #: and solver-backend selectors.
-FINGERPRINT_SCHEMA = 4
+#: Schema 5 marks the certified horizon of the default uniform-grid LP: its
+#: optimum is unchanged, but the shorter LP can return a different optimal
+#: vertex, so LP-heuristic and Stretch results on default grids can move.
+FINGERPRINT_SCHEMA = 5
 
 
 class FingerprintError(ValueError):

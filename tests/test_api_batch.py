@@ -32,6 +32,14 @@ def make_instances(count: int) -> list:
     return instances
 
 
+def assert_solved_on_a_prefix(solution, requested) -> None:
+    """*solution* answers the request for *requested* and was solved on a
+    prefix of it (the certified horizon of a default uniform request)."""
+    assert solution.metadata["request"]["grid"] == requested.boundary_digest()
+    solved = solution.grid.boundaries
+    np.testing.assert_array_equal(solved, requested.boundaries[: solved.size])
+
+
 @pytest.fixture(scope="module")
 def instances():
     return make_instances(8)
@@ -198,8 +206,8 @@ class TestSharedLPGridKeying:
             swan_single_path, "lp-heuristic", lp_solution=shared, slot_length=0.25
         )
         assert report.lp_solution is not shared
-        assert report.lp_solution.grid == resolve_grid(
-            swan_single_path, slot_length=0.25
+        assert_solved_on_a_prefix(
+            report.lp_solution, resolve_grid(swan_single_path, slot_length=0.25)
         )
 
     def test_explicit_grid_mismatch_triggers_fresh_solve(self, instances):
@@ -319,13 +327,15 @@ class TestSolveGridThreading:
         instance = make_instances(1)[0]
         report = api.solve(instance, "lp-heuristic")
         assert report.lp_solution.grid.is_uniform
-        assert report.lp_solution.grid == resolve_grid(instance)
+        assert_solved_on_a_prefix(report.lp_solution, resolve_grid(instance))
 
     def test_slot_length_override_reaches_the_lp(self):
         instance = make_instances(1)[0]
         report = api.solve(instance, "lp-heuristic", slot_length=0.25)
         grid = report.lp_solution.grid
-        assert grid == resolve_grid(instance, slot_length=0.25)
+        assert_solved_on_a_prefix(
+            report.lp_solution, resolve_grid(instance, slot_length=0.25)
+        )
         np.testing.assert_allclose(grid.durations, 0.25)
 
     def test_config_epsilon_field(self, swan_single_path):
@@ -346,10 +356,10 @@ class TestSolveGridThreading:
         core = [r for r in reports if r.algorithm in CORE_ALGORITHMS]
         assert len(core) == len(CORE_ALGORITHMS)
         for report in core:
-            assert report.lp_solution.grid == expected
+            assert_solved_on_a_prefix(report.lp_solution, expected)
             assert report.lp_solution is core[0].lp_solution
         single = api.solve(swan_single_path, "lp-heuristic", config=config)
-        assert single.lp_solution.grid == expected
+        assert_solved_on_a_prefix(single.lp_solution, expected)
         assert single.lower_bound == pytest.approx(core[0].lower_bound)
 
     def test_baselines_have_no_lp_solution(self):

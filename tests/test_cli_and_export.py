@@ -116,7 +116,7 @@ class TestCliCommands:
         text = out.getvalue()
         assert "LP lower bound" in text
         assert "gap to bound" in text
-        assert re.search(r"LP solve\s+: \d+ slots, [\d.]+s", text)
+        assert re.search(r"LP solve\s+: \d+ of \d+ slots, \d+ rounds, [\d.]+s", text)
 
     def test_generate_single_path_model(self, tmp_path):
         trace = tmp_path / "sp.json"

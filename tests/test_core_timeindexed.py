@@ -12,6 +12,7 @@ from repro.core.timeindexed import (
     solve_time_indexed_lp,
     suggest_horizon,
 )
+from repro.network.graph import NetworkGraph
 from repro.network.topologies import (
     parallel_edges_topology,
     paper_example_topology,
@@ -236,6 +237,83 @@ class TestGeometricGrid:
             example_single_path_instance, grid=grid, num_slots=4, epsilon=0.3
         )
         assert solution.grid == grid
+
+
+def _fb_on_swan(model: str):
+    spec = WorkloadSpec(profile="FB", num_coflows=6, seed=3)
+    return generate_instance(swan_topology(), spec, model=model, rng=3)
+
+
+def _released_late(instance, shift: float):
+    return instance.with_coflows(
+        [
+            c.with_flows([f.with_release_time(f.release_time + shift) for f in c.flows])
+            for c in instance.coflows
+        ]
+    )
+
+
+class TestCertifiedHorizon:
+    """A default uniform request is solved on the shortest certified prefix
+    of its grid, with the whole grid's optimum."""
+
+    @pytest.mark.parametrize(
+        "make, slot_length",
+        [
+            (lambda: _fb_on_swan("single_path"), 1.0),
+            (lambda: _fb_on_swan("free_path"), 1.0),
+            (lambda: _released_late(_fb_on_swan("single_path"), 30.0), 1.0),
+            (lambda: _fb_on_swan("free_path"), 0.5),
+        ],
+        ids=["single_path", "free_path", "late_release", "slot_length_0.5"],
+    )
+    def test_default_solve_has_the_serial_horizon_optimum(self, make, slot_length):
+        instance = make()
+        solution = solve_time_indexed_lp(instance, slot_length=slot_length)
+        serial = solve_time_indexed_lp(
+            instance,
+            num_slots=suggest_horizon(instance, slot_length=slot_length),
+            slot_length=slot_length,
+        )
+        assert solution.objective == pytest.approx(serial.objective, rel=1e-9)
+        rounds = solution.metadata["horizon_rounds"]
+        assert rounds[-1] == (solution.grid.num_slots, "optimal")
+        assert solution.metadata["requested_slots"] == serial.grid.num_slots
+        assert solution.metadata["request"] == serial.metadata["request"]
+        solved = solution.grid.boundaries
+        np.testing.assert_array_equal(solved, serial.grid.boundaries[: solved.size])
+        assert check_feasibility(solution.to_schedule()).is_feasible
+
+    def test_optimum_needing_the_serial_horizon_ends_on_the_requested_grid(self):
+        # Demand 5 on a unit link fills 5 slots; the certificate needs a 6th,
+        # empty one, and growth 2 -> 3 -> 5 -> 8 is capped at the 7 requested.
+        graph = NetworkGraph([("a", "b", 1.0)])
+        instance = CoflowInstance(
+            graph, [Coflow([Flow("a", "b", 5.0, path=("a", "b"))])], model="single_path"
+        )
+        solution = solve_time_indexed_lp(instance)
+        assert solution.grid == resolve_grid(instance)
+        assert solution.metadata["horizon_rounds"] == [
+            (2, "infeasible"),
+            (3, "infeasible"),
+            (5, "optimal"),
+            (7, "optimal"),
+        ]
+        serial = solve_time_indexed_lp(instance, num_slots=7)
+        assert solution.objective == pytest.approx(serial.objective, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"num_slots": 20}, {"epsilon": 0.5}, {"grid": TimeGrid.uniform(20)}],
+        ids=["num_slots", "epsilon", "grid"],
+    )
+    def test_explicit_grids_are_solved_as_given(self, kwargs):
+        instance = _fb_on_swan("single_path")
+        solution = solve_time_indexed_lp(instance, **kwargs)
+        assert solution.grid == resolve_grid(instance, **kwargs)
+        assert solution.metadata["horizon_rounds"] == [
+            (solution.grid.num_slots, "optimal")
+        ]
 
 
 class TestLPSolutionHelpers:

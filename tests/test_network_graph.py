@@ -116,6 +116,38 @@ class TestPathsAndFlows:
         # a->c direct (1.0) plus a->b->c (2.0) = 3.0
         assert triangle().max_flow_value("a", "c") == pytest.approx(3.0)
 
+    def test_max_flow_is_memoized_until_the_topology_changes(self, monkeypatch):
+        import networkx as nx
+
+        from repro.coflow.coflow import Coflow
+        from repro.coflow.flow import Flow
+        from repro.coflow.instance import CoflowInstance
+        from repro.core.timeindexed import suggest_horizon
+
+        calls = []
+        real = nx.maximum_flow
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "maximum_flow", counted)
+        graph = triangle()
+        instance = CoflowInstance(
+            graph,
+            [Coflow([Flow("a", "c", 6.0), Flow("b", "c", 3.0)])],
+            model="free_path",
+        )
+        first = suggest_horizon(instance)
+        assert sorted(calls) == [("a", "c"), ("b", "c")]
+        assert suggest_horizon(instance) == first
+        assert len(calls) == 2
+        # A wider a->c link raises the max flow: the memo must not survive.
+        assert instance.graph.max_flow_value("a", "c") == pytest.approx(3.0)
+        instance.graph.add_edge("a", "c", 4.0)
+        assert instance.graph.max_flow_value("a", "c") == pytest.approx(6.0)
+        assert len(calls) == 3
+
 
 class TestConversionsAndCopies:
     def test_to_networkx_has_capacities(self):

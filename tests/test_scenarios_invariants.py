@@ -365,6 +365,38 @@ class TestOnlineBugsCaught:
         assert violations_of(run, "online-lower-bound") == []
 
 
+class TestHorizonCertificateBugCaught:
+    """A default uniform LP stops growing its horizon only on a certificate.
+
+    zipf-sizes #1 is optimal on its first, 2-slot prefix, but that optimum
+    sends in the last slot; the certified horizon is 3 slots."""
+
+    @staticmethod
+    def _run():
+        return execute_scenario(
+            build_scenario("zipf-sizes", 1, 123), algorithms=["lp-heuristic"]
+        )
+
+    def test_clean_run_passes(self, free_run, single_run):
+        run = self._run()
+        rounds = run.lp_solution.metadata["horizon_rounds"]
+        assert [slots for slots, _ in rounds] == [2, 3]
+        for clean in (run, free_run, single_run):
+            assert violations_of(clean, "horizon-certificate") == []
+
+    def test_accepting_the_first_optimal_round_is_caught(self, monkeypatch):
+        import repro.core.timeindexed as timeindexed
+
+        def first_optimal(instance, grid, result, bundle):
+            return result.is_optimal  # the planted bug: no last-slot check
+
+        monkeypatch.setattr(timeindexed, "_horizon_certified", first_optimal)
+        run = self._run()
+        assert run.lp_solution.metadata["horizon_rounds"] == [(2, "optimal")]
+        messages = violations_of(run, "horizon-certificate")
+        assert messages and any("last solved slot" in m for m in messages)
+
+
 class TestInvariantRegistry:
     def test_unknown_invariant_rejected(self, free_run):
         with pytest.raises(ValueError, match="unknown invariant"):
