@@ -4,7 +4,7 @@ The offline environment ships setuptools without the ``wheel`` package, so
 PEP 517 editable installs (which need ``bdist_wheel``) are unavailable.  This
 ``setup.py`` lets ``pip install -e . --no-use-pep517`` (and plain
 ``python setup.py develop``) perform a legacy editable install.  All project
-metadata lives in ``pyproject.toml``.
+metadata lives here; the repository has no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

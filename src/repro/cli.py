@@ -35,10 +35,9 @@ Eleven commands cover the common workflows without writing any Python:
     a scenario address, event by event, and compare it against the
     clairvoyant offline schedule.
 ``scenarios``
-    The corpus tooling (:mod:`repro.scenarios`): run a declarative
-    pipeline spec (generate → solve → verify → report, resumable through
-    the result store), list the registered families, amplify a trace to
-    N× coflows, or convert a public Facebook-format coflow trace.
+    ``scenarios convert-fb`` converts a public Facebook-format coflow trace
+    (:mod:`repro.workloads.fbtrace`) into the library's JSON trace format.
+    Scenarios themselves are run, selected and replayed by ``verify``.
 ``lint``
     Run the AST-based determinism & discipline analyzer (:mod:`repro.lint`)
     over the library source: raw entropy and rng construction, wall-clock
@@ -258,41 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scen = sub.add_parser(
-        "scenarios",
-        help="scenario-corpus tooling: pipelines, amplifier, trace converter",
+        "scenarios", help="trace tooling: the Facebook trace converter"
     )
     scen_sub = scen.add_subparsers(dest="scenarios_command", required=True)
-
-    scen_run = scen_sub.add_parser(
-        "run", help="execute a declarative pipeline spec (YAML or JSON)"
-    )
-    scen_run.add_argument("spec", help="pipeline spec file (see repro.scenarios.pipeline)")
-    scen_run.add_argument(
-        "--store",
-        default=None,
-        help="result-store directory: checkpoint per-scenario blocks so "
-        "interrupted pipelines resume and repeated runs replay for free",
-    )
-    scen_run.add_argument(
-        "--output",
-        default=None,
-        help="write the deterministic pipeline report to this JSON path",
-    )
-
-    scen_sub.add_parser("list", help="list the registered scenario families")
-
-    scen_amp = scen_sub.add_parser(
-        "amplify", help="amplify a trace to N coflows (marginal-preserving)"
-    )
-    scen_amp.add_argument("src", help="base trace JSON (any repro trace kind)")
-    scen_amp.add_argument("out", help="amplified trace JSON to write")
-    scen_amp.add_argument("count", type=int, help="target number of coflows")
-    scen_amp.add_argument("--seed", type=int, default=0, help="amplifier root seed")
-    scen_amp.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the marginal-preservation guard (not recommended)",
-    )
 
     scen_fb = scen_sub.add_parser(
         "convert-fb", help="convert a Facebook-format coflow trace to JSON"
@@ -517,7 +484,7 @@ def _cmd_verify(args, out) -> int:
     if args.list_families:
         print("scenario families:", file=out)
         for family in family_table():
-            print(f"  {family.name:<18s} {family.description}", file=out)
+            print(f"  {family.name:<20s} {family.description}", file=out)
         print("invariants:", file=out)
         for name in invariant_names():
             print(f"  {name:<22s} {get_invariant(name).description}", file=out)
@@ -546,8 +513,6 @@ def _cmd_verify(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if store is not None:
-        store.put_run("verify", report)
     path = write_verification_report(report, args.output)
     print(format_verification_report(report), file=out)
     print(f"wrote {path}", file=out)
@@ -721,84 +686,27 @@ def _cmd_online(args, out) -> int:
 
 
 def _cmd_scenarios(args, out) -> int:
-    if args.scenarios_command == "list":
-        from repro.scenarios import family_table
-
-        for family in family_table():
-            print(f"{family.name:<20s} {family.description}", file=out)
-        return 0
-    if args.scenarios_command == "amplify":
-        from repro.scenarios.amplify import amplify_trace
-
-        try:
-            summary = amplify_trace(
-                args.src,
-                args.out,
-                args.count,
-                root_seed=args.seed,
-                check=not args.no_check,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"amplified {summary['base_coflows']} -> {summary['num_coflows']} "
-            f"coflows ({summary['num_flows']} flows, seed {summary['root_seed']}) "
-            f"to {summary['out']}",
-            file=out,
-        )
-        for key, value in sorted(summary["marginals"].items()):
-            print(f"  {key:<22s} {value:.6f}", file=out)
-        return 0
-    if args.scenarios_command == "convert-fb":
-        from repro.workloads.fbtrace import convert_facebook_trace
-
-        try:
-            summary = convert_facebook_trace(
-                args.src,
-                args.out,
-                demand_scale=args.demand_scale,
-                time_scale=args.time_scale,
-                max_coflows=args.max_coflows,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"converted {summary['num_coflows']} coflows / "
-            f"{summary['num_flows']} flows "
-            f"(horizon {summary['max_release_time']:.3f}) to {summary['out']}",
-            file=out,
-        )
-        return 0
-    # args.scenarios_command == "run"
-    from repro.scenarios.pipeline import (
-        PipelineSpec,
-        format_pipeline_report,
-        run_pipeline,
-        write_pipeline_report,
-    )
+    # args.scenarios_command == "convert-fb", the only verb
+    from repro.workloads.fbtrace import convert_facebook_trace
 
     try:
-        spec = PipelineSpec.load(args.spec)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: could not load pipeline spec {args.spec}: {exc}", file=sys.stderr)
-        return 2
-    store = None
-    if args.store:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store)
-    try:
-        result = run_pipeline(spec, store=store)
-    except ValueError as exc:  # unknown family/invariant/algorithm
+        summary = convert_facebook_trace(
+            args.src,
+            args.out,
+            demand_scale=args.demand_scale,
+            time_scale=args.time_scale,
+            max_coflows=args.max_coflows,
+        )
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_pipeline_report(result), file=out)
-    if args.output:
-        path = write_pipeline_report(result, args.output)
-        print(f"wrote {path}", file=out)
-    return 0 if result.ok else 1
+    print(
+        f"converted {summary['num_coflows']} coflows / "
+        f"{summary['num_flows']} flows "
+        f"(horizon {summary['max_release_time']:.3f}) to {summary['out']}",
+        file=out,
+    )
+    return 0
 
 
 def _cmd_lint(args, out) -> int:

@@ -654,8 +654,6 @@ def run_sweep(
 
     result.chunks_run = executed
     result.seconds = time.perf_counter() - started
-    if result.complete:
-        store.put_run("sweep", result.summary())
     return result
 
 

@@ -13,12 +13,9 @@ provides:
   shortest-path selection (used to pin paths for the single path model, as
   the paper does in Section 6.2);
 * :mod:`~repro.network.gadgets` — the switch-model gadget of footnote 1
-  (per-node I/O limits expressed as an extra edge);
-* :mod:`~repro.network.churn` — declarative capacity-churn schedules
-  (mid-run degradations, outages and restores) consumed by the simulators.
+  (per-node I/O limits expressed as an extra edge).
 """
 
-from repro.network.churn import ChurnEvent, ChurnSchedule, link_outage
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import (
     gscale_topology,
@@ -38,9 +35,6 @@ from repro.network.paths import (
 from repro.network.gadgets import switch_fabric_topology, with_io_limits
 
 __all__ = [
-    "ChurnEvent",
-    "ChurnSchedule",
-    "link_outage",
     "NetworkGraph",
     "swan_topology",
     "gscale_topology",

@@ -16,28 +16,21 @@ Components
 ----------
 * :mod:`~repro.scenarios.engine` — the family registry and the
   bit-reproducible ``(root_seed, family, index)`` addressing scheme.
-* :mod:`~repro.scenarios.families` — built-in families: online Poisson and
-  bursty arrivals, Zipf-skewed sizes, oversubscribed fat trees, degraded
-  links, trace replay, mid-run capacity churn, open-shop hardness gadgets,
-  adversarial arrivals and amplified traces.
-* :mod:`~repro.scenarios.amplify` — the seeded trace amplifier and its
-  marginal-preservation guard.
+* :mod:`~repro.scenarios.families` — the eight built-in families: online
+  Poisson and bursty arrivals, Zipf-skewed sizes, oversubscribed fat trees,
+  degraded links, trace replay, open-shop hardness gadgets and adversarial
+  arrivals.
 * :mod:`~repro.scenarios.invariants` — the differential invariant suite
   (LP builder equivalence, simulator equivalence, feasibility, LP bounds,
-  baseline orderings, report consistency, feasibility under churn).
-* :mod:`~repro.scenarios.pipeline` — declarative YAML/JSON pipelines
-  (spec → generate → solve → verify → report), what ``repro scenarios run``
-  executes.
-* :mod:`~repro.scenarios.verify` — the harness + machine-readable report.
+  baseline orderings, report consistency, online release and lower-bound
+  respect, the certified LP horizon).
+* :mod:`~repro.scenarios.verify` — the harness + machine-readable report,
+  what ``repro verify`` runs (``--family``, ``--algorithms``,
+  ``--invariant`` select scenarios and checks; ``--store`` resumes and
+  replays them).
 """
 
 from repro.scenarios import families as _families  # noqa: F401 - registers built-ins
-from repro.scenarios.amplify import (
-    MarginalReport,
-    amplify_coflows,
-    amplify_trace,
-    check_marginals,
-)
 from repro.scenarios.engine import (
     Scenario,
     ScenarioFamily,
@@ -61,14 +54,6 @@ from repro.scenarios.invariants import (
     invariant_names,
     register_invariant,
 )
-from repro.scenarios.pipeline import (
-    PipelineResult,
-    PipelineSpec,
-    ScenarioSelection,
-    format_pipeline_report,
-    run_pipeline,
-    write_pipeline_report,
-)
 from repro.scenarios.verify import (
     execute_scenario,
     format_verification_report,
@@ -80,34 +65,24 @@ from repro.scenarios.verify import (
 __all__ = [
     "BUILTIN_FAMILIES",
     "ONLINE_FAMILIES",
-    "MarginalReport",
-    "PipelineResult",
-    "PipelineSpec",
     "Scenario",
     "ScenarioFamily",
     "ScenarioRun",
-    "ScenarioSelection",
     "UnknownFamilyError",
-    "amplify_coflows",
-    "amplify_trace",
     "build_scenario",
     "check_invariants",
-    "check_marginals",
     "execute_scenario",
     "expected_model",
     "family_table",
-    "format_pipeline_report",
     "format_verification_report",
     "get_family",
     "get_invariant",
     "invariant_names",
     "register_family",
     "register_invariant",
-    "run_pipeline",
     "run_verification",
     "sample_scenarios",
     "scenario_families",
     "verify_scenario",
-    "write_pipeline_report",
     "write_verification_report",
 ]

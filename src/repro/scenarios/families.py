@@ -1,7 +1,7 @@
 """Built-in scenario families.
 
 Importing this module populates the registry of
-:mod:`repro.scenarios.engine` with the ten families the verification
+:mod:`repro.scenarios.engine` with the eight families the verification
 harness samples by default:
 
 =======================  ====================================================
@@ -13,15 +13,13 @@ name                     what it stresses
 ``oversubscribed``       fat-tree fabrics whose core carries 1/k of host demand
 ``link-failure``         degraded-capacity WAN variants (partial link failures)
 ``trace-replay``         the save → load → replay path of :mod:`repro.workloads.traces`
-``capacity-churn``       mid-run capacity churn (degrade / outage / restore)
 ``hardness-gadget``      Section 5 open-shop reductions: worst-case LP gaps
 ``adversarial-arrival``  geometric arrival bursts engineered against SRTF
-``amplified-trace``      the trace amplifier path (bootstrap + replay)
 =======================  ====================================================
 
 Every family alternates the transmission model with the scenario index,
 and the families are split into two phase groups (see ``MODEL_OFFSET``):
-half start at free path, half at single path.  A round-robin sample
+three start at free path, five at single path.  A round-robin sample
 therefore covers *both* LP families and every registered algorithm —
 including the model-restricted Terra and Jahanjou — even when the budget is
 as small as two scenarios.  Builders draw all randomness from the generator
@@ -38,7 +36,6 @@ import numpy as np
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.network.churn import ChurnSchedule
 from repro.network.graph import NetworkGraph
 from repro.network.paths import pin_random_shortest_paths
 from repro.network.topologies import (
@@ -54,9 +51,8 @@ from repro.openshop.reduction import (
 )
 from repro.utils.io import scratch_path
 from repro.workloads.generator import WorkloadSpec, generate_coflows
-from repro.workloads.traces import replay_coflows, replay_trace, save_trace
+from repro.workloads.traces import replay_trace, save_trace
 
-from repro.scenarios.amplify import amplify_coflows, check_marginals
 from repro.scenarios.engine import register_family
 
 #: Builders keep instances deliberately small: every scenario is solved by
@@ -68,8 +64,8 @@ MAX_WIDTH = 3
 #: Model phase per family: offset 0 families start at free path, offset 1
 #: families at single path, both alternating with the scenario index.  The
 #: offsets are fixed literals (not derived from registry order) so scenario
-#: addresses stay stable when families are added or renamed — and they are
-#: deliberately split half/half so even a budget that only reaches index 0
+#: addresses stay stable when families are added, removed or renamed — and
+#: both phases are populated so even a budget that only reaches index 0
 #: (one scenario per family) exercises both transmission models.
 MODEL_OFFSET = {
     "online-poisson": 0,
@@ -78,10 +74,8 @@ MODEL_OFFSET = {
     "oversubscribed": 1,
     "link-failure": 0,
     "trace-replay": 1,
-    "capacity-churn": 0,
     "hardness-gadget": 1,
     "adversarial-arrival": 1,
-    "amplified-trace": 0,
 }
 
 
@@ -388,55 +382,6 @@ def _build_trace_replay(rng: np.random.Generator, index: int):
 
 
 # --------------------------------------------------------------------------- #
-# mid-run capacity churn
-# --------------------------------------------------------------------------- #
-@register_family(
-    "capacity-churn",
-    description="SWAN with mid-run capacity churn: degrade, outage, restore",
-    tags=("topology", "churn", "dynamic"),
-)
-def _build_capacity_churn(rng: np.random.Generator, index: int):
-    model = expected_model("capacity-churn", index)
-    graph = swan_topology()
-    undirected = sorted({tuple(sorted(edge)) for edge in graph.edges})
-    num_churned = int(rng.integers(1, 3))
-    picks = rng.choice(len(undirected), size=num_churned, replace=False)
-    events = []
-    for p in picks:
-        u, v = undirected[int(p)]
-        down_at = float(np.round(rng.uniform(0.3, 1.5), 3))
-        up_at = float(np.round(down_at + rng.uniform(1.0, 3.0), 3))
-        # One in three churned links goes fully dark (factor 0), the rest
-        # degrade; every change is restored so instances stay feasible.
-        factor = 0.0 if rng.uniform() < 1.0 / 3.0 else float(
-            np.round(rng.uniform(0.3, 0.7), 3)
-        )
-        for edge in ((u, v), (v, u)):
-            events.append({"time": down_at, "edge": edge, "factor": factor})
-            events.append({"time": up_at, "edge": edge, "factor": 1.0})
-    schedule = ChurnSchedule(events=tuple(events))
-
-    num_coflows = int(rng.integers(3, MAX_COFLOWS + 1))
-    release = np.round(rng.uniform(0.0, 2.0, size=num_coflows), 3)
-    release[int(rng.integers(0, num_coflows))] = 0.0
-    coflows = _make_coflows(
-        rng,
-        graph.nodes,
-        num_coflows=num_coflows,
-        release_times=release,
-        demand_sampler=lambda k: rng.uniform(0.4, 2.0, size=k),
-        weighted=True,
-        label="churn",
-    )
-    params = {
-        "churn": schedule.to_dict(),
-        "num_churned_links": num_churned,
-        "num_coflows": num_coflows,
-    }
-    return _assemble(graph, coflows, model, rng, f"capacity-churn-{index}"), params
-
-
-# --------------------------------------------------------------------------- #
 # adversarial families
 # --------------------------------------------------------------------------- #
 @register_family(
@@ -457,8 +402,8 @@ def _build_hardness_gadget(rng: np.random.Generator, index: int):
         weighted=bool(rng.integers(0, 2)),
     )
     instance = openshop_to_coflow_instance(shop, model=model)
-    # Cheap combinatorial bounds on the open-shop side: the verify engine's
-    # gap metric reads these from the params to contextualize the LP gap.
+    # Cheap combinatorial bounds on the open-shop side, recorded in the
+    # params so a verification report shows them next to each LP gap.
     shop_lower, shop_upper = openshop_objective_bounds(shop)
     params = {
         "num_machines": num_machines,
@@ -515,46 +460,6 @@ def _build_adversarial_arrival(rng: np.random.Generator, index: int):
     )
 
 
-# --------------------------------------------------------------------------- #
-# amplified traces
-# --------------------------------------------------------------------------- #
-@register_family(
-    "amplified-trace",
-    description="bootstrap-amplified trace replayed on the SWAN WAN",
-    tags=("traces", "amplifier"),
-)
-def _build_amplified_trace(rng: np.random.Generator, index: int):
-    model = expected_model("amplified-trace", index)
-    graph = swan_topology()
-    base_count = 3
-    spec = WorkloadSpec(
-        profile="FB",
-        num_coflows=base_count,
-        weighted=True,
-        demand_scale=float(rng.uniform(0.8, 1.6)),
-    )
-    base = list(generate_coflows(graph, spec, rng))
-    amplify_seed = int(rng.integers(0, 2**63 - 1))
-    target = int(rng.integers(4, MAX_COFLOWS + 1))
-    amplified = amplify_coflows(base, target, root_seed=amplify_seed)
-    report = check_marginals(base, amplified)
-    instance = replay_coflows(
-        amplified,
-        graph,
-        model=model,
-        rng=rng,
-        name=f"amplified-trace-{index}",
-    )
-    params = {
-        "base_coflows": base_count,
-        "num_coflows": target,
-        "amplify_seed": amplify_seed,
-        "marginals_ok": bool(report.ok),
-        "marginals": {k: float(v) for k, v in report.stats.items()},
-    }
-    return instance, params
-
-
 #: Families registered by this module (the default sample set).
 BUILTIN_FAMILIES = (
     "online-poisson",
@@ -563,10 +468,8 @@ BUILTIN_FAMILIES = (
     "oversubscribed",
     "link-failure",
     "trace-replay",
-    "capacity-churn",
     "hardness-gadget",
     "adversarial-arrival",
-    "amplified-trace",
 )
 
 #: The arrival-driven families — the default sample set when specifically

@@ -26,9 +26,6 @@ independent oracle that is kept in the codebase for exactly this purpose —
 ``online-lower-bound``    online objectives respect the *clairvoyant*
                           per-coflow LP bound ``C_j >= r_j + standalone_j``
                           (recomputed independently per coflow)
-``feasibility-under-churn``  simulated reservations stay within the churned
-                          capacity in every interval, completions stay finite,
-                          and incremental ≡ full re-allocation under churn
 ``horizon-certificate``   a default uniform LP solved on a certified grid
                           prefix has the optimum of the whole requested grid
 ====================      =====================================================
@@ -52,7 +49,6 @@ from repro.api.request import SolverConfig
 from repro.baselines.greedy import sebf_priority_fn
 from repro.baselines.terra import srtf_priority_fn
 from repro.coflow.instance import TransmissionModel
-from repro.network.churn import ChurnSchedule
 from repro.core.timeindexed import (
     CoflowLPSolution,
     build_time_indexed_lp,
@@ -521,105 +517,7 @@ def check_online_lower_bound(run: ScenarioRun) -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# 9. simulated reservations stay feasible under capacity churn
-# --------------------------------------------------------------------------- #
-#: Relative slack for comparing reserved capacity against churned capacity.
-CHURN_FEASIBILITY_RTOL = 1e-6
-
-
-@register_invariant(
-    "feasibility-under-churn",
-    description="churn-aware simulation reserves within the churned capacity "
-    "in every interval, and incremental ≡ full re-allocation under churn",
-)
-def check_feasibility_under_churn(run: ScenarioRun) -> List[str]:
-    """Simulate under the scenario's churn schedule and audit every interval.
-
-    Scenarios without a ``churn`` entry in their params vacuously pass.
-    For churned scenarios the check is threefold: (a) the per-edge capacity
-    the allocator reserved in each constant-rate interval never exceeds the
-    capacity the schedule actually grants at that interval's start; (b) the
-    simulation completes with finite times that respect releases (a full
-    outage must make flows *wait*, never deadlock or teleport); (c) the
-    incremental simulator matches full per-event re-allocation
-    event-for-event under churn too, extending the ``incremental-sim``
-    guarantee to dynamic capacity.
-    """
-    params = run.scenario.params or {}
-    churn_data = params.get("churn")
-    if not churn_data:
-        return []
-    churn = ChurnSchedule.from_dict(churn_data)
-    instance = run.instance
-    priority = _simulation_priority(instance, run.standalone_times())
-    result = simulate_priority_schedule(
-        instance, priority, record_timeline=True, churn=churn
-    )
-    violations: List[str] = []
-
-    times = result.coflow_completion_times
-    if not np.all(np.isfinite(times)):
-        violations.append("churned simulation produced non-finite completion times")
-    else:
-        release = instance.coflow_release_times()
-        late = times - release
-        if np.any(late < -1e-9):
-            worst = int(np.argmin(late))
-            violations.append(
-                f"churned simulation completes coflow {worst} at "
-                f"{times[worst]:.9g}, before its release {release[worst]:.9g}"
-            )
-
-    edges = list(instance.graph.edges)
-    for entry in result.timeline:
-        if entry.edge_usage is None:
-            violations.append(
-                "churn-aware simulation recorded no edge-usage evidence"
-            )
-            break
-        # A correct simulator breaks intervals at every churn event, so the
-        # capacity at `start` covers the whole interval.  A buggy one may
-        # span events with a single interval — audit those instants too, or
-        # the planted ignores-the-schedule bug sails through.
-        granted = churn.capacity_vector_at(instance.graph, entry.start)
-        for event_time in churn.event_times:
-            if entry.start < event_time < entry.end:
-                granted = np.minimum(
-                    granted,
-                    churn.capacity_vector_at(instance.graph, event_time),
-                )
-        tol = CHURN_FEASIBILITY_RTOL * np.maximum(1.0, granted) + 1e-9
-        excess = entry.edge_usage - granted
-        if np.any(excess > tol):
-            worst = int(np.argmax(excess))
-            violations.append(
-                f"interval [{entry.start:.6g}, {entry.end:.6g}] reserves "
-                f"{entry.edge_usage[worst]:.9g} on edge {edges[worst]} but "
-                f"the churn schedule only grants {granted[worst]:.9g}"
-            )
-            break
-
-    full = simulate_priority_schedule(
-        instance, priority, incremental=False, churn=churn
-    )
-    if result.metadata.get("events") != full.metadata.get("events"):
-        violations.append(
-            f"event counts diverge under churn: incremental="
-            f"{result.metadata.get('events')} full={full.metadata.get('events')}"
-        )
-    diff = np.abs(result.coflow_completion_times - full.coflow_completion_times)
-    worst = int(np.argmax(diff)) if diff.size else 0
-    if diff.size and diff[worst] > SIM_EQUALITY_TOL:
-        violations.append(
-            f"completion times diverge under churn (coflow {worst}: "
-            f"incremental={result.coflow_completion_times[worst]:.12g} "
-            f"full={full.coflow_completion_times[worst]:.12g})"
-        )
-    return violations
-
-
-# --------------------------------------------------------------------------- #
-# 10. the certified LP horizon holds the requested grid's optimum
+# 9. the certified LP horizon holds the requested grid's optimum
 # --------------------------------------------------------------------------- #
 #: Relative tolerance between the certified-prefix objective and the
 #: requested grid's: both are optima of LPs with one optimal value.

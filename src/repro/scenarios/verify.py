@@ -61,6 +61,32 @@ VERIFY_NUM_SAMPLES = 3
 VERIFY_BACKOFF = Backoff(retries=2, base=0.0, jitter=0.0)
 
 
+def _scenario_algorithms(
+    scenario: Scenario, algorithms: Optional[Sequence[str]]
+) -> List[str]:
+    """The algorithms :func:`execute_scenario` runs on *scenario*.
+
+    Explicit lists are validated eagerly but filtered by model: asking for
+    terra on a batch that contains single-path scenarios should skip, not
+    crash, those scenarios.
+    """
+    model = scenario.instance.model
+    if algorithms is None:
+        return list(available_algorithms(model=model))
+    return [name for name in algorithms if get_algorithm(name).supports(model)]
+
+
+def _scenario_config(
+    scenario: Scenario, config: Optional[SolverConfig]
+) -> SolverConfig:
+    """*config* with the per-scenario rng and the λ-sample cap overlaid."""
+    base = config if config is not None else SolverConfig()
+    return base.replace(
+        rng=scenario.seed if base.rng is None else base.rng,
+        num_samples=min(base.num_samples, VERIFY_NUM_SAMPLES),
+    )
+
+
 def execute_scenario(
     scenario: Scenario,
     *,
@@ -77,22 +103,8 @@ def execute_scenario(
     before checking that invariants catch the corruption.
     """
     instance = scenario.instance
-    if algorithms is None:
-        names = list(available_algorithms(model=instance.model))
-    else:
-        # Explicit lists are validated eagerly but filtered by model: asking
-        # for terra on a batch that contains single-path scenarios should
-        # skip, not crash, those scenarios.
-        names = [
-            name
-            for name in algorithms
-            if get_algorithm(name).supports(instance.model)
-        ]
-    base = config if config is not None else SolverConfig()
-    cfg = base.replace(
-        rng=scenario.seed if base.rng is None else base.rng,
-        num_samples=min(base.num_samples, VERIFY_NUM_SAMPLES),
-    )
+    names = _scenario_algorithms(scenario, algorithms)
+    cfg = _scenario_config(scenario, config)
 
     run = ScenarioRun(scenario=scenario, config=cfg, lp_solution=None)
     address = (scenario.family, str(scenario.index), str(scenario.root_seed))
@@ -130,26 +142,25 @@ def _scenario_block_key(
     ``None`` (uncacheable) when the base config carries a live generator —
     the block would not be reproducible.  The key covers the scenario's
     full address, the *overlaid* config actually used (the per-scenario rng
-    and the λ-sample cap included) and the algorithm/invariant selections,
-    so narrowing either selection never returns a stale wider block.
+    and the λ-sample cap included) and the resolved names of the algorithms
+    run and the invariants checked.  Default selections resolve against the
+    registries, so narrowing a selection, or registering an algorithm or an
+    invariant, never replays a block that lacks it.
     """
-    base = config if config is not None else SolverConfig()
-    cfg = base.replace(
-        rng=scenario.seed if base.rng is None else base.rng,
-        num_samples=min(base.num_samples, VERIFY_NUM_SAMPLES),
-    )
     try:
-        cfg_fp = config_fingerprint(cfg)
+        cfg_fp = config_fingerprint(_scenario_config(scenario, config))
     except FingerprintError:
         return None
+    ran = _scenario_algorithms(scenario, algorithms)
+    checked = invariant_names() if invariants is None else invariants
     return text_key(
         "verify-scenario",
         scenario.family,
         str(scenario.index),
         str(scenario.root_seed),
         cfg_fp,
-        "algorithms:" + (",".join(sorted(algorithms)) if algorithms else "*"),
-        "invariants:" + (",".join(sorted(invariants)) if invariants else "*"),
+        "algorithms:" + ",".join(sorted(set(ran))),
+        "invariants:" + ",".join(sorted(set(checked))),
     )
 
 

@@ -560,8 +560,8 @@ def single_path_coflow_rates(
     demand: flow *f* gets rate ``alpha * remaining_f`` with the largest
     ``alpha`` such that no edge of the residual network is overloaded.
 
-    Returns ``(rates_by_global_index, edge_usage)`` where ``edge_usage`` has
-    one entry per edge.
+    Returns ``(rates_by_global_index, usage)`` where ``usage`` has one
+    entry per edge.
     """
     allocator = get_rate_allocator(instance)
     cand = np.array([r.global_index for r in flow_refs], dtype=np.int64)
@@ -618,7 +618,7 @@ def free_path_coflow_rates(
     of the coflow is a feasible multicommodity flow within the residual
     capacities.
 
-    Returns ``(rates, per_flow_edge_rates, edge_usage)``.
+    Returns ``(rates, per_flow_edge_rates, usage)``.
     """
     allocator = get_rate_allocator(instance)
     cand = np.array([r.global_index for r in flow_refs], dtype=np.int64)

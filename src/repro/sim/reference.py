@@ -4,7 +4,7 @@ This module preserves the original (pre-optimization) per-event rate
 allocation and simulator loop of :mod:`repro.sim.rate_allocation` /
 :mod:`repro.sim.simulator` verbatim.  Like
 :mod:`repro.core.timeindexed_reference` it is an equivalence oracle:
-``tests/test_sim_incremental.py``, ``tests/test_sim_churn.py`` and
+``tests/test_sim_incremental.py`` and
 ``tests/test_sim_rate_allocation.py`` assert that the optimized allocation
 and simulator reproduce it (same event count, same piecewise-constant
 rates, same completion times).
@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.coflow.instance import CoflowInstance, FlowRef, TransmissionModel
 from repro.lp.model import ConstraintSense, LinearProgram
-from repro.network.churn import ChurnSchedule
 from repro.lp.solver import solve_lp
 from repro.sim.rate_allocation import RATE_TOL, RateAllocation
 from repro.sim.simulator import (
@@ -55,15 +54,15 @@ def single_path_coflow_rates_reference(
         for e in _path_edge_indices(instance, ref):
             usage_per_alpha[e] += rem
     rates = np.zeros(instance.num_flows, dtype=float)
-    edge_usage = np.zeros(num_edges, dtype=float)
+    usage = np.zeros(num_edges, dtype=float)
     loaded = usage_per_alpha > RATE_TOL
     if not loaded.any():
-        return rates, edge_usage
+        return rates, usage
     with np.errstate(divide="ignore"):
         alpha = float(np.min(residual[loaded] / usage_per_alpha[loaded]))
     alpha = max(alpha, 0.0)
     if alpha <= RATE_TOL:
-        return rates, edge_usage
+        return rates, usage
     for ref in flow_refs:
         rem = remaining[ref.global_index]
         if rem <= RATE_TOL:
@@ -71,8 +70,8 @@ def single_path_coflow_rates_reference(
         rate = alpha * rem
         rates[ref.global_index] = rate
         for e in _path_edge_indices(instance, ref):
-            edge_usage[e] += rate
-    return rates, edge_usage
+            usage[e] += rate
+    return rates, usage
 
 
 def free_path_coflow_rates_reference(
@@ -87,9 +86,9 @@ def free_path_coflow_rates_reference(
     active = [r for r in flow_refs if remaining[r.global_index] > RATE_TOL]
     rates = np.zeros(instance.num_flows, dtype=float)
     flow_edge_rates = np.zeros((instance.num_flows, num_edges), dtype=float)
-    edge_usage = np.zeros(num_edges, dtype=float)
+    usage = np.zeros(num_edges, dtype=float)
     if not active:
-        return rates, flow_edge_rates, edge_usage
+        return rates, flow_edge_rates, usage
 
     lp = LinearProgram(name="max-concurrent-flow")
     alpha_block = lp.add_variables("alpha", 1, lower=0.0)
@@ -148,14 +147,14 @@ def free_path_coflow_rates_reference(
     result = solve_lp(lp, require_optimal=True)
     alpha = result.value(alpha_idx)
     if alpha <= RATE_TOL:
-        return rates, flow_edge_rates, edge_usage
+        return rates, flow_edge_rates, usage
     y_values = result.values(y_idx)
     for a, ref in enumerate(active):
         rem = float(remaining[ref.global_index])
         rates[ref.global_index] = alpha * rem
         flow_edge_rates[ref.global_index] = y_values[a]
-        edge_usage += y_values[a]
-    return rates, flow_edge_rates, edge_usage
+        usage += y_values[a]
+    return rates, flow_edge_rates, usage
 
 
 def allocate_rates_reference(
@@ -164,15 +163,10 @@ def allocate_rates_reference(
     coflow_priority: Sequence[int],
     *,
     active_coflows: Optional[Sequence[int]] = None,
-    capacity: Optional[np.ndarray] = None,
 ) -> RateAllocation:
-    """Greedy priority-ordered allocation, recomputed from scratch.
-
-    *capacity* overrides the graph's base capacity vector — used by the
-    churn-aware simulator loop to allocate against a degraded network.
-    """
+    """Greedy priority-ordered allocation, recomputed from scratch."""
     graph = instance.graph
-    residual = graph.capacity_vector() if capacity is None else capacity.copy()
+    residual = graph.capacity_vector()
     rates = np.zeros(instance.num_flows, dtype=float)
     edge_rates = (
         np.zeros((instance.num_flows, graph.num_edges), dtype=float)
@@ -269,13 +263,8 @@ def simulate_priority_schedule_reference(
     *,
     record_timeline: bool = False,
     max_time: Optional[float] = None,
-    churn: Optional[ChurnSchedule] = None,
 ) -> SimulationResult:
-    """The original event loop: full re-allocation at every event.
-
-    *churn* mirrors :func:`repro.sim.simulate_priority_schedule` so the
-    equivalence tests can compare both loops under dynamic capacity too.
-    """
+    """The original event loop: full re-allocation at every event."""
     flow_states = [
         FlowState(
             global_index=ref.global_index,
@@ -294,11 +283,6 @@ def simulate_priority_schedule_reference(
     flow_completion = np.zeros(num_flows, dtype=float)
     finished_flows = np.zeros(num_flows, dtype=bool)
 
-    if churn is not None and not churn.events:
-        churn = None
-    if churn is not None:
-        churn.validate_for(instance.graph)
-
     if max_time is None:
         max_time = float(
             instance.max_release_time()
@@ -306,13 +290,10 @@ def simulate_priority_schedule_reference(
             + num_flows
             + 10.0
         )
-        if churn is not None:
-            max_time = churn.horizon(max_time)
 
     time = 0.0
     timeline: List[TimelineEntry] = []
-    churn_events = len(churn.events) if churn is not None else 0
-    max_events = MAX_EVENTS_FACTOR * (num_flows + num_coflows + 1 + churn_events)
+    max_events = MAX_EVENTS_FACTOR * (num_flows + num_coflows + 1)
     events = 0
 
     while not finished_flows.all():
@@ -333,20 +314,11 @@ def simulate_priority_schedule_reference(
             time = float(future.min())
             continue
 
-        capacity_now = (
-            churn.capacity_vector_at(instance.graph, time)
-            if churn is not None
-            else instance.graph.capacity_vector()
-        )
         order = list(priority_fn(time, flow_states, instance))
         seen = set(order)
         order.extend(j for j in range(num_coflows) if j not in seen)
         allocation = allocate_rates_reference(
-            instance,
-            remaining,
-            order,
-            active_coflows=active_coflows,
-            capacity=capacity_now,
+            instance, remaining, order, active_coflows=active_coflows
         )
         rates = allocation.rates
         rates = np.where(released_flows, rates, 0.0)
@@ -361,10 +333,6 @@ def simulate_priority_schedule_reference(
             float(future_releases.min()) - time if future_releases.size else np.inf
         )
         dt = min(next_completion, next_release_dt)
-        if churn is not None:
-            next_churn = churn.next_event_after(time)
-            if next_churn is not None:
-                dt = min(dt, next_churn - time)
         if not np.isfinite(dt) or dt <= 0:
             raise RuntimeError(
                 f"simulation stalled at time {time:.4f}: no progress possible "
@@ -378,12 +346,7 @@ def simulate_priority_schedule_reference(
 
         if record_timeline:
             timeline.append(
-                TimelineEntry(
-                    start=time,
-                    end=time + dt,
-                    rates=rates.copy(),
-                    edge_usage=capacity_now - allocation.residual_capacity,
-                )
+                TimelineEntry(start=time, end=time + dt, rates=rates.copy())
             )
 
         transmitted = rates * dt

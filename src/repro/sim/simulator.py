@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coflow.instance import CoflowInstance
-from repro.network.churn import ChurnSchedule
 from repro.sim.rate_allocation import (
     RATE_TOL,
     CoflowAllocation,
@@ -50,20 +49,11 @@ class FlowState:
 
 @dataclass
 class TimelineEntry:
-    """One simulated interval with constant rates.
-
-    ``edge_usage`` is the per-edge capacity the allocator reserved during
-    the interval (aligned with ``graph.edge_index()``); recorded so
-    feasibility checks — in particular the ``feasibility-under-churn``
-    invariant — can compare reservations against the capacity actually
-    available at ``start``.  ``None`` when the simulator was run without
-    ``record_timeline``-level bookkeeping.
-    """
+    """One simulated interval with constant rates."""
 
     start: float
     end: float
     rates: np.ndarray
-    edge_usage: Optional[np.ndarray] = None
 
     @property
     def duration(self) -> float:
@@ -143,7 +133,6 @@ def simulate_priority_schedule(
     record_timeline: bool = False,
     max_time: Optional[float] = None,
     incremental: bool = True,
-    churn: Optional[ChurnSchedule] = None,
 ) -> SimulationResult:
     """Simulate a priority-driven, work-conserving, preemptive schedule.
 
@@ -158,20 +147,10 @@ def simulate_priority_schedule(
         order).
     record_timeline:
         Store the piecewise-constant rate timeline (memory-heavier; used by
-        tests and examples).  Entries then also carry the per-edge
-        ``edge_usage`` the allocator reserved during each interval.
+        tests and examples).
     max_time:
         Safety cap on simulated time; ``None`` derives a generous bound from
-        the instance (stretched by the schedule's worst sustained
-        degradation when *churn* is given).
-    churn:
-        Optional :class:`~repro.network.churn.ChurnSchedule`.  Each event
-        time becomes a simulation event: the capacity vector is re-read and
-        every coflow's allocation is invalidated, so rates re-converge to
-        the degraded (or restored) network.  A released flow whose links
-        are fully down simply waits — the simulator advances to the next
-        churn event instead of declaring a stall.  ``None`` or an empty
-        schedule leaves the event loop byte-for-byte on its static path.
+        the instance.
     incremental:
         Reuse per-coflow allocations across events (default).  A coflow's
         allocation is provably unchanged when (a) every higher-priority
@@ -231,11 +210,6 @@ def simulate_priority_schedule(
     first_service = np.full(num_coflows, np.nan)
     unserved_coflows = num_coflows
 
-    if churn is not None and not churn.events:
-        churn = None  # an empty schedule is exactly the static network
-    if churn is not None:
-        churn.validate_for(instance.graph)
-
     if max_time is None:
         # Serial upper bound mirrors suggest_horizon's reasoning.
         max_time = float(
@@ -244,15 +218,10 @@ def simulate_priority_schedule(
             + num_flows
             + 10.0
         )
-        if churn is not None:
-            # Degraded links serve the same demand 1/factor slower, and
-            # nothing can be presumed static before the last event.
-            max_time = churn.horizon(max_time)
 
     time = 0.0
     timeline: List[TimelineEntry] = []
-    churn_events = len(churn.events) if churn is not None else 0
-    max_events = MAX_EVENTS_FACTOR * (num_flows + num_coflows + 1 + churn_events)
+    max_events = MAX_EVENTS_FACTOR * (num_flows + num_coflows + 1)
     events = 0
 
     allocator = get_rate_allocator(instance)
@@ -285,13 +254,6 @@ def simulate_priority_schedule(
                 "simulator exceeded its event budget; the priority function "
                 "may be starving some coflow"
             )
-        if churn is not None:
-            capacity_now = churn.capacity_vector_at(instance.graph, time)
-            if not np.array_equal(capacity_now, capacity):
-                # Every cached allocation was computed against the old
-                # capacities; invalidate them all.
-                capacity = capacity_now
-                dirty[:] = True
         # Which flows can transmit right now?  A released flow with no more
         # than RATE_TOL left is never served, so it finishes on release.
         next_release = np.searchsorted(sorted_release, time + 1e-12, side="right")
@@ -331,7 +293,6 @@ def simulate_priority_schedule(
 
         residual = capacity.copy()
         rates = np.zeros(num_flows, dtype=float)
-        entry_usage = np.zeros_like(capacity) if record_timeline else None
         chain_clean = incremental
         for rank, j in enumerate(effective_seq):
             if (
@@ -352,8 +313,6 @@ def simulate_priority_schedule(
             if alloc.flow_idx.size:
                 rates[alloc.flow_idx] = alloc.flow_rates
                 residual = np.clip(residual - alloc.usage, 0.0, None)
-                if entry_usage is not None:
-                    entry_usage += alloc.usage
         prev_seq = effective_seq
         # Only released, unfinished flows may have positive rates.
         rates = np.where(released_flows, rates, 0.0)
@@ -378,12 +337,6 @@ def simulate_priority_schedule(
             else np.inf
         )
         dt = min(next_completion, next_release_dt)
-        if churn is not None:
-            # A pending capacity change bounds the constant-rate interval,
-            # and lets flows on fully-down links wait instead of stalling.
-            next_churn = churn.next_event_after(time)
-            if next_churn is not None:
-                dt = min(dt, next_churn - time)
         if not np.isfinite(dt) or dt <= 0:
             raise RuntimeError(
                 f"simulation stalled at time {time:.4f}: no progress possible "
@@ -397,12 +350,7 @@ def simulate_priority_schedule(
 
         if record_timeline:
             timeline.append(
-                TimelineEntry(
-                    start=time,
-                    end=time + dt,
-                    rates=rates.copy(),
-                    edge_usage=entry_usage,
-                )
+                TimelineEntry(start=time, end=time + dt, rates=rates.copy())
             )
 
         # Advance.  Only flows with a positive rate move; those left with at

@@ -19,7 +19,8 @@ Components
 * :mod:`~repro.store.serialize` — the JSON report surface
   (:func:`report_to_dict` / :func:`report_from_dict`).
 * :mod:`~repro.store.store` — :class:`ResultStore`: atomic writes,
-  corruption quarantine, run archives, hit/miss accounting.
+  corruption quarantine, failure records, sweep manifests, hit/miss
+  accounting.
 * :mod:`~repro.store.cache` — :func:`cached_solve`, the store-aware
   :func:`repro.api.solve`.
 """

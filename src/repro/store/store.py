@@ -5,8 +5,8 @@ Layout (all JSON, all human-inspectable)::
     <root>/
       store.json                   # store-level metadata (schema version)
       objects/<k0k1>/<key>.json    # content-addressed entries (fan-out dir)
-      runs/<kind>/<kind>-<n>.json  # append-only run archives (verify and
-                                   # sweep summaries) with a monotonic index
+      runs/failures/<key>.json     # terminal unit failures (quarantine)
+      sweeps/<id>/manifest.json    # per-sweep chunk checkpoints
 
 Every object entry is an envelope ``{schema, key, kind, created, payload}``;
 ``payload`` is the caller's JSON document (e.g. the serialized
@@ -74,7 +74,6 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     def _ensure_layout(self) -> None:
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
-        (self.root / "runs").mkdir(parents=True, exist_ok=True)
         meta = self.root / "store.json"
         if not meta.exists():
             self._atomic_write(meta, {"schema": STORE_SCHEMA, "kind": "repro-store"})
@@ -210,57 +209,6 @@ class ResultStore:
         return sorted(
             p.stem for p in (self.root / "objects").glob("*/*.json")
         )
-
-    # ------------------------------------------------------------------ #
-    # run archives
-    # ------------------------------------------------------------------ #
-    def put_run(self, kind: str, payload: Dict) -> Path:
-        """Append *payload* to the ``runs/<kind>/`` archive.
-
-        Entries get a monotonically increasing index (scan-based, so
-        archives survive across processes); ``latest_run`` returns the
-        highest index.
-        """
-        directory = self.root / "runs" / kind
-        directory.mkdir(parents=True, exist_ok=True)
-        existing = self._run_paths(kind)
-        next_index = 0
-        if existing:
-            next_index = max(self._run_index(p, kind) for p in existing) + 1
-        path = directory / f"{kind}-{next_index:06d}.json"
-        self._atomic_write(path, payload)
-        self.writes += 1
-        return path
-
-    def _run_paths(self, kind: str) -> List[Path]:
-        directory = self.root / "runs" / kind
-        if not directory.is_dir():
-            return []
-        return sorted(directory.glob(f"{kind}-*.json"))
-
-    @staticmethod
-    def _run_index(path: Path, kind: str) -> int:
-        try:
-            return int(path.stem.removeprefix(f"{kind}-"))
-        except ValueError:
-            return -1
-
-    def list_runs(self, kind: str) -> List[Path]:
-        """Paths of every archived run of *kind*, oldest first."""
-        return [p for p in self._run_paths(kind) if self._run_index(p, kind) >= 0]
-
-    def latest_run(self, kind: str) -> Optional[Dict]:
-        """The most recently archived run payload of *kind*, if any.
-
-        Unreadable archives are skipped (newest readable one wins) rather
-        than raised — a durable trajectory should tolerate one bad file.
-        """
-        for path in reversed(self.list_runs(kind)):
-            try:
-                return json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-        return None
 
     # ------------------------------------------------------------------ #
     # failure records (poison-unit quarantine)

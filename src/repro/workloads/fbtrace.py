@@ -163,7 +163,7 @@ def convert_facebook_trace(
     """Convert the Facebook trace at *src* into the library's JSON format.
 
     The output at *out* is a ``kind: coflows`` trace consumable by
-    :func:`repro.workloads.traces.replay_trace` and by the amplifier.
+    :func:`repro.workloads.traces.replay_trace`.
     Returns a small summary dict (coflow/flow counts, horizon).
     """
     coflows = parse_facebook_trace(

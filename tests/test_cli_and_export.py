@@ -82,6 +82,26 @@ class TestCliParser:
         assert excinfo.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios"],
+            ["scenarios", "run", "spec.json"],
+            ["scenarios", "list"],
+        ],
+    )
+    def test_scenarios_takes_only_convert_fb(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    def test_scenarios_help_lists_only_convert_fb(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["scenarios", "--help"])
+        assert excinfo.value.code == 0
+        assert "{convert-fb}" in capsys.readouterr().out
+
+
 class TestCliCommands:
     def test_topologies_lists_both_wans(self):
         out = io.StringIO()

@@ -209,13 +209,6 @@ class TestRunSweep:
         after = sweep_status(spec, store)
         assert after["complete"] and after["pending"] == 0
 
-    def test_completed_sweep_is_archived(self, tmp_path):
-        spec = tiny_spec()
-        store = ResultStore(tmp_path / "store")
-        run_sweep(spec, store)
-        archived = store.latest_run("sweep")
-        assert archived is not None and archived["complete"]
-
 
 class TestSweepCLI:
     def write_spec(self, tmp_path):

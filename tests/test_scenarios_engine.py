@@ -2,6 +2,9 @@
 the built-in families, and the new topology / trace-replay building blocks.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -78,8 +81,6 @@ class TestAddressing:
             build_scenario("zipf-sizes", -1, 0)
 
     def test_describe_block_is_json_ready(self):
-        import json
-
         block = build_scenario("oversubscribed", 2, 5).describe()
         assert json.loads(json.dumps(block)) == block
         assert block["family"] == "oversubscribed"
@@ -155,6 +156,116 @@ class TestFamilyOutputs:
         degraded = scenario.instance.graph
         assert degraded.total_capacity() < base.total_capacity()
         assert scenario.params["degraded_links"], "no link was degraded"
+
+
+    def test_zipf_sizes_are_capped_multiples_of_the_base_demand(self):
+        scenario = build_scenario("zipf-sizes", 0, 6)
+        base = scenario.params["base_demand"]
+        multiples = scenario.instance.demands() / base
+        np.testing.assert_allclose(multiples, np.round(multiples), atol=1e-9)
+        assert multiples.min() >= 1 and multiples.max() <= 24
+        assert np.all(scenario.instance.flow_release_times() == 0.0)
+
+    def test_trace_replay_lands_on_the_recorded_target(self):
+        for index in (0, 1, 2, 3):
+            scenario = build_scenario("trace-replay", index, 8)
+            instance = scenario.instance
+            assert instance.graph.name == scenario.params["target"]
+            assert instance.num_coflows == scenario.params["num_coflows"]
+            for ref in instance.flow_refs():
+                assert instance.graph.has_node(ref.flow.source)
+                assert instance.graph.has_node(ref.flow.sink)
+
+    def test_hardness_gadget_has_one_coflow_per_job(self):
+        scenario = build_scenario("hardness-gadget", 0, 4)
+        params = scenario.params
+        assert scenario.instance.num_coflows == params["num_jobs"]
+        assert 0.0 < params["openshop_lower"] <= params["openshop_upper"]
+
+    def test_adversarial_arrivals_follow_geometric_boundaries(self):
+        scenario = build_scenario("adversarial-arrival", 0, 5)
+        params = scenario.params
+        release = scenario.instance.coflow_release_times()
+        expected = [0.0] + [
+            params["base"] ** k + params["epsilon"]
+            for k in range(params["num_coflows"] - 1)
+        ]
+        np.testing.assert_allclose(release, expected)
+        sizes = [
+            sum(flow.demand for flow in coflow.flows)
+            for coflow in scenario.instance.coflows
+        ]
+        # The heavy coflow at time zero outweighs every light arrival.
+        assert sizes[0] > max(sizes[1:])
+
+
+class TestGoldenAddressing:
+    """Cross-process bit-reproducibility of every built-in family.
+
+    The seeds below are ``derive_seed(2019, family, index)`` and the digests
+    hash the generated instance; both were computed in a separate process.
+    Indices 0 and 1 cover both transmission models of each family.  A
+    mismatch means the family builders, their ``MODEL_OFFSET`` phase or the
+    seed derivation changed behavior — which silently changes every
+    scenario those addresses name.
+    """
+
+    GOLDEN_SEEDS = {
+        ("online-poisson", 0): 13388067826001027,
+        ("online-poisson", 1): 7035970159099248431,
+        ("bursty-arrivals", 0): 3384639026203358263,
+        ("bursty-arrivals", 1): 5307712248138967040,
+        ("zipf-sizes", 0): 2136213796687183836,
+        ("zipf-sizes", 1): 766941331719102560,
+        ("oversubscribed", 0): 2264250939750924912,
+        ("oversubscribed", 1): 2495941729065439253,
+        ("link-failure", 0): 9137568647928580945,
+        ("link-failure", 1): 6973607506980491394,
+        ("trace-replay", 0): 8532099399387263231,
+        ("trace-replay", 1): 2002914043910134463,
+        ("hardness-gadget", 0): 2246359387827124576,
+        ("hardness-gadget", 1): 6586667334368406289,
+        ("adversarial-arrival", 0): 7939603848735736205,
+        ("adversarial-arrival", 1): 439939889502614047,
+    }
+
+    GOLDEN_DIGESTS = {
+        ("online-poisson", 0): "4f55225c9f28dfff",
+        ("online-poisson", 1): "cf3bfaf76b854da1",
+        ("bursty-arrivals", 0): "84a7970fc327c29c",
+        ("bursty-arrivals", 1): "c5a5bb39bca9e7a3",
+        ("zipf-sizes", 0): "3ffe4c3b02a6c96b",
+        ("zipf-sizes", 1): "a0a5b4c0760e54ec",
+        ("oversubscribed", 0): "84fe635d71766886",
+        ("oversubscribed", 1): "6363f0c5f3c89f73",
+        ("link-failure", 0): "1461081d54a27b57",
+        ("link-failure", 1): "ad1cef01cba71eca",
+        ("trace-replay", 0): "64c4dfbf55389902",
+        ("trace-replay", 1): "d00db7275bf336a5",
+        ("hardness-gadget", 0): "b0f4434496c5f893",
+        ("hardness-gadget", 1): "ddd0418358c3a45d",
+        ("adversarial-arrival", 0): "ead0e07b71f1323d",
+        ("adversarial-arrival", 1): "4f732f526fe687c0",
+    }
+
+    def test_every_builtin_family_is_pinned(self):
+        assert {family for family, _ in self.GOLDEN_SEEDS} == set(BUILTIN_FAMILIES)
+        assert set(self.GOLDEN_DIGESTS) == set(self.GOLDEN_SEEDS)
+
+    @pytest.mark.parametrize("family, index", sorted(GOLDEN_SEEDS))
+    def test_seed_addressing_is_stable(self, family, index):
+        assert derive_seed(2019, family, index) == self.GOLDEN_SEEDS[
+            (family, index)
+        ]
+
+    @pytest.mark.parametrize("family, index", sorted(GOLDEN_DIGESTS))
+    def test_instance_digest_is_stable(self, family, index):
+        scenario = build_scenario(family, index, 2019)
+        assert scenario.seed == self.GOLDEN_SEEDS[(family, index)]
+        digest = hashlib.sha256(
+            json.dumps(scenario.instance.to_dict(), sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert digest == self.GOLDEN_DIGESTS[(family, index)]
 
 
 class TestFatTreeTopology:

@@ -443,142 +443,3 @@ def _with_schedule(report, schedule):
     clone = _clone_report(report)
     clone.schedule = schedule
     return clone
-
-
-# --------------------------------------------------------------------------- #
-# feasibility-under-churn: the churn bug class and its catchers
-# --------------------------------------------------------------------------- #
-class TestChurnBugsCaught:
-    """Planted churn bugs: a simulator that ignores the schedule (the exact
-    regression this invariant exists for) must oversubscribe a downed link;
-    missing usage evidence and diverging loops must also be flagged."""
-
-    @pytest.fixture()
-    def churned_run(self) -> ScenarioRun:
-        """One unit link with a mid-transfer outage; demand 2 at capacity 1.
-
-        During the outage window [0.5, 1.5] the schedule grants capacity 0,
-        so any simulation that keeps transmitting there is caught red-handed.
-        """
-        from repro.coflow.coflow import Coflow
-        from repro.coflow.flow import Flow
-        from repro.coflow.instance import CoflowInstance, TransmissionModel
-        from repro.network.churn import ChurnSchedule, link_outage
-        from repro.network.graph import NetworkGraph
-        from repro.scenarios.engine import Scenario
-
-        graph = NetworkGraph([("a", "b", 1.0)], name="churn-bug")
-        instance = CoflowInstance(
-            graph,
-            [Coflow([Flow("a", "b", 2.0, path=("a", "b"))], weight=1.0)],
-            model=TransmissionModel.SINGLE_PATH,
-        )
-        churn = ChurnSchedule(events=tuple(link_outage(("a", "b"), 0.5, 1.5)))
-        scenario = Scenario(
-            family="capacity-churn",
-            index=0,
-            root_seed=0,
-            seed=0,
-            instance=instance,
-            params={"churn": churn.to_dict()},
-        )
-        return ScenarioRun(scenario=scenario, config=None, lp_solution=None)
-
-    def test_clean_churned_run_passes(self, churned_run):
-        assert violations_of(churned_run, "feasibility-under-churn") == []
-
-    def test_clean_builtin_churn_scenario_passes(self):
-        scenario = build_scenario("capacity-churn", 0, 123)
-        run = ScenarioRun(scenario=scenario, config=None, lp_solution=None)
-        assert violations_of(run, "feasibility-under-churn") == []
-
-    def test_scenario_without_churn_passes_vacuously(self, free_run):
-        assert violations_of(free_run, "feasibility-under-churn") == []
-
-    def test_simulator_ignoring_churn_is_caught(self, churned_run, monkeypatch):
-        real = invariants_module.simulate_priority_schedule
-
-        def ignores_churn(instance, priority, **kwargs):
-            kwargs.pop("churn", None)  # the planted bug: static capacity
-            return real(instance, priority, **kwargs)
-
-        monkeypatch.setattr(
-            invariants_module, "simulate_priority_schedule", ignores_churn
-        )
-        messages = violations_of(churned_run, "feasibility-under-churn")
-        assert messages and any("only grants" in m for m in messages)
-
-    def test_missing_usage_evidence_is_caught(self, churned_run, monkeypatch):
-        import dataclasses
-
-        real = invariants_module.simulate_priority_schedule
-
-        def drops_evidence(instance, priority, **kwargs):
-            result = real(instance, priority, **kwargs)
-            result.timeline = [
-                dataclasses.replace(entry, edge_usage=None)
-                for entry in result.timeline
-            ]
-            return result
-
-        monkeypatch.setattr(
-            invariants_module, "simulate_priority_schedule", drops_evidence
-        )
-        messages = violations_of(churned_run, "feasibility-under-churn")
-        assert messages and any("no edge-usage evidence" in m for m in messages)
-
-    def test_incremental_divergence_under_churn_is_caught(
-        self, churned_run, monkeypatch
-    ):
-        real = invariants_module.simulate_priority_schedule
-
-        def buggy(instance, priority, **kwargs):
-            result = real(instance, priority, **kwargs)
-            if kwargs.get("incremental", True):
-                result.coflow_completion_times = (
-                    result.coflow_completion_times.copy()
-                )
-                result.coflow_completion_times[0] += 1e-4
-            return result
-
-        monkeypatch.setattr(
-            invariants_module, "simulate_priority_schedule", buggy
-        )
-        messages = violations_of(churned_run, "feasibility-under-churn")
-        assert messages and any(
-            "completion times diverge under churn" in m for m in messages
-        )
-
-
-class TestAmplifierMarginalBugCaught:
-    """The amplifier's marginal guard must catch a planted size-scaling bug
-    (the trace-pipeline analogue of the invariant catchability discipline;
-    the full amplifier surface is covered in test_scenarios_amplify.py)."""
-
-    def test_scaled_sizes_are_caught(self):
-        import dataclasses
-
-        from repro.network.topologies import swan_topology
-        from repro.scenarios.amplify import amplify_coflows, check_marginals
-        from repro.workloads.generator import WorkloadSpec, generate_coflows
-
-        base = generate_coflows(
-            swan_topology(),
-            WorkloadSpec(profile="FB", num_coflows=5),
-            np.random.default_rng(3),
-        )
-        amplified = amplify_coflows(base, 30, root_seed=1)
-        assert check_marginals(base, amplified).ok
-        buggy = [
-            dataclasses.replace(
-                c,
-                flows=tuple(
-                    dataclasses.replace(f, demand=f.demand * 1.3)
-                    for f in c.flows
-                ),
-            )
-            for c in amplified
-        ]
-        report = check_marginals(base, buggy)
-        assert not report.ok
-        assert any("outside the base support" in m for m in report.messages)

@@ -93,108 +93,38 @@ class TestInvariantProperties:
         )
         assert np.all(result.flow_completion_times > 0)
 
-
-# --------------------------------------------------------------------------- #
-# corpus-subsystem properties (amplifier, churn, pipeline specs)
-# --------------------------------------------------------------------------- #
-#: A small fixed base trace for the amplifier properties; built once — the
-#: properties quantify over (seed, target), not over the base.
-def _amplifier_base():
-    from repro.network.topologies import swan_topology
-    from repro.workloads.generator import WorkloadSpec, generate_coflows
-
-    return generate_coflows(
-        swan_topology(),
-        WorkloadSpec(profile="FB", num_coflows=5),
-        np.random.default_rng(11),
-    )
-
-
-AMPLIFIER_BASE = _amplifier_base()
-
-
-class TestCorpusProperties:
     @SCENARIO_SETTINGS
-    @given(
-        root_seed=root_seeds,
-        target=st.integers(min_value=0, max_value=40),
-    )
-    def test_amplified_traces_are_well_formed(self, root_seed, target):
-        """Amplified traces keep non-negative, finite sizes and sorted,
-        non-negative release times for any (seed, target_count)."""
-        from repro.scenarios.amplify import amplify_coflows
-
-        amplified = amplify_coflows(
-            AMPLIFIER_BASE, target, root_seed=root_seed
-        )
-        assert len(amplified) == target
-        releases = [c.release_time for c in amplified]
-        assert releases == sorted(releases)
-        assert all(r >= 0.0 and np.isfinite(r) for r in releases)
-        for coflow in amplified:
-            for flow in coflow.flows:
-                assert flow.demand > 0.0 and np.isfinite(flow.demand)
-
-    @SCENARIO_SETTINGS
-    @given(
-        times=st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            min_size=1,
-            max_size=6,
-            unique=True,
-        ),
-        factors=st.lists(
-            st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-            min_size=6,
-            max_size=6,
-        ),
-        query=st.floats(min_value=-1.0, max_value=200.0, allow_nan=False),
-    )
-    def test_churn_never_yields_negative_capacity(self, times, factors, query):
-        """Any valid schedule grants a non-negative capacity vector at any
-        query time, and never mutates the graph's base capacities."""
-        from repro.network.churn import ChurnSchedule
-        from repro.network.graph import NetworkGraph
-
-        graph = NetworkGraph([("a", "b", 2.0), ("b", "c", 0.5)], name="prop")
-        edges = (("a", "b"), ("b", "c"))
-        schedule = ChurnSchedule.from_events(
-            [
-                (t, edges[k % 2], factors[k % len(factors)])
-                for k, t in enumerate(times)
-            ]
-        )
-        capacity = schedule.capacity_vector_at(graph, query)
-        assert np.all(capacity >= 0.0)
-        assert np.all(np.isfinite(capacity))
-        np.testing.assert_array_equal(
-            graph.capacity_vector(), [2.0, 0.5]
-        )
-
-    @SCENARIO_SETTINGS
-    @given(
-        root_seed=root_seeds,
-        count=st.integers(min_value=1, max_value=9),
-        start=st.integers(min_value=0, max_value=9),
-        num_slots=st.integers(min_value=2, max_value=32),
-        family=families,
-    )
-    def test_pipeline_specs_round_trip_through_json(
-        self, root_seed, count, start, num_slots, family
+    @given(family=families, index=indices, root_seed=root_seeds)
+    def test_incremental_simulation_matches_full_reallocation(
+        self, family, index, root_seed
     ):
-        """to_dict -> json -> from_dict is the identity for any spec."""
-        import json
-
-        from repro.scenarios.pipeline import PipelineSpec, ScenarioSelection
-
-        spec = PipelineSpec(
-            name=f"prop-{family}",
-            root_seed=root_seed,
-            scenarios=(
-                ScenarioSelection(family=family, count=count, start_index=start),
-            ),
-            algorithms=("fifo",),
-            solver={"num_slots": num_slots},
+        """Reusing allocations across events changes nothing, on any
+        scenario and either model."""
+        instance = build_scenario(family, index, root_seed).instance
+        inc = simulate_priority_schedule(instance, fifo_priority, incremental=True)
+        full = simulate_priority_schedule(
+            instance, fifo_priority, incremental=False
         )
-        rebuilt = PipelineSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert rebuilt == spec
+        assert inc.metadata["events"] == full.metadata["events"]
+        np.testing.assert_allclose(
+            inc.coflow_completion_times,
+            full.coflow_completion_times,
+            rtol=1e-9,
+            atol=1e-9,
+        )
+
+    @SCENARIO_SETTINGS
+    @given(family=families, index=indices, root_seed=root_seeds)
+    def test_fifo_timeline_delivers_every_demand(self, family, index, root_seed):
+        """Integrating the recorded rates over time gives back each flow's
+        demand: the timeline is a complete account of the simulation."""
+        instance = build_scenario(family, index, root_seed).instance
+        result = simulate_priority_schedule(
+            instance, fifo_priority, record_timeline=True
+        )
+        delivered = np.zeros(instance.num_flows)
+        for entry in result.timeline:
+            delivered += entry.rates * entry.duration
+        np.testing.assert_allclose(
+            delivered, instance.demands(), rtol=1e-7, atol=1e-7
+        )

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import SolverConfig
+from repro.api import SolverConfig, available_algorithms
 from repro.cli import main as cli_main
 from repro.core.timeindexed import resolve_grid
 from repro.scenarios import (
+    BUILTIN_FAMILIES,
     build_scenario,
     execute_scenario,
     format_verification_report,
@@ -19,11 +20,12 @@ from repro.scenarios import (
     verify_scenario,
     write_verification_report,
 )
+from repro.scenarios.families import expected_model
 
 
 @pytest.fixture(scope="module")
 def small_report():
-    # Budget 12 > the ten families, so every family is sampled and index 1
+    # Budget 12 > the eight families, so every family is sampled and index 1
     # (single path) scenarios are included — jahanjou gets coverage too.
     return run_verification(budget=12, seed=0)
 
@@ -138,6 +140,75 @@ class TestVerifyScenario:
         assert run.reports["lp-heuristic"].lp_solution is run.lp_solution
 
 
+#: Every built-in family at indices 0 and 1, i.e. both transmission models.
+FAMILY_ADDRESSES = [
+    (family, index) for family in BUILTIN_FAMILIES for index in (0, 1)
+]
+
+
+@pytest.fixture(scope="module")
+def family_blocks():
+    """One verification block per address in ``FAMILY_ADDRESSES`` (seed 0)."""
+    return {
+        (family, index): verify_scenario(build_scenario(family, index, 0))
+        for family, index in FAMILY_ADDRESSES
+    }
+
+
+class TestEveryFamily:
+    """Each family's first two scenarios verify clean, one address at a time
+    (a budget-limited run only reaches index 1 for some families)."""
+
+    #: The shared time-indexed LP's optimum per address at root seed 0.  The
+    #: optimal value of an LP is unique, so it does not depend on which
+    #: optimal vertex the backend returns; a mismatch means the family, the
+    #: grid or the LP changed.
+    LP_BOUNDS = {
+        ("adversarial-arrival", 0): 9.0,
+        ("adversarial-arrival", 1): 16.0,
+        ("bursty-arrivals", 0): 26.13389113551856,
+        ("bursty-arrivals", 1): 34.56869018833254,
+        ("hardness-gadget", 0): 210.7748900684259,
+        ("hardness-gadget", 1): 25.787291697770918,
+        ("link-failure", 0): 62.3687350116471,
+        ("link-failure", 1): 52.319111020205064,
+        ("online-poisson", 0): 4.0,
+        ("online-poisson", 1): 3.0,
+        ("oversubscribed", 0): 293.10137183685185,
+        ("oversubscribed", 1): 47.15138632799424,
+        ("trace-replay", 0): 1049.4954511310093,
+        ("trace-replay", 1): 518.5291348166635,
+        ("zipf-sizes", 0): 26.114598157517307,
+        ("zipf-sizes", 1): 20.539050421986293,
+    }
+
+    @pytest.mark.parametrize("family, index", FAMILY_ADDRESSES)
+    def test_scenario_verifies_clean(self, family_blocks, family, index):
+        block = family_blocks[(family, index)]
+        assert block["violations"] == [], json.dumps(block, indent=2)
+        model = expected_model(family, index)
+        assert block["scenario"]["model"] == model.value
+        assert sorted(block["algorithms"]) == sorted(
+            available_algorithms(model=model)
+        )
+        assert all(stats["feasible"] for stats in block["algorithms"].values())
+        assert sorted(block["invariants"]) == sorted(invariant_names())
+
+    @pytest.mark.parametrize("family, index", FAMILY_ADDRESSES)
+    def test_lp_bound_is_stable(self, family_blocks, family, index):
+        block = family_blocks[(family, index)]
+        bounds = {
+            stats["lower_bound"]
+            for stats in block["algorithms"].values()
+            if stats["lower_bound"] is not None
+        }
+        # Every LP-based algorithm reports the one shared LP's bound.
+        assert len(bounds) == 1
+        assert bounds.pop() == pytest.approx(
+            self.LP_BOUNDS[(family, index)], rel=1e-6
+        )
+
+
 class TestReportWriting:
     def test_write_to_directory(self, tmp_path, small_report):
         path = write_verification_report(small_report, tmp_path)
@@ -242,6 +313,17 @@ class TestCli:
         assert "incremental-sim" in out
 
 
+    def test_list_families_names_every_family_and_invariant(self, capsys):
+        assert cli_main(["verify", "--list-families"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        split = lines.index("invariants:")
+        assert lines[0] == "scenario families:"
+        families = [line.split()[0] for line in lines[1:split]]
+        invariants = [line.split()[0] for line in lines[split + 1 :]]
+        assert sorted(families) == sorted(BUILTIN_FAMILIES)
+        assert invariants == list(invariant_names())
+
+
 class TestVerifyStore:
     """Store-backed verification: resume + replay semantics."""
 
@@ -287,6 +369,73 @@ class TestVerifyStore:
         # Narrowing the algorithm selection must not replay the wider block.
         assert narrowed["summary"]["cached_scenarios"] == 0
         assert narrowed["summary"]["algorithms_run"] == ["fifo"]
+
+    def test_invariant_registered_after_a_stored_run_is_checked(self, tmp_path):
+        from repro.scenarios.invariants import _REGISTRY, register_invariant
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        stored = run_verification(budget=2, seed=0, algorithms=["fifo"], store=store)
+        assert stored["summary"]["ok"]
+
+        @register_invariant("planted-always-violated", description="test only")
+        def _always_violated(run):
+            return ["planted violation"]
+
+        try:
+            again = run_verification(
+                budget=2, seed=0, algorithms=["fifo"], store=store
+            )
+        finally:
+            _REGISTRY.pop("planted-always-violated", None)
+        # The default invariant set grew, so the stored blocks (which never
+        # ran the planted invariant) must not be replayed.
+        assert again["summary"]["cached_scenarios"] == 0
+        assert not again["summary"]["ok"]
+        for block in again["scenarios"]:
+            assert not block["invariants"]["planted-always-violated"]["ok"]
+
+    def test_algorithm_registered_after_a_stored_run_is_run(self, tmp_path):
+        import dataclasses
+
+        from repro.api.registry import _REGISTRY, get_algorithm, register_algorithm
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        run_verification(budget=2, seed=0, store=store)
+        fifo = get_algorithm("fifo").solver
+
+        @register_algorithm("planted-fifo", description="test only")
+        def _planted(instance, config, lp_solution=None):
+            report = fifo(instance, config, lp_solution)
+            return dataclasses.replace(report, algorithm="planted-fifo")
+
+        try:
+            again = run_verification(budget=2, seed=0, store=store)
+        finally:
+            _REGISTRY.pop("planted-fifo", None)
+        # The default algorithm set grew, so no stored block may stand in
+        # for a run that now includes the planted algorithm.
+        assert again["summary"]["cached_scenarios"] == 0
+        for block in again["scenarios"]:
+            assert "planted-fifo" in block["algorithms"]
+
+    def test_equivalent_selections_share_stored_blocks(self, tmp_path):
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        run_verification(budget=2, seed=0, store=store)
+        # Explicit selections naming the same algorithms and invariants as
+        # the defaults, in another order, address the same blocks.
+        explicit = run_verification(
+            budget=2,
+            seed=0,
+            store=store,
+            algorithms=list(reversed(available_algorithms())),
+            invariants=list(reversed(invariant_names())),
+        )
+        assert explicit["summary"]["cached_scenarios"] == 2
+        assert store.writes == 2
 
     def test_cli_store_flag(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

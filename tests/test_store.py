@@ -209,24 +209,6 @@ class TestResultStore:
         ]
         assert leftovers == []
 
-    def test_run_archive_is_ordered(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        assert store.latest_run("bench") is None
-        store.put_run("bench", {"n": 1})
-        store.put_run("bench", {"n": 2})
-        assert [p.name for p in store.list_runs("bench")] == [
-            "bench-000000.json",
-            "bench-000001.json",
-        ]
-        assert store.latest_run("bench") == {"n": 2}
-
-    def test_unreadable_latest_run_is_skipped(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.put_run("bench", {"n": 1})
-        bad = store.put_run("bench", {"n": 2})
-        bad.write_text("not json")
-        assert store.latest_run("bench") == {"n": 1}
-
     def test_manifest_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         assert store.get_manifest("deadbeef") is None

@@ -1,14 +1,17 @@
 """Tests for the Facebook trace converter and trace validation.
 
 Covers the ``fbtrace`` parser (line-numbered errors, size/arrival
-validation, demand splitting) and the hardened ``traces`` loaders
-(TraceValidationError row context, opt-in arrival ordering).
+validation, demand splitting), the ``repro scenarios convert-fb`` command
+and the hardened ``traces`` loaders (TraceValidationError row context,
+opt-in arrival ordering).
 """
 
+import io
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.network.topologies import swan_topology
@@ -128,6 +131,31 @@ class TestConvertFacebookTrace:
         instance = replay_trace(out, swan_topology())
         assert instance.num_coflows == 2
         instance.validate()
+
+    def test_cli_convert_fb(self, tmp_path):
+        src = tmp_path / "fb.txt"
+        out = tmp_path / "converted.json"
+        src.write_text(VALID_TRACE)
+        printed = io.StringIO()
+        code = main(["scenarios", "convert-fb", str(src), str(out)], out=printed)
+        assert code == 0
+        assert "converted 2 coflows" in printed.getvalue()
+        assert len(load_coflows(out)) == 2
+
+    def test_cli_missing_trace_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "converted.json"
+        missing = str(tmp_path / "missing.txt")
+        assert main(["scenarios", "convert-fb", missing, str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_malformed_trace_exits_2_naming_the_line(self, tmp_path, capsys):
+        src = tmp_path / "fb.txt"
+        out = tmp_path / "converted.json"
+        src.write_text("3 2\n1 0 2 1 2 1 3:10\n2 500 1 3 2 1:4\n")
+        assert main(["scenarios", "convert-fb", str(src), str(out)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraceValidation:
