@@ -50,6 +50,7 @@ Eleven commands cover the common workflows without writing any Python:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -743,9 +744,25 @@ def _cmd_lint(args, out) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    When the reader of stdout goes away (``repro algorithms | head -1``),
+    stdout is pointed at ``os.devnull`` so the interpreter's final flush
+    cannot fail again, and the exit code is 1, as Python's signal
+    documentation recommends for ``BrokenPipeError``.
+    """
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(list(argv) if argv is not None else None)
+    try:
+        code = _dispatch(args, out)
+        out.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args: argparse.Namespace, out) -> int:
     if args.command == "topologies":
         return _cmd_topologies(out)
     if args.command == "algorithms":

@@ -23,9 +23,15 @@ Variables
     [0, 1].
 ``C[j]``
     Completion-time variable of coflow *j*.
-``y[f, t, e]`` (free path only)
-    Fraction of flow *f* carried by edge *e* during slot *t* (paper
-    ``x_j^i(t, e)``).
+``z[s, t, e]`` (free path only)
+    Data carried on edge *e* during slot *t* by commodity *s*: every flow
+    whose source is node *s*, in graph node order.  This replaces the
+    paper's per-flow ``x_j^i(t, e)`` (F·T·E columns) by S·T·E columns for
+    S distinct sources, with the same optimum: a flow from one source to
+    several sinks always decomposes into source→sink paths.  After the
+    solve, :func:`solve_time_indexed_lp` splits each (source, slot)
+    commodity into per-flow fractions ``y[f, t, e]`` once, which is what
+    :attr:`CoflowLPSolution.edge_fractions` holds.
 """
 
 from __future__ import annotations
@@ -159,8 +165,13 @@ class CoflowLPSolution:
     fractions:
         Optimal ``x[f, t]`` values, shape ``(num_flows, num_slots)``.
     edge_fractions:
-        Optimal ``y[f, t, e]`` values for the free path model, otherwise
-        ``None``.
+        Per-flow edge fractions ``y[f, t, e]`` for the free path model,
+        otherwise ``None``: the share of flow *f*'s demand that crosses
+        edge *e* in slot *t*, split from the optimal commodity flows
+        ``z[s, t, e]`` by :func:`_split_commodities`.  Each flow's
+        fractions are a path flow from its source to its sink worth
+        ``x[f, t]``, and together the flows of one source use no more of
+        an edge than its commodity does.
     lp_result:
         The raw solver result (status, timings, sizes).
     metadata:
@@ -229,7 +240,7 @@ class _LPIndexBundle:
     big_x: np.ndarray  # (num_coflows, T)
     c: np.ndarray  # (num_coflows,)
     s: np.ndarray  # (num_flows, T)
-    y: Optional[np.ndarray]  # (num_flows, T, E) or None
+    z: Optional[np.ndarray]  # (num_sources, T, E) or None
 
 
 # --------------------------------------------------------------------------- #
@@ -274,12 +285,11 @@ def build_time_indexed_lp(
     c_idx = c_block.indices()
     s_block = lp.add_variables("S", num_flows * num_slots, lower=0.0, upper=1.0)
     s_idx = s_block.reshape(num_flows, num_slots)
-    y_idx: Optional[np.ndarray] = None
+    z_idx: Optional[np.ndarray] = None
     if free_path:
-        y_block = lp.add_variables(
-            "y", num_flows * num_slots * num_edges, lower=0.0, upper=1.0
-        )
-        y_idx = y_block.reshape(num_flows, num_slots, num_edges)
+        num_sources = _commodities(instance)[0].size
+        z_block = lp.add_variables("z", num_sources * num_slots * num_edges)
+        z_idx = z_block.reshape(num_sources, num_slots, num_edges)
 
     # ----------------------------- objective --------------------------- #
     lp.set_objective(c_idx, instance.weights)
@@ -287,10 +297,7 @@ def build_time_indexed_lp(
     # ------------------------- release times (Eq. 4) ------------------- #
     release = instance.flow_release_times()
     allowed = grid.release_mask(release)  # (num_flows, num_slots)
-    forbidden = ~allowed
-    lp.fix_variables(x_idx[forbidden], 0.0)
-    if y_idx is not None:
-        lp.fix_variables(y_idx[forbidden, :], 0.0)
+    lp.fix_variables(x_idx[~allowed], 0.0)
 
     # -------------------- demand satisfaction (Eq. 1) ------------------ #
     rows = np.repeat(np.arange(num_flows), num_slots)
@@ -345,12 +352,12 @@ def build_time_indexed_lp(
 
     # ------------------------ model-specific part ----------------------- #
     if free_path:
-        assert y_idx is not None
-        _add_free_path_constraints(lp, instance, grid, x_idx, y_idx)
+        assert z_idx is not None
+        _add_free_path_constraints(lp, instance, grid, x_idx, z_idx)
     else:
         _add_single_path_constraints(lp, instance, grid, x_idx)
 
-    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, s=s_idx, y=y_idx)
+    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, s=s_idx, z=z_idx)
     return lp, bundle
 
 
@@ -393,149 +400,223 @@ def _add_single_path_constraints(
     lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
 
 
+def _commodities(
+    instance: CoflowInstance,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Node-index layout of the free path commodities.
+
+    Returns ``(sources, commodity, sinks, tails, heads)``: the source node of
+    each commodity (one per distinct flow source, in graph node order), the
+    commodity and sink node of each flow, and the tail and head node of
+    each edge.
+    """
+    graph = instance.graph
+    node_index = {node: i for i, node in enumerate(graph.nodes)}
+    refs = instance.flow_refs()
+    flow_sources = np.array([node_index[r.flow.source] for r in refs], dtype=np.int64)
+    sinks = np.array([node_index[r.flow.sink] for r in refs], dtype=np.int64)
+    sources, commodity = np.unique(flow_sources, return_inverse=True)
+    tails = np.array([node_index[u] for u, _ in graph.edges], dtype=np.int64)
+    heads = np.array([node_index[v] for _, v in graph.edges], dtype=np.int64)
+    return sources, commodity.reshape(-1), sinks, tails, heads
+
+
 def _add_free_path_constraints(
     lp: LinearProgram,
     instance: CoflowInstance,
     grid: TimeGrid,
     x_idx: np.ndarray,
-    y_idx: np.ndarray,
+    z_idx: np.ndarray,
 ) -> None:
-    """Multicommodity-flow constraints of the free path model (Eqs. 7–10 / 20–23).
+    """Multicommodity-flow constraints of the free path model (Eqs. 7–10 / 20–23),
+    with one commodity per source node.
 
-    In addition to the paper's constraints we fix ``y = 0`` on edges entering
-    a flow's source and leaving its sink.  Any feasible transmission with such
-    circulation can be pruned to one without (remove flow cycles), so this
-    does not change the LP optimum; it removes useless variables and makes
-    solutions directly verifiable as net-flow decompositions.
+    Row ``(s, t, v)`` balances ``z[s, t, :]`` at node *v*: at ``v = s``,
+    outflow minus inflow is ``sum_f d_f x_f(t)`` over the flows leaving *s*;
+    anywhere else, inflow minus outflow is ``sum_f d_f x_f(t)`` over the
+    flows from *s* to *v* (zero at a transit node).  A row exists for every
+    node on an edge and for the commodity's source and sinks.  Eq. 10 caps
+    ``sum_s z[s, t, e]`` at ``c_e d_t``.  Edges into *s* are fixed to 0 for
+    commodity *s*: cancelling flow cycles removes such flow without
+    changing any balance, so the optimum is unchanged.
 
-    Vectorization: the conservation block of one flow is identical for every
-    slot up to a constant column shift (``E`` per slot for ``y`` entries, 1
-    per slot for the ``x`` entry), so a per-(source, sink) coefficient
-    pattern is built once and broadcast over all slots with index
-    arithmetic.  The per-edge bandwidth rows (Eq. 10) are emitted as a
-    single dense-index computation.
+    Every row index is arithmetic on (commodity, slot, node rank), so the
+    block is emitted as one batch with no per-flow or per-slot loop.
     """
     graph = instance.graph
-    capacities = graph.capacity_vector()
-    durations = grid.durations
     num_slots = grid.num_slots
     num_edges = graph.num_edges
-    num_flows = instance.num_flows
-    nodes = graph.nodes
+    num_nodes = graph.num_nodes
+    sources, commodity, sinks, tails, heads = _commodities(instance)
+    num_sources = sources.size
 
-    x_start = int(x_idx[0, 0])
-    y_start = int(y_idx[0, 0, 0])
+    # Balance rows: every node on an edge, plus each commodity's endpoints.
+    is_source = sources[:, None] == np.arange(num_nodes)[None, :]  # (S, N)
+    active = is_source.copy()
+    active[:, tails] = True
+    active[:, heads] = True
+    active[commodity, sinks] = True
+    rows_per_slot = active.sum(axis=1)
+    rank = np.cumsum(active, axis=1) - 1
+    first_row = np.concatenate([[0], np.cumsum(rows_per_slot * num_slots)[:-1]])
     slot_range = np.arange(num_slots, dtype=np.int64)
 
-    # Per-(src, dst) conservation pattern: (local_row, relative column at
-    # t=0, per-slot column step, coefficient) per nonzero.  rows_per_slot is
-    # the number of conservation rows one slot contributes for the flow.
-    pattern_cache: Dict[
-        tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
-    ] = {}
+    def row(k: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return first_row[k] + t * rows_per_slot[k] + rank[k, v]
 
-    def _pattern(src: str, dst: str):
-        cached = pattern_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        local_rows: list[int] = []
-        rel_cols: list[int] = []
-        steps: list[int] = []
-        coefs: list[float] = []
-
-        def _emit(row: int, edge_ids: np.ndarray, coef: float) -> None:
-            local_rows.extend([row] * edge_ids.size)
-            rel_cols.extend(edge_ids.tolist())
-            steps.extend([num_edges] * edge_ids.size)
-            coefs.extend([coef] * edge_ids.size)
-
-        # Eq. (7): sum_out(src) y - x = 0, then Eq. (8): sum_in(dst) y - x = 0.
-        _emit(0, graph.out_edge_indices(src), 1.0)
-        local_rows.append(0)
-        rel_cols.append(-1)  # placeholder: x column, filled via step/base
-        steps.append(1)
-        coefs.append(-1.0)
-        _emit(1, graph.in_edge_indices(dst), 1.0)
-        local_rows.append(1)
-        rel_cols.append(-1)
-        steps.append(1)
-        coefs.append(-1.0)
-        # Eq. (9): conservation at every other (non-isolated) node.
-        row = 2
-        for node in nodes:
-            if node == src or node == dst:
-                continue
-            node_in = graph.in_edge_indices(node)
-            node_out = graph.out_edge_indices(node)
-            if node_in.size == 0 and node_out.size == 0:
-                continue
-            _emit(row, node_in, 1.0)
-            _emit(row, node_out, -1.0)
-            row += 1
-        pattern = (
-            np.array(local_rows, dtype=np.int64),
-            np.array(rel_cols, dtype=np.int64),
-            np.array(steps, dtype=np.int64),
-            np.array(coefs, dtype=float),
-            row,
-        )
-        pattern_cache[(src, dst)] = pattern
-        return pattern
-
-    eq_rows: list[np.ndarray] = []
-    eq_cols: list[np.ndarray] = []
-    eq_vals: list[np.ndarray] = []
-    eq_row_offset = 0
-
-    for ref in instance.flow_refs():
-        f = ref.global_index
-        src, dst = ref.flow.source, ref.flow.sink
-        # Disallow circulation through the endpoints (see docstring).
-        lp.fix_variables(y_idx[f][:, graph.in_edge_indices(src)], 0.0)
-        lp.fix_variables(y_idx[f][:, graph.out_edge_indices(dst)], 0.0)
-
-        local_rows, rel_cols, steps, coefs, rows_per_slot = _pattern(src, dst)
-        # Column at t=0: y entries live at y_start + f*T*E + e, the x entry
-        # (rel_col == -1) at x_start + f*T.
-        col0 = np.where(
-            rel_cols >= 0,
-            y_start + f * num_slots * num_edges + rel_cols,
-            x_start + f * num_slots,
-        )
-        eq_rows.append(
-            (
-                eq_row_offset
-                + slot_range[:, None] * rows_per_slot
-                + local_rows[None, :]
-            ).reshape(-1)
-        )
-        eq_cols.append(
-            (col0[None, :] + slot_range[:, None] * steps[None, :]).reshape(-1)
-        )
-        eq_vals.append(np.tile(coefs, num_slots))
-        eq_row_offset += num_slots * rows_per_slot
-
-    if eq_row_offset:
+    # z enters its head's row as inflow and its tail's row as outflow; the
+    # source row counts outflow positive.
+    k = np.arange(num_sources)[:, None, None]
+    t = slot_range[None, :, None]
+    sign = np.where(is_source, -1.0, 1.0)
+    shape = (num_sources, num_slots, num_edges)
+    z_rows = [row(k, t, heads[None, None, :]), row(k, t, tails[None, None, :])]
+    z_vals = [
+        np.broadcast_to(sign[:, None, heads], shape),
+        np.broadcast_to(-sign[:, None, tails], shape),
+    ]
+    # -d_f x_f(t) in the row of the flow's source and of its sink.
+    fk = commodity[:, None]
+    ft = slot_range[None, :]
+    x_rows = [row(fk, ft, sources[fk]), row(fk, ft, sinks[:, None])]
+    x_vals = np.broadcast_to(-instance.demands()[:, None], x_idx.shape)
+    total_rows = int(rows_per_slot.sum()) * num_slots
+    if total_rows:
         lp.add_constraints_batch(
-            np.concatenate(eq_rows),
-            np.concatenate(eq_cols),
-            np.concatenate(eq_vals),
-            np.zeros(eq_row_offset),
+            np.concatenate([r.reshape(-1) for r in z_rows + x_rows]),
+            np.concatenate([z_idx.reshape(-1)] * 2 + [x_idx.reshape(-1)] * 2),
+            np.concatenate([v.reshape(-1) for v in z_vals + [x_vals, x_vals]]),
+            np.zeros(total_rows),
             ConstraintSense.EQUAL,
         )
+    into_source = heads[None, :] == sources[:, None]  # (S, E)
+    lp.fix_variables(z_idx.transpose(0, 2, 1)[into_source], 0.0)
 
-    # Eq. (10): edge bandwidths.  Row (t, e) sums y over all flows.
-    demands = instance.demands()
+    # Eq. (10): edge bandwidths.  Row (t, e) sums z over all commodities.
     te_range = np.arange(num_slots * num_edges, dtype=np.int64)
-    rows = np.repeat(te_range, num_flows)
-    # y_idx[f, t, e] = y_start + f*T*E + (t*E + e); enumerate flows minor.
-    cols = (
-        te_range[:, None]
-        + np.arange(num_flows, dtype=np.int64)[None, :] * (num_slots * num_edges)
-    ).reshape(-1) + y_start
-    vals = np.tile(demands, num_slots * num_edges)
-    rhs = (durations[:, None] * capacities[None, :]).reshape(-1)
-    lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
+    rhs = (grid.durations[:, None] * graph.capacity_vector()[None, :]).reshape(-1)
+    lp.add_constraints_batch(
+        np.tile(te_range, num_sources),
+        z_idx.reshape(-1),
+        np.ones(z_idx.size),
+        rhs,
+        ConstraintSense.LESS_EQUAL,
+    )
+
+
+#: Commodity flow an edge has left below this share of the commodity's slot
+#: supply counts as spent when :func:`_commodity_paths` walks it.
+SPLIT_RTOL = 1e-12
+
+
+def _commodity_paths(
+    source: int,
+    flow: List[float],
+    need: Dict[int, float],
+    out_edges: List[List[int]],
+    heads: List[int],
+    tol: float,
+) -> List[Tuple[int, List[int], float]]:
+    """Decompose one commodity's slot flow into ``(sink, edges, amount)`` paths.
+
+    *flow* is the data on each edge and *need* the data each sink node
+    receives.  A walk starts at *source*, takes the first edge (in edge
+    order) with more than *tol* left, and stops at the first node that still
+    needs data; the path carries its bottleneck.  A walk that closes a cycle
+    cancels it, and one that runs into a dead end drops the edge into it.
+    Each step either extends the walk or zeroes an edge or a need, so the
+    loop ends; what is left once every sink is served is circulation and is
+    dropped.
+    """
+    left = [value if value > tol else 0.0 for value in flow]
+    need = dict(need)
+    unmet = sum(1 for value in need.values() if value > 0.0)
+    paths: List[Tuple[int, List[int], float]] = []
+    nodes, edges, on_path = [source], [], {source: 0}
+
+    def spend(path_edges: List[int], amount: float) -> None:
+        for e in path_edges:
+            rest = left[e] - amount
+            left[e] = rest if rest > tol else 0.0
+
+    while unmet:
+        node = nodes[-1]
+        if need.get(node, 0.0) > 0.0:
+            amount = min(need[node], min(left[e] for e in edges))
+            paths.append((node, list(edges), amount))
+            spend(edges, amount)
+            need[node] -= amount
+            if need[node] <= 0.0:
+                unmet -= 1
+            nodes, edges, on_path = [source], [], {source: 0}
+            continue
+        step = next((e for e in out_edges[node] if left[e] > 0.0), None)
+        if step is None:
+            if node == source:
+                break
+            left[edges.pop()] = 0.0
+            del on_path[nodes.pop()]
+            continue
+        head = heads[step]
+        if head in on_path:
+            start = on_path[head]
+            cycle = edges[start:] + [step]
+            spend(cycle, min(left[e] for e in cycle))
+            for dropped in nodes[start + 1 :]:
+                del on_path[dropped]
+            del nodes[start + 1 :], edges[start:]
+            continue
+        edges.append(step)
+        nodes.append(head)
+        on_path[head] = len(nodes) - 1
+    return paths
+
+
+def _split_commodities(
+    instance: CoflowInstance, fractions: np.ndarray, flow: np.ndarray
+) -> np.ndarray:
+    """Per-flow edge fractions ``y[f, t, e]`` from commodity flows ``z[s, t, e]``.
+
+    Each (source, slot) commodity is decomposed into source→sink paths by
+    :func:`_commodity_paths`, with a tolerance of :data:`SPLIT_RTOL` times its
+    supply ``sum_f d_f x_f(t)``.  Flows that share a (source, sink) pair
+    share that pair's paths in proportion to ``d_f x_f(t)``: flow *f* gets
+    ``y[f, t, :] = x_f(t) P / D`` for the pair's path flow ``P`` and its
+    data ``D = sum d_f x_f(t)``.  So the flows of one source never use more
+    of an edge than its commodity does.
+    """
+    graph = instance.graph
+    sources, commodity, sinks, _tails, heads = _commodities(instance)
+    out_edges = [graph.out_edge_indices(node).tolist() for node in graph.nodes]
+    head_list = heads.tolist()
+    sent = np.clip(fractions, 0.0, None)
+    data = sent * instance.demands()[:, None]
+    pairs, pair_of_flow = np.unique(
+        np.stack([commodity, sinks], axis=1), axis=0, return_inverse=True
+    )
+    pair_of_flow = pair_of_flow.reshape(-1)
+    need = np.zeros((len(pairs), fractions.shape[1]))
+    np.add.at(need, pair_of_flow, data)
+    supply = np.zeros((sources.size, fractions.shape[1]))
+    np.add.at(supply, commodity, data)
+    pair_at: List[Dict[int, int]] = [{} for _ in range(sources.size)]
+    for p, (k, sink) in enumerate(pairs.tolist()):
+        pair_at[k][sink] = p
+    carried = np.zeros(need.shape + (graph.num_edges,))
+    for k, t in zip(*np.nonzero(supply > 0.0)):
+        paths = _commodity_paths(
+            int(sources[k]),
+            flow[k, t].tolist(),
+            {sink: float(need[p, t]) for sink, p in pair_at[k].items()},
+            out_edges,
+            head_list,
+            SPLIT_RTOL * supply[k, t],
+        )
+        for sink, path, amount in paths:
+            carried[pair_at[k][sink], t, path] += amount
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.where(need[:, :, None] > 0.0, carried / need[:, :, None], 0.0)
+    return sent[:, :, None] * unit[pair_of_flow]
 
 
 def _horizon_certified(
@@ -615,13 +696,18 @@ def solve_time_indexed_lp(
             break
         slots = min(int(np.ceil(1.5 * slots)), requested.num_slots)
     completion_times = result.values(bundle.c)
+    fractions = result.values(bundle.x)
     return CoflowLPSolution(
         instance=instance,
         grid=solved,
         objective=float(np.dot(instance.weights, completion_times)),
         completion_times=completion_times,
-        fractions=result.values(bundle.x),
-        edge_fractions=None if bundle.y is None else result.values(bundle.y),
+        fractions=fractions,
+        edge_fractions=(
+            None
+            if bundle.z is None
+            else _split_commodities(instance, fractions, result.values(bundle.z))
+        ),
         lp_result=result,
         metadata={
             "lp_size": lp.size_summary(),

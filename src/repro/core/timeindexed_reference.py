@@ -1,8 +1,10 @@
 """Loop-based reference assembly of the time-indexed LP.
 
 This module assembles the same program as
-:mod:`repro.core.timeindexed` — Eq. 2 in its prefix-sum form included —
-with per-flow, per-slot Python loops instead of batched index arithmetic.
+:mod:`repro.core.timeindexed` — Eq. 2 in its prefix-sum form and the free
+path model's one commodity per source node included — with per-flow,
+per-commodity and per-slot Python loops instead of batched index
+arithmetic.
 It is an equivalence oracle: the ``lp-matrix`` invariant of ``repro
 verify`` and ``tests/test_core_timeindexed_vectorized.py`` assert that the
 vectorized builder produces bit-identical matrices (same ``c``,
@@ -15,7 +17,7 @@ It is *not* part of the public API and receives no new features; use
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -52,12 +54,15 @@ def build_time_indexed_lp_reference(instance: CoflowInstance, grid: TimeGrid):
     c_idx = c_block.indices()
     s_block = lp.add_variables("S", num_flows * num_slots, lower=0.0, upper=1.0)
     s_idx = s_block.reshape(num_flows, num_slots)
-    y_idx = None
+    z_idx = None
     if free_path:
-        y_block = lp.add_variables(
-            "y", num_flows * num_slots * num_edges, lower=0.0, upper=1.0
-        )
-        y_idx = y_block.reshape(num_flows, num_slots, num_edges)
+        sources = [
+            node
+            for node in graph.nodes
+            if any(ref.flow.source == node for ref in instance.flow_refs())
+        ]
+        z_block = lp.add_variables("z", len(sources) * num_slots * num_edges)
+        z_idx = z_block.reshape(len(sources), num_slots, num_edges)
 
     # ----------------------------- objective --------------------------- #
     lp.set_objective(c_idx, instance.weights)
@@ -68,9 +73,6 @@ def build_time_indexed_lp_reference(instance: CoflowInstance, grid: TimeGrid):
     forbidden_flows, forbidden_slots = np.nonzero(~allowed)
     for f, t in zip(forbidden_flows, forbidden_slots):
         lp.fix_variable(int(x_idx[f, t]), 0.0)
-        if y_idx is not None:
-            for e in range(num_edges):
-                lp.fix_variable(int(y_idx[f, t, e]), 0.0)
 
     # -------------------- demand satisfaction (Eq. 1) ------------------ #
     rows = np.repeat(np.arange(num_flows), num_slots)
@@ -150,12 +152,12 @@ def build_time_indexed_lp_reference(instance: CoflowInstance, grid: TimeGrid):
 
     # ------------------------ model-specific part ----------------------- #
     if free_path:
-        assert y_idx is not None
-        _add_free_path_constraints_loop(lp, instance, grid, x_idx, y_idx)
+        assert z_idx is not None
+        _add_free_path_constraints_loop(lp, instance, grid, x_idx, z_idx, sources)
     else:
         _add_single_path_constraints_loop(lp, instance, grid, x_idx)
 
-    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, s=s_idx, y=y_idx)
+    bundle = _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, s=s_idx, z=z_idx)
     return lp, bundle
 
 
@@ -213,9 +215,11 @@ def _add_free_path_constraints_loop(
     instance: CoflowInstance,
     grid: TimeGrid,
     x_idx: np.ndarray,
-    y_idx: np.ndarray,
+    z_idx: np.ndarray,
+    sources: List[str],
 ) -> None:
-    """Multicommodity-flow constraints of the free path model (Eqs. 7–10 / 20–23)."""
+    """Multicommodity-flow constraints of the free path model (Eqs. 7–10 /
+    20–23), one commodity per source node in *sources* order."""
     graph = instance.graph
     edge_index = graph.edge_index()
     capacities = graph.capacity_vector()
@@ -223,6 +227,7 @@ def _add_free_path_constraints_loop(
     num_slots = grid.num_slots
     num_edges = graph.num_edges
     nodes = graph.nodes
+    demands = instance.demands()
 
     out_edges = {node: [edge_index[e] for e in graph.out_edges(node)] for node in nodes}
     in_edges = {node: [edge_index[e] for e in graph.in_edges(node)] for node in nodes}
@@ -230,50 +235,34 @@ def _add_free_path_constraints_loop(
     eq_rows = []
     eq_cols = []
     eq_vals = []
-    eq_rhs = []
     eq_counter = 0
-
-    for ref in instance.flow_refs():
-        f = ref.global_index
-        src, dst = ref.flow.source, ref.flow.sink
+    for k, src in enumerate(sources):
+        flows = [
+            (ref.global_index, ref.flow.sink)
+            for ref in instance.flow_refs()
+            if ref.flow.source == src
+        ]
+        sinks = {sink for _, sink in flows}
         for e in in_edges[src]:
             for t in range(num_slots):
-                lp.fix_variable(int(y_idx[f, t, e]), 0.0)
-        for e in out_edges[dst]:
-            for t in range(num_slots):
-                lp.fix_variable(int(y_idx[f, t, e]), 0.0)
-
-        src_out = np.array(out_edges[src], dtype=np.int64)
-        dst_in = np.array(in_edges[dst], dtype=np.int64)
+                lp.fix_variable(int(z_idx[k, t, e]), 0.0)
         for t in range(num_slots):
-            size = src_out.size + 1
-            eq_rows.append(np.full(size, eq_counter, dtype=np.int64))
-            eq_cols.append(np.concatenate([y_idx[f, t, src_out], [x_idx[f, t]]]))
-            eq_vals.append(np.concatenate([np.ones(src_out.size), [-1.0]]))
-            eq_rhs.append(0.0)
-            eq_counter += 1
-            size = dst_in.size + 1
-            eq_rows.append(np.full(size, eq_counter, dtype=np.int64))
-            eq_cols.append(np.concatenate([y_idx[f, t, dst_in], [x_idx[f, t]]]))
-            eq_vals.append(np.concatenate([np.ones(dst_in.size), [-1.0]]))
-            eq_rhs.append(0.0)
-            eq_counter += 1
             for node in nodes:
-                if node == src or node == dst:
+                node_in = in_edges[node]
+                node_out = out_edges[node]
+                if node != src and node not in sinks and not node_in and not node_out:
                     continue
-                node_in = np.array(in_edges[node], dtype=np.int64)
-                node_out = np.array(out_edges[node], dtype=np.int64)
-                if node_in.size == 0 and node_out.size == 0:
-                    continue
-                size = node_in.size + node_out.size
-                eq_rows.append(np.full(size, eq_counter, dtype=np.int64))
-                eq_cols.append(
-                    np.concatenate([y_idx[f, t, node_in], y_idx[f, t, node_out]])
-                )
-                eq_vals.append(
-                    np.concatenate([np.ones(node_in.size), -np.ones(node_out.size)])
-                )
-                eq_rhs.append(0.0)
+                # Inflow minus outflow, except outflow minus inflow at src.
+                sign = -1.0 if node == src else 1.0
+                cols = [z_idx[k, t, e] for e in node_in + node_out]
+                vals = [sign] * len(node_in) + [-sign] * len(node_out)
+                for f, sink in flows:
+                    if node == src or node == sink:
+                        cols.append(x_idx[f, t])
+                        vals.append(-demands[f])
+                eq_rows.append(np.full(len(cols), eq_counter, dtype=np.int64))
+                eq_cols.append(np.array(cols, dtype=np.int64))
+                eq_vals.append(np.array(vals, dtype=float))
                 eq_counter += 1
 
     if eq_counter:
@@ -281,29 +270,24 @@ def _add_free_path_constraints_loop(
             np.concatenate(eq_rows),
             np.concatenate(eq_cols),
             np.concatenate(eq_vals),
-            np.array(eq_rhs),
+            np.zeros(eq_counter),
             ConstraintSense.EQUAL,
         )
 
-    num_flows = instance.num_flows
-    demands = instance.demands()
     rows = []
     cols = []
-    vals = []
     rhs = []
     row_counter = 0
-    flow_range = np.arange(num_flows)
     for t in range(num_slots):
         for e in range(num_edges):
-            rows.append(np.full(num_flows, row_counter, dtype=np.int64))
-            cols.append(y_idx[flow_range, t, e])
-            vals.append(demands)
+            rows.append(np.full(len(sources), row_counter, dtype=np.int64))
+            cols.append(z_idx[:, t, e])
             rhs.append(capacities[e] * durations[t])
             row_counter += 1
     lp.add_constraints_batch(
         np.concatenate(rows),
         np.concatenate(cols),
-        np.concatenate(vals),
+        np.ones(len(sources) * row_counter),
         np.array(rhs),
         ConstraintSense.LESS_EQUAL,
     )

@@ -44,8 +44,7 @@ class LPSpec:
     @classmethod
     def from_program(cls, program) -> "LPSpec":
         """The spec of an assembled :class:`~repro.lp.model.LinearProgram`."""
-        c, a_ub, b_ub, a_eq, b_eq, _bounds = program.build_matrices()
-        lower, upper = program.bounds_arrays()
+        c, a_ub, b_ub, a_eq, b_eq, (lower, upper) = program.build_matrices()
         return cls(
             c=np.ascontiguousarray(c, dtype=float),
             a_ub=a_ub,

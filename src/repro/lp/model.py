@@ -309,11 +309,11 @@ class LinearProgram:
         return matrix.tocsr()
 
     def build_matrices(self):
-        """Return ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` for scipy.
+        """Return ``(c, A_ub, b_ub, A_eq, b_eq, (lower, upper))``.
 
         ``A_ub``/``A_eq`` are CSR matrices or ``None`` when there are no
-        constraints of that kind; ``bounds`` is a list of ``(low, high)``
-        tuples.
+        constraints of that kind; ``lower`` and ``upper`` are per-variable
+        bound arrays (copies), with ``np.inf`` for no upper bound.
         """
         c = self.objective_vector()
         a_ub = self._assemble(
@@ -324,20 +324,7 @@ class LinearProgram:
             self._eq_rows, self._eq_cols, self._eq_vals, len(self._eq_rhs)
         )
         b_eq = np.array(self._eq_rhs, dtype=float) if self._eq_rhs else None
-        bounds = [
-            (float(lo), None if np.isinf(hi) else float(hi))
-            for lo, hi in zip(self._lower, self._upper)
-        ]
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
-
-    def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Variable bounds as ``(lower, upper)`` float arrays (copies).
-
-        ``upper`` uses ``np.inf`` for unbounded variables.  Used by the
-        solver's warm-start cache to fingerprint a program cheaply and by the
-        builder-equivalence tests.
-        """
-        return self._lower.copy(), self._upper.copy()
+        return c, a_ub, b_ub, a_eq, b_eq, (self._lower.copy(), self._upper.copy())
 
     def size_summary(self) -> Dict[str, int]:
         """Quick size report used by the LP-scaling ablation benchmark."""

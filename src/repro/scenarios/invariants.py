@@ -219,7 +219,7 @@ def check_lp_matrix_equivalence(run: ScenarioRun) -> List[str]:
             a is not None and not np.array_equal(a, b)
         ):
             violations.append(f"{label}: right-hand sides differ")
-    if ref[5] != vec[5]:
+    if not all(np.array_equal(a, b) for a, b in zip(ref[5], vec[5])):
         violations.append("variable bounds differ between builders")
     return violations
 

@@ -46,7 +46,11 @@ from repro.schedule.timegrid import TimeGrid
 #: Schema 5 marks the certified horizon of the default uniform-grid LP: its
 #: optimum is unchanged, but the shorter LP can return a different optimal
 #: vertex, so LP-heuristic and Stretch results on default grids can move.
-FINGERPRINT_SCHEMA = 5
+#: Schema 6 marks the free path LP's one commodity per source node: its
+#: optimum is unchanged, but it can return a different optimal vertex and
+#: routes edge fractions by path decomposition, so free path LP-heuristic
+#: and Stretch results can move.
+FINGERPRINT_SCHEMA = 6
 
 
 class FingerprintError(ValueError):

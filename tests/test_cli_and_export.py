@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.experiments import figures as F
 from repro.experiments.export import read_json, result_to_records, write_csv, write_json
@@ -173,3 +178,27 @@ class TestCliCommands:
         )
         assert code == 0
         assert "stretch-best" in out.getvalue()
+
+
+class TestClosedStdout:
+    """A reader that goes away (``repro algorithms | head -1``) ends the
+    command with exit code 1 and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command", [["algorithms"], ["verify", "--list-families"]]
+    )
+    def test_no_traceback_when_stdout_is_closed(self, command):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Closed before the child has even imported repro, so its first
+        # write finds no reader.
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr, stderr

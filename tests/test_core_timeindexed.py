@@ -63,17 +63,27 @@ class TestBuildLP:
         n_coflows = example_single_path_instance.num_coflows
         # x and the prefix sums S per (flow, slot), X per (coflow, slot), C.
         assert lp.num_variables == 2 * n_flows * 6 + n_coflows * 6 + n_coflows
-        assert bundle.y is None
+        assert bundle.z is None
 
     def test_free_path_has_edge_variables(self, example_free_path_instance):
+        # One commodity per distinct source node, not one per flow.
         grid = TimeGrid.uniform(5)
         lp, bundle = build_time_indexed_lp(example_free_path_instance, grid)
-        assert bundle.y is not None
-        assert bundle.y.shape == (
-            example_free_path_instance.num_flows,
+        sources = {ref.flow.source for ref in example_free_path_instance.flow_refs()}
+        assert bundle.z is not None
+        assert bundle.z.shape == (
+            len(sources),
             5,
             example_free_path_instance.graph.num_edges,
         )
+        shared = CoflowInstance(
+            paper_example_topology(),
+            [Coflow([Flow("s", "t", 1.0), Flow("s", "v3", 2.0)]),
+             Coflow([Flow("s", "t", 1.0)])],
+            model="free_path",
+        )
+        _, shared_bundle = build_time_indexed_lp(shared, grid)
+        assert shared_bundle.z.shape == (1, 5, shared.graph.num_edges)
 
     def test_lp_size_is_linear_in_slots(self):
         # Eq. 2 through prefix sums costs O(flows x slots) nonzeros; the

@@ -46,22 +46,23 @@ class TestVariables:
     def test_bounds_default_nonnegative(self):
         lp = LinearProgram()
         lp.add_variables("x", 2)
-        _, _, _, _, _, bounds = lp.build_matrices()
-        assert bounds == [(0.0, None), (0.0, None)]
+        _, _, _, _, _, (lower, upper) = lp.build_matrices()
+        np.testing.assert_array_equal(lower, [0.0, 0.0])
+        np.testing.assert_array_equal(upper, [np.inf, np.inf])
 
     def test_fix_variable(self):
         lp = LinearProgram()
         lp.add_variables("x", 2)
         lp.fix_variable(1, 0.0)
-        _, _, _, _, _, bounds = lp.build_matrices()
-        assert bounds[1] == (0.0, 0.0)
+        _, _, _, _, _, (lower, upper) = lp.build_matrices()
+        assert (lower[1], upper[1]) == (0.0, 0.0)
 
     def test_set_bounds(self):
         lp = LinearProgram()
         lp.add_variables("x", 1)
         lp.set_bounds(0, 2.0, 5.0)
-        _, _, _, _, _, bounds = lp.build_matrices()
-        assert bounds[0] == (2.0, 5.0)
+        _, _, _, _, _, (lower, upper) = lp.build_matrices()
+        assert (lower[0], upper[0]) == (2.0, 5.0)
 
 
 class TestObjective:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.scenarios.invariants as invariants_module
+from repro.api.request import SolverConfig
 from repro.scenarios import build_scenario, check_invariants, execute_scenario
 from repro.scenarios.invariants import (
     ScenarioRun,
@@ -191,6 +192,34 @@ class TestFeasibilityBugCaught:
         run.reports["lp-heuristic"] = _with_schedule(report, corrupted)
         messages = violations_of(run, "schedule-feasibility")
         assert messages and "lp-heuristic" in messages[0]
+
+    def test_split_that_drops_a_path_is_caught(self, monkeypatch):
+        import repro.core.timeindexed as timeindexed
+
+        real = timeindexed._commodity_paths
+        dropped = []
+
+        def drops_one_path(*args):
+            paths = real(*args)
+            if paths and not dropped:
+                # The planted bug: the widest path of the first commodity
+                # slot with any flow goes missing from the split.
+                dropped.append(max(paths, key=lambda path: path[2]))
+                paths = [path for path in paths if path is not dropped[0]]
+            return paths
+
+        monkeypatch.setattr(timeindexed, "_commodity_paths", drops_one_path)
+        # verify=False: the solve path's own feasibility check would reject
+        # the schedule before the invariant could see it.
+        run = execute_scenario(
+            build_scenario("online-poisson", 0, 123),
+            config=SolverConfig(verify=False),
+            algorithms=["lp-heuristic"],
+        )
+        assert dropped and not run.errors
+        messages = violations_of(run, "schedule-feasibility")
+        assert messages and "lp-heuristic" in messages[0]
+        assert "net outflow" in messages[0] or "net inflow" in messages[0]
 
 
 class TestLowerBoundBugCaught:

@@ -219,8 +219,7 @@ class TestTemplateProgram:
             reference.free_path_coflow_rates_reference(
                 instance, refs, remaining, residual
             )
-            c, a_ub, b_ub, a_eq, b_eq, _ = built[-1].build_matrices()
-            lower, upper = built[-1].bounds_arrays()
+            c, a_ub, b_ub, a_eq, b_eq, (lower, upper) = built[-1].build_matrices()
             template = _FreePathTemplate(
                 graph.num_edges, [allocator._commodity(f) for f in flows]
             )
