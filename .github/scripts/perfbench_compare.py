@@ -2,14 +2,17 @@
 
 Runs every workload of the base checkout's ``BENCHMARK.json`` once in each
 checkout, base first, and prints each end-to-end metric beside its bound.
-A metric is flagged when the head is worse than the base by more than
-that bound, relative to the base value, and a run is flagged when it is
-not ``correct`` or fails more units than the base.  The bounds come from
-the base checkout, so a change cannot loosen the check it is measured by.
+A metric is flagged (``WORSE``) when the head is worse than the base by
+more than that bound, relative to the base value, and a run is flagged when
+it is not ``correct`` or fails more units than the base.  A metric the head
+improved by more than its bound is marked ``BETTER``, so a claimed gain
+shows too; it never changes the exit code.  The bounds come from the base
+checkout, so a change cannot loosen the check it is measured by.
 
 One run per side cannot separate a small change from run-to-run spread,
-so a flag asks for alternating pairs of runs, not a verdict.  The script
-only reads ``perfbench/`` and ``BENCHMARK.json`` of each checkout.
+so a flag or a gain asks for alternating pairs of runs, not a verdict.
+The script only reads ``perfbench/`` and ``BENCHMARK.json`` of each
+checkout.
 
 Usage (exit code 1 when anything is flagged)::
 
@@ -23,7 +26,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
@@ -59,10 +62,14 @@ def regression(base: float, head: float, better: str) -> float:
     return worse_by / abs(base) if base else (float("inf") if worse_by > 0 else 0.0)
 
 
-def compare(base_dir: Path, head_dir: Path, seed: int, seconds: float) -> List[str]:
-    """Run both checkouts on every workload, print a table, return the flags."""
+def compare(
+    base_dir: Path, head_dir: Path, seed: int, seconds: float
+) -> Tuple[List[str], List[str]]:
+    """Run both checkouts on every workload, print a table, return the
+    flags and the gains beyond their bounds."""
     spec = json.loads((base_dir / "BENCHMARK.json").read_text())
     flags: List[str] = []
+    gains: List[str] = []
     for workload in (w["name"] for w in spec["workloads"]):
         results = {
             side: run_workload(path, workload, seed, seconds)
@@ -87,17 +94,23 @@ def compare(base_dir: Path, head_dir: Path, seed: int, seconds: float) -> List[s
             head = results["head"]["metrics"][name]["value"]
             worse = regression(base, head, metric["better"])
             flagged = worse > metric["bound"]
+            gained = -worse > metric["bound"]
             print(
                 f"   {name:<14s} base {base:12.4f}  head {head:12.4f}  "
                 f"worse by {worse:+8.1%}  bound {metric['bound']:.0%}"
-                + ("  WORSE" if flagged else "")
+                + ("  WORSE" if flagged else "  BETTER" if gained else "")
             )
             if flagged:
                 flags.append(
                     f"{workload}: {name} worse by {worse:.1%} "
                     f"(bound {metric['bound']:.0%}): {base:.4g} -> {head:.4g}"
                 )
-    return flags
+            if gained:
+                gains.append(
+                    f"{workload}: {name} better by {-worse:.1%} "
+                    f"(bound {metric['bound']:.0%}): {base:.4g} -> {head:.4g}"
+                )
+    return flags, gains
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -107,11 +120,13 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    flags = compare(args.base, args.head, args.seed, args.seconds)
+    flags, gains = compare(args.base, args.head, args.seed, args.seconds)
     print()
+    for gain in gains:
+        print(f"BETTER {gain}")
     for flag in flags:
         print(f"FLAG {flag}")
-    print(f"{len(flags)} flagged")
+    print(f"{len(flags)} flagged, {len(gains)} better")
     return 1 if flags else 0
 
 

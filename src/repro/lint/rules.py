@@ -602,14 +602,14 @@ def check_bare_sleep(ctx: FileContext) -> Iterator[Finding]:
     description=(
         "scipy.optimize.linprog and the private _highspy engine are only "
         "touched inside repro.lp.backends; everything else solves one-shot "
-        "LPs through repro.lp.solver.solve_lp and keeps resident models in "
-        "repro.lp.backends.PersistentHighsLP"
+        "LPs through repro.lp.solver.solve_lp and warm-started ones on a "
+        "repro.lp.backends.HighsEngine from make_highs_engine"
     ),
     rationale=(
         "the engine layer normalizes every result into an LPResult, "
-        "solve_lp caches only optimal results, and resident models fall "
-        "back to linprog when HIGHS_AVAILABLE is false; a direct engine "
-        "call bypasses all three"
+        "solve_lp caches only optimal results, and make_highs_engine "
+        "returns None when HIGHS_AVAILABLE is false so callers fall back "
+        "to linprog; a direct engine call bypasses all three"
     ),
     allowed_paths=("lp/backends/linprog.py", "lp/backends/highs.py"),
 )
@@ -622,8 +622,8 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                         node,
                         "R010",
                         f"import of private HiGHS engine '{alias.name}'; "
-                        "keep resident models in "
-                        "repro.lp.backends.PersistentHighsLP instead",
+                        "solve warm-started LPs on "
+                        "repro.lp.backends.HighsEngine instead",
                     )
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
@@ -631,8 +631,8 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                 yield ctx.finding(
                     node,
                     "R010",
-                    f"import from private HiGHS engine '{module}'; keep "
-                    "resident models in repro.lp.backends.PersistentHighsLP "
+                    f"import from private HiGHS engine '{module}'; solve "
+                    "warm-started LPs on repro.lp.backends.HighsEngine "
                     "instead",
                 )
                 continue
@@ -642,8 +642,8 @@ def check_direct_linprog(ctx: FileContext) -> Iterator[Finding]:
                         node,
                         "R010",
                         f"import of private HiGHS engine '{alias.name}'; "
-                        "keep resident models in "
-                        "repro.lp.backends.PersistentHighsLP instead",
+                        "solve warm-started LPs on "
+                        "repro.lp.backends.HighsEngine instead",
                     )
                 elif module == "scipy.optimize" and alias.name == "linprog":
                     yield ctx.finding(

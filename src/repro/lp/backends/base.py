@@ -2,8 +2,9 @@
 
 An assembled :class:`~repro.lp.model.LinearProgram` reduces to an
 :class:`LPSpec`; :func:`repro.lp.backends.linprog.solve_spec` solves one
-spec once, and :class:`~repro.lp.backends.highs.PersistentHighsLP` keeps a
-model resident for the simulator's delta re-solves.  Code outside
+spec once, and :class:`~repro.lp.backends.highs.HighsEngine` solves the
+simulator's compressed-column programs in turn, each from its kept basis
+(their fallback without HiGHS is an :class:`LPSpec`).  Code outside
 :mod:`repro.lp.backends` never imports a solver engine directly — lint rule
 R010 enforces it.
 """

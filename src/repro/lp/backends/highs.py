@@ -1,156 +1,158 @@
-"""Resident HiGHS models: warm-started re-solves through scipy's private API.
+"""One HiGHS engine that solves many programs, each from its own basis.
 
 scipy bundles the HiGHS solver (``scipy.optimize._highspy``) but its public
 :func:`scipy.optimize.linprog` wrapper rebuilds the model, re-validates every
 input and re-parses the option dict on every call — measured at ~85% of the
 wall time for the small per-event LPs the continuous-time simulator solves.
 
-:class:`PersistentHighsLP` keeps one HiGHS model resident across solves: the
-simulator applies coefficient / row-bound deltas via
-:meth:`~PersistentHighsLP.change_coeff` /
-:meth:`~PersistentHighsLP.change_row_bounds` and re-runs, and HiGHS restarts
-the dual simplex from the previous optimal basis.
+:class:`HighsEngine` holds one HiGHS instance with presolve off.  Each
+:meth:`~HighsEngine.solve` loads a whole program in compressed-column form,
+restores the basis the caller kept from that program's previous solve, and
+restarts the dual simplex from it; the caller keeps the returned basis for
+its next solve.  So many programs share one engine's workspace and still
+warm-start, and a program between solves costs only its arrays and its
+basis.
 
 This intentionally leans on a private scipy module; everything degrades
-gracefully.  When the import fails (``HIGHS_AVAILABLE`` is False) callers
-fall back to :func:`~repro.lp.backends.linprog.solve_spec`, which produces
-the same optima, only slower.  This module is one of the two sanctioned
-homes of a direct solver-engine import (lint rule R010).
+gracefully.  When the import fails or lacks a call the engine needs
+(``HIGHS_AVAILABLE`` is False) :func:`make_highs_engine` returns ``None``
+and callers fall back to :func:`~repro.lp.backends.linprog.solve_spec`,
+which produces the same optima, only slower.  This module is one of the two
+sanctioned homes of a direct solver-engine import (lint rule R010).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 try:  # pragma: no cover - exercised implicitly by the import succeeding
     from scipy.optimize._highspy import _core as _highs_core
 except ImportError:  # pragma: no cover - older/newer scipy layouts
     _highs_core = None
 
-#: Whether the in-process HiGHS API is importable in this environment.
-HIGHS_AVAILABLE = _highs_core is not None
+#: HiGHS's ``MatrixFormat.kColwise`` and ``ObjSense.kMinimize`` (C API values).
+_COLWISE = 1
+_MINIMIZE = 1
 
 
-class PersistentHighsError(RuntimeError):
-    """Raised when a persistent HiGHS solve does not reach optimality."""
+class HighsEngineError(RuntimeError):
+    """Raised when a HiGHS engine solve does not reach optimality."""
 
 
-class PersistentHighsLP:
-    """One HiGHS model held resident for repeated, warm-started solves.
+class HighsEngine:
+    """One HiGHS instance, presolve off, that solves programs in turn.
 
-    Parameters
-    ----------
-    c:
-        Objective coefficients (minimisation), length ``n``.
-    matrix:
-        Constraint matrix (any scipy sparse format), shape ``(m, n)``.
-        Coefficients that will later be rewritten via :meth:`change_coeff`
-        must be *nonzero* in this initial matrix (HiGHS drops explicit
-        zeros on model load).
-    row_lower, row_upper:
-        Row activity bounds (``np.inf`` / ``-np.inf`` for one-sided rows).
-    col_lower, col_upper:
-        Variable bounds.
-    presolve:
-        Whether HiGHS may presolve.  A model re-solved after small deltas
-        should turn it off, so that every run restarts the simplex from the
-        previous basis instead of presolving the changed model afresh.
-
-    Raises
-    ------
-    RuntimeError
-        If ``HIGHS_AVAILABLE`` is false.
+    Build one through :func:`make_highs_engine`, which returns ``None`` when
+    the in-process API is unavailable.
     """
 
-    def __init__(
+    def __init__(self) -> None:
+        self._highs = _highs_core._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        # Presolve would rebuild the program and discard the restored basis.
+        self._highs.setOptionValue("presolve", "off")
+        # The pointer overload of passModel reads one integrality marker per
+        # column; zeros (continuous) keep the program an LP.  Grown to the
+        # widest program so far.
+        self._continuous = np.zeros(0, dtype=np.int32)
+        self.solves = 0
+
+    def solve(
         self,
         c: np.ndarray,
-        matrix: sparse.spmatrix,
+        start: np.ndarray,
+        index: np.ndarray,
+        value: np.ndarray,
         row_lower: np.ndarray,
         row_upper: np.ndarray,
         col_lower: np.ndarray,
         col_upper: np.ndarray,
-        *,
-        presolve: bool = True,
-    ) -> None:
-        if not HIGHS_AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("scipy's bundled HiGHS API is not importable")
-        csc = sparse.csc_matrix(matrix)
-        csc.sum_duplicates()
-        num_rows, num_cols = csc.shape
+        basis: Optional[Any] = None,
+    ) -> Tuple[np.ndarray, Any]:
+        """Minimise ``c @ x`` subject to ``row_lower <= A @ x <= row_upper``
+        and ``col_lower <= x <= col_upper``, from *basis*.
 
-        lp = _highs_core.HighsLp()
-        lp.num_col_ = num_cols
-        lp.num_row_ = num_rows
-        lp.a_matrix_.num_col_ = num_cols
-        lp.a_matrix_.num_row_ = num_rows
-        lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = csc.indptr.astype(np.int64)
-        lp.a_matrix_.index_ = csc.indices.astype(np.int64)
-        lp.a_matrix_.value_ = csc.data.astype(float)
-        lp.col_cost_ = np.asarray(c, dtype=float)
-        lp.col_lower_ = np.asarray(col_lower, dtype=float)
-        lp.col_upper_ = np.asarray(col_upper, dtype=float)
-        lp.row_lower_ = np.asarray(row_lower, dtype=float)
-        lp.row_upper_ = np.asarray(row_upper, dtype=float)
+        ``A`` is given in compressed-column form: *start* (``int32``, one
+        entry per column plus the end), *index* (``int32`` row indices) and
+        *value*.  The arrays are passed to HiGHS by pointer, not copied
+        element by element.  *basis* is the opaque basis an earlier solve of
+        a program of the same shape returned, or ``None`` for a cold start
+        from the slack basis.
 
-        self._highs = _highs_core._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        if not presolve:
-            self._highs.setOptionValue("presolve", "off")
-        status = self._highs.passModel(lp)
-        if status == _highs_core.HighsStatus.kError:  # pragma: no cover
-            raise PersistentHighsError("HiGHS rejected the model")
-        self.solves = 0
-
-    def change_coeff(self, row: int, col: int, value: float) -> None:
-        """Overwrite one (existing) matrix coefficient."""
-        self._highs.changeCoeff(int(row), int(col), float(value))
-
-    def change_row_bounds(self, row: int, lower: float, upper: float) -> None:
-        """Overwrite the activity bounds of one row."""
-        self._highs.changeRowBounds(int(row), float(lower), float(upper))
-
-    def solve(self) -> np.ndarray:
-        """Re-run the solver (warm-started) and return the primal solution.
+        Returns ``(x, basis)``: the primal solution and the optimal basis to
+        pass to the next solve of this program.
 
         Raises
         ------
-        PersistentHighsError
+        HighsEngineError
             If the model status after the run is not optimal.
         """
-        self._highs.run()
+        num_cols = c.size
+        if self._continuous.size < num_cols:
+            self._continuous = np.zeros(num_cols, dtype=np.int32)
+        highs = self._highs
+        status = highs.passModel(
+            num_cols,
+            row_lower.size,
+            value.size,
+            _COLWISE,
+            _MINIMIZE,
+            0.0,
+            c,
+            col_lower,
+            col_upper,
+            row_lower,
+            row_upper,
+            start,
+            index,
+            value,
+            self._continuous[:num_cols],
+        )
+        if status == _highs_core.HighsStatus.kError:  # pragma: no cover
+            raise HighsEngineError("HiGHS rejected the model")
+        if basis is not None:
+            highs.setBasis(basis)
+        highs.run()
         self.solves += 1
-        status = self._highs.getModelStatus()
+        status = highs.getModelStatus()
         if status != _highs_core.HighsModelStatus.kOptimal:
-            raise PersistentHighsError(
-                "persistent HiGHS solve failed: "
-                f"{self._highs.modelStatusToString(status)}"
+            raise HighsEngineError(
+                f"HiGHS solve failed: {highs.modelStatusToString(status)}"
             )
-        return np.asarray(self._highs.getSolution().col_value, dtype=float)
-
-    @property
-    def presolve(self) -> str:
-        """The model's HiGHS ``presolve`` option (``"choose"`` or ``"off"``)."""
-        return str(self._highs.getOptionValue("presolve")[1])
+        return np.asarray(highs.getSolution().col_value, dtype=float), highs.getBasis()
 
 
-def make_persistent_lp(
-    c: np.ndarray,
-    matrix: sparse.spmatrix,
-    row_lower: np.ndarray,
-    row_upper: np.ndarray,
-    col_lower: np.ndarray,
-    col_upper: np.ndarray,
-    *,
-    presolve: bool = True,
-) -> Optional[PersistentHighsLP]:
-    """Build a :class:`PersistentHighsLP`, or ``None`` when unavailable."""
+def _engine_works() -> bool:
+    """Whether this scipy's HiGHS API has every call :class:`HighsEngine`
+    makes: solve ``min x, 0 <= x <= 1`` through them, cold and warm."""
+    program = (
+        np.ones(1),
+        np.array([0, 1], dtype=np.int32),
+        np.zeros(1, dtype=np.int32),
+        np.ones(1),
+        np.zeros(1),
+        np.array([np.inf]),
+        np.zeros(1),
+        np.ones(1),
+    )
+    try:
+        engine = HighsEngine()
+        _, basis = engine.solve(*program)
+        x, _ = engine.solve(*program, basis)
+    except (AttributeError, TypeError, HighsEngineError):
+        return False
+    return x.tolist() == [0.0]
+
+
+#: Whether the in-process HiGHS API is importable and has every call the
+#: engine makes in this environment.
+HIGHS_AVAILABLE = _highs_core is not None and _engine_works()
+
+
+def make_highs_engine() -> Optional[HighsEngine]:
+    """A new :class:`HighsEngine`, or ``None`` when HiGHS is unavailable."""
     if not HIGHS_AVAILABLE:
         return None
-    return PersistentHighsLP(
-        c, matrix, row_lower, row_upper, col_lower, col_upper, presolve=presolve
-    )
+    return HighsEngine()

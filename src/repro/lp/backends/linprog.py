@@ -3,7 +3,7 @@
 This module is one of the two sanctioned homes of a direct solver-engine
 import (lint rule R010).  :func:`repro.lp.solver.solve_lp` solves every
 assembled program through :func:`solve_spec`, and the simulator falls back
-to it when the resident HiGHS API of :mod:`repro.lp.backends.highs` is
+to it when the in-process HiGHS engine of :mod:`repro.lp.backends.highs` is
 unavailable.
 """
 

@@ -16,8 +16,9 @@ when an identical program is solved again — which happens constantly in the
 batch runner (the shared uniform-grid LP requested by several algorithms),
 in the λ-sampling evaluation (every draw reuses one LP), and in repeated
 sweep units.  The only warm-started solves in the repository are the
-simulator's delta re-solves on resident
-:class:`~repro.lp.backends.highs.PersistentHighsLP` models.
+simulator's per-event max-concurrent-flow LPs, which a
+:class:`~repro.lp.backends.highs.HighsEngine` restarts from the basis each
+program kept from its previous solve.
 """
 
 from __future__ import annotations

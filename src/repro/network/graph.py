@@ -208,19 +208,29 @@ class NetworkGraph:
     # ------------------------------------------------------------------ #
     # conversions
     # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.DiGraph:
-        """A :class:`networkx.DiGraph` view with ``capacity`` edge attributes.
-
-        The view is cached; mutating the returned graph does not affect this
-        object (a fresh copy is built whenever the topology changes).
-        """
+    def _nx_graph(self) -> nx.DiGraph:
+        """The cached :class:`networkx.DiGraph`, uncopied, for the package's
+        read-only queries (frozen, so adding or removing a node or an edge
+        raises; rebuilt whenever the topology changes)."""
         if self._nx_cache is None:
             g = nx.DiGraph(name=self._name)
             g.add_nodes_from(self._nodes)
             for (u, v), cap in self._capacity.items():
                 g.add_edge(u, v, capacity=cap)
-            self._nx_cache = g
-        return self._nx_cache.copy()
+            # A copy orders each node's predecessors by tail node, not by
+            # edge insertion.  Bidirectional searches read that order to
+            # pick among equal shortest paths, so queries run on a copy, as
+            # they would on any to_networkx() result.
+            self._nx_cache = nx.freeze(g.copy())
+        return self._nx_cache
+
+    def to_networkx(self) -> nx.DiGraph:
+        """A :class:`networkx.DiGraph` copy with ``capacity`` edge attributes.
+
+        Every call returns a fresh, mutable copy of a cached graph; mutating
+        it does not affect this object or any later query.
+        """
+        return self._nx_graph().copy()
 
     def scaled(self, factor: float, *, name: Optional[str] = None) -> "NetworkGraph":
         """Return a copy with every capacity multiplied by *factor*."""
@@ -237,7 +247,7 @@ class NetworkGraph:
     # ------------------------------------------------------------------ #
     def is_connected(self, source: str, sink: str) -> bool:
         """Whether a directed path exists from *source* to *sink*."""
-        return nx.has_path(self.to_networkx(), str(source), str(sink))
+        return nx.has_path(self._nx_graph(), str(source), str(sink))
 
     def validate_path(self, path: Sequence[str]) -> None:
         """Raise ``ValueError`` unless *path* traverses existing edges."""
@@ -263,7 +273,7 @@ class NetworkGraph:
         """
         key = (str(source), str(sink))
         if key not in self._max_flow_cache:
-            value, _ = nx.maximum_flow(self.to_networkx(), *key, capacity="capacity")
+            value, _ = nx.maximum_flow(self._nx_graph(), *key, capacity="capacity")
             self._max_flow_cache[key] = float(value)
         return self._max_flow_cache[key]
 

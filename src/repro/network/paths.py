@@ -29,7 +29,7 @@ def shortest_path(graph: NetworkGraph, source: str, sink: str) -> Tuple[str, ...
         If no path exists.
     """
     try:
-        path = nx.shortest_path(graph.to_networkx(), str(source), str(sink))
+        path = nx.shortest_path(graph._nx_graph(), str(source), str(sink))
     except nx.NetworkXNoPath as exc:
         raise ValueError(f"no path from {source!r} to {sink!r}") from exc
     except nx.NodeNotFound as exc:
@@ -42,7 +42,7 @@ def all_shortest_paths(
 ) -> List[Tuple[str, ...]]:
     """Every hop-count shortest path from *source* to *sink* (sorted)."""
     try:
-        paths = nx.all_shortest_paths(graph.to_networkx(), str(source), str(sink))
+        paths = nx.all_shortest_paths(graph._nx_graph(), str(source), str(sink))
         result = sorted(tuple(p) for p in paths)
     except nx.NetworkXNoPath as exc:
         raise ValueError(f"no path from {source!r} to {sink!r}") from exc

@@ -20,8 +20,8 @@ geometric batching      coflows released in epoch ``[B^(k-1), B^k)`` are
 incremental re-solve    on every arrival, re-prioritize all released
                         coflows by *remaining* standalone time / weight.
                         The remaining standalone times are max-concurrent-
-                        flow LP solves through the warm-started resident
-                        HiGHS models of :mod:`repro.lp.backends` (the
+                        flow LP solves, warm-started on the allocator's
+                        HiGHS engine of :mod:`repro.lp.backends` (the
                         allocator memoizes per remaining-demand signature),
                         and the schedule is executed by the incremental
                         simulator.
@@ -133,13 +133,14 @@ class GeometricBatchingPolicy(OnlinePolicy):
 class IncrementalResolvePolicy(OnlinePolicy):
     """Re-prioritize on every arrival from *remaining* work.
 
-    At each event where the released set grew, every released coflow's
-    remaining standalone time is recomputed from its current remaining
-    demand — a max-concurrent-flow LP per coflow, solved through the
-    warm-started persistent HiGHS models (and memoized per residual
-    signature) — and coflows are reordered by remaining-time/weight.
-    Between arrivals the order is held, so the incremental simulator can
-    keep reusing allocations above the first changed rank.
+    At each event where the released set grew, every released, unfinished
+    coflow's remaining standalone time is recomputed from its current
+    remaining demand — a max-concurrent-flow LP per coflow on the empty
+    network, warm-started on the instance allocator's HiGHS engine and
+    memoized per (coflow, remaining demand) — and coflows are reordered by
+    remaining-time/weight.  A finished coflow's remaining time is 0 without
+    a call.  Between arrivals the order is held, so the incremental
+    simulator can keep reusing allocations above the first changed rank.
     """
 
     kind = "priority"
@@ -152,6 +153,7 @@ class IncrementalResolvePolicy(OnlinePolicy):
         num = instance.num_coflows
         release = instance.coflow_release_times()
         weights = instance.weights
+        coflow_of_flow = instance.coflow_of_flow()
         state = {"released": -1, "order": list(range(num))}
 
         @array_priority
@@ -161,15 +163,13 @@ class IncrementalResolvePolicy(OnlinePolicy):
             released = release <= time + _boundary_tol(time)
             count = int(released.sum())
             if count != state["released"]:
+                unfinished = (
+                    np.bincount(coflow_of_flow[remaining > RATE_TOL], minlength=num) > 0
+                )
                 remaining_time = np.zeros(num, dtype=float)
-                for j in np.nonzero(released)[0]:
+                for j in np.nonzero(released & unfinished)[0]:
                     rate = max_concurrent_rate(inst, int(j), remaining)
-                    if np.isinf(rate):
-                        remaining_time[j] = 0.0
-                    elif rate <= RATE_TOL:
-                        remaining_time[j] = float("inf")
-                    else:
-                        remaining_time[j] = 1.0 / rate
+                    remaining_time[j] = float("inf") if rate <= RATE_TOL else 1.0 / rate
                 ratio = wsjf_ratios(remaining_time, weights)
                 order = sorted(
                     (int(j) for j in np.nonzero(released)[0]),

@@ -24,9 +24,14 @@ All primitives run through a per-instance :class:`RateAllocator` that
 precomputes the flow→edge incidence (single path) and caches the assembled
 max-concurrent-flow LP *structure* per active flow set (free path): between
 simulator events only the ``-remaining`` coefficients and the residual
-capacities change, so each event rewrites a few values in a resident HiGHS
-model, built with presolve off so that every re-solve restarts the simplex
-from the previous basis.  Before any LP, a free-path coflow is checked for
+capacities change.  A template keeps its program's compressed-column arrays
+and the optimal basis of its last solve, not a solver.  Each solve writes
+the new values into copies of two arrays, loads the program into the
+allocator's one HiGHS engine (made at the first free-path solve, presolve
+off) and restarts the dual simplex from the template's own basis, so solves
+of other templates in between do not change where it starts.  An idle
+template costs a few kilobytes; a HiGHS model kept per template would cost
+about 200 KB.  Before any LP, a free-path coflow is checked for
 reachability: its optimal rate is 0 exactly when some active flow's sink
 cannot be reached from its source over edges with residual capacity > 0, so
 such a *blocked* coflow gets the empty allocation without a template or a
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,9 +61,10 @@ from scipy import sparse
 
 from repro.coflow.instance import CoflowInstance, FlowRef, TransmissionModel
 from repro.lp.backends import (
+    HighsEngine,
+    HighsEngineError,
     LPSpec,
-    PersistentHighsError,
-    make_persistent_lp,
+    make_highs_engine,
     solve_spec,
 )
 from repro.lp.solver import LPSolverError
@@ -171,8 +178,13 @@ class _FreePathTemplate:
     then ``y[a, e]`` per active flow *a* and edge *e*; the equality rows are
     the flows' commodity rows in order, then one capacity row per edge.
     Only the ``-remaining`` coefficients of ``alpha`` in the source/sink
-    rows and the residual right-hand sides vary between calls, and those are
-    rewritten in place.
+    rows and the residual right-hand sides vary between calls.
+
+    A template holds the program in compressed-column form and the optimal
+    basis of its last solve, not a solver: every solve writes its inputs
+    into copies of the value and row-upper arrays, loads the program into
+    the allocator's one :class:`~repro.lp.backends.HighsEngine` and restarts
+    the dual simplex from that basis.
     """
 
     def __init__(self, num_edges: int, commodities: Sequence[_CommodityRows]) -> None:
@@ -186,51 +198,49 @@ class _FreePathTemplate:
         self.upper = np.full(n, np.inf)
         for commodity, col in zip(commodities, first_col):
             self.upper[col + commodity.closed_edges] = 0.0
-        # alpha's coefficients in every source and sink row.  The -1.0
-        # placeholder must be nonzero so HiGHS keeps the entry; it is
-        # rewritten to -remaining before every solve.
-        self._alpha_rows = np.repeat(offsets[:-1], 2) + np.tile([0, 1], k)
-        self._alpha_flows = np.repeat(np.arange(k), 2)
-        self._eq_rows = np.concatenate(
-            [c.rows + off for c, off in zip(commodities, offsets)] + [self._alpha_rows]
+        # One combined matrix: the equality rows (bounds 0, 0) on top, then
+        # the capacity rows sum_a y[a, e] <= residual_e (bounds -inf,
+        # residual).  Column 0 holds exactly alpha's coefficients, one in
+        # every source and sink row; the -1.0 placeholder must be nonzero so
+        # HiGHS keeps the entry, and it becomes -remaining before a solve.
+        alpha_rows = np.repeat(offsets[:-1], 2) + np.tile([0, 1], k)
+        matrix = sparse.csc_matrix(
+            (
+                np.concatenate(
+                    [c.values for c in commodities]
+                    + [np.full(2 * k, -1.0), np.ones(k * num_edges)]
+                ),
+                (
+                    np.concatenate(
+                        [c.rows + off for c, off in zip(commodities, offsets)]
+                        + [alpha_rows, num_eq + np.tile(np.arange(num_edges), k)]
+                    ),
+                    np.concatenate(
+                        [c.edges + col for c, col in zip(commodities, first_col)]
+                        + [np.zeros(2 * k, dtype=np.int64), np.arange(1, n)]
+                    ),
+                ),
+            ),
+            shape=(num_eq + num_edges, n),
         )
-        self._eq_cols = np.concatenate(
-            [c.edges + col for c, col in zip(commodities, first_col)]
-            + [np.zeros(2 * k, dtype=np.int64)]
+        self.start = matrix.indptr
+        self.index = matrix.indices
+        self.value = matrix.data
+        # alpha's entries come first in the value array; each belongs to the
+        # flow whose commodity rows hold its row.
+        self._alpha_flows = (
+            np.searchsorted(offsets, self.index[: self.start[1]], side="right") - 1
         )
-        self._eq_vals = np.concatenate(
-            [c.values for c in commodities] + [np.full(2 * k, -1.0)]
-        )
-        # Capacity rows: sum_a y[a, e] <= residual_e for every edge.
-        self._cap_rows = np.tile(np.arange(num_edges, dtype=np.int64), k)
+        self.row_lower = np.concatenate([np.zeros(num_eq), np.full(num_edges, -np.inf)])
+        self.row_upper = np.zeros(num_eq + num_edges)
 
         self.c = np.zeros(n)
         self.c[0] = -1.0  # maximise alpha
         self.num_edges = num_edges
         self.k = k
         self.num_eq_rows = num_eq
-
-        # Persistent warm-started HiGHS model: one combined matrix with
-        # equality rows (bounds 0, 0) on top and capacity rows
-        # (-inf, residual) below.  None when the in-process API is missing.
-        self._persistent = make_persistent_lp(
-            self.c,
-            sparse.csc_matrix(
-                (
-                    np.concatenate([self._eq_vals, np.ones(k * num_edges)]),
-                    (
-                        np.concatenate([self._eq_rows, num_eq + self._cap_rows]),
-                        np.concatenate([self._eq_cols, np.arange(1, n)]),
-                    ),
-                ),
-                shape=(num_eq + num_edges, n),
-            ),
-            np.concatenate([np.zeros(num_eq), np.full(num_edges, -np.inf)]),
-            np.concatenate([np.zeros(num_eq), np.full(num_edges, np.inf)]),
-            self.lower,
-            self.upper,
-            presolve=False,
-        )
+        #: Optimal basis of the last engine solve (``None`` before the first).
+        self.basis = None
         self._memo: Dict[Tuple[bytes, bytes], Tuple[float, np.ndarray]] = {}
         #: LPs actually solved (memo hits excluded).
         self.solves = 0
@@ -238,31 +248,44 @@ class _FreePathTemplate:
     #: Bound on the per-template input→solution memo (see :meth:`solve`).
     MEMO_MAX_ENTRIES = 4096
 
+    def _program(self, rem_active: np.ndarray, residual: np.ndarray):
+        """The value and row-upper arrays for these inputs (fresh copies)."""
+        value = self.value.copy()
+        value[: self._alpha_flows.size] = -rem_active[self._alpha_flows]
+        row_upper = self.row_upper.copy()
+        row_upper[self.num_eq_rows :] = residual
+        return value, row_upper
+
     def spec(self, rem_active: np.ndarray, residual: np.ndarray) -> LPSpec:
         """The program for these remaining demands and (non-negative)
         residual capacities, as a backend-neutral :class:`LPSpec`."""
-        n = self.c.size
-        eq_vals = self._eq_vals.copy()
-        eq_vals[-2 * self.k :] = -rem_active[self._alpha_flows]
+        value, row_upper = self._program(rem_active, residual)
+        matrix = sparse.csr_matrix(
+            sparse.csc_matrix(
+                (value, self.index, self.start),
+                shape=(self.row_upper.size, self.c.size),
+            )
+        )
+        num_eq = self.num_eq_rows
         return LPSpec(
             c=self.c,
-            a_ub=sparse.csr_matrix(
-                (np.ones(n - 1), (self._cap_rows, np.arange(1, n))),
-                shape=(self.num_edges, n),
-            ),
-            b_ub=residual,
-            a_eq=sparse.csr_matrix(
-                (eq_vals, (self._eq_rows, self._eq_cols)),
-                shape=(self.num_eq_rows, n),
-            ),
-            b_eq=np.zeros(self.num_eq_rows),
+            a_ub=matrix[num_eq:],
+            b_ub=row_upper[num_eq:],
+            a_eq=matrix[:num_eq],
+            b_eq=row_upper[:num_eq],
             col_lower=self.lower,
             col_upper=self.upper,
             name="max-concurrent-flow",
         )
 
-    def solve(self, rem_active: np.ndarray, residual: np.ndarray):
-        """Solve for the given remaining demands / residual capacities.
+    def solve(
+        self,
+        rem_active: np.ndarray,
+        residual: np.ndarray,
+        engine: Optional[HighsEngine],
+    ):
+        """Solve for the given remaining demands / residual capacities on
+        *engine* (``None``: through :func:`~repro.lp.backends.solve_spec`).
 
         Returns ``(alpha, y)`` with ``y`` of shape ``(k, num_edges)``.
 
@@ -273,7 +296,9 @@ class _FreePathTemplate:
         equivalence contract needs the allocation to be a deterministic
         function of ``(remaining, residual)``.  The memo pins the first
         vertex seen for each input, making every later request — from
-        either simulation mode — reproduce it exactly.
+        either simulation mode — reproduce it exactly.  The basis a solve
+        starts from is this template's own, so solves of other templates on
+        the same engine do not change the vertex.
         """
         residual_clipped = np.maximum(residual, 0.0)
         key = (rem_active.tobytes(), residual_clipped.tobytes())
@@ -282,16 +307,21 @@ class _FreePathTemplate:
             alpha, y = cached
             return alpha, y.copy()
         self.solves += 1
-        if self._persistent is not None:
-            lp = self._persistent
-            for r, a in zip(self._alpha_rows, self._alpha_flows):
-                lp.change_coeff(r, 0, -rem_active[a])
-            base = self.num_eq_rows
-            for e in range(self.num_edges):
-                lp.change_row_bounds(base + e, -np.inf, residual_clipped[e])
+        if engine is not None:
+            value, row_upper = self._program(rem_active, residual_clipped)
             try:
-                x = lp.solve()
-            except PersistentHighsError as exc:
+                x, self.basis = engine.solve(
+                    self.c,
+                    self.start,
+                    self.index,
+                    value,
+                    self.row_lower,
+                    row_upper,
+                    self.lower,
+                    self.upper,
+                    self.basis,
+                )
+            except HighsEngineError as exc:
                 raise LPSolverError(
                     f"LP 'max-concurrent-flow' failed to solve: {exc}"
                 ) from exc
@@ -382,6 +412,12 @@ class RateAllocator:
         """Max-concurrent-flow LPs solved so far (memo hits excluded)."""
         return sum(template.solves for template in self._templates.values())
 
+    @cached_property
+    def _engine(self) -> Optional[HighsEngine]:
+        """The one HiGHS engine every template of this allocator solves on,
+        made at the first template solve; ``None`` without HiGHS."""
+        return make_highs_engine()
+
     # ------------------------------------------------------------------ #
     # single path
     # ------------------------------------------------------------------ #
@@ -470,7 +506,7 @@ class RateAllocator:
                 self.num_edges, [self._commodity(f) for f in key]
             )
             self._templates[key] = template
-        alpha, y = template.solve(remaining[active], residual)
+        alpha, y = template.solve(remaining[active], residual, self._engine)
         if alpha <= RATE_TOL:
             return self._empty
         return CoflowAllocation(
@@ -690,9 +726,10 @@ def coflow_standalone_time(
 
     This is Terra's per-coflow completion-time estimate: the reciprocal of
     the maximum concurrent rate.  Returns 0 when the coflow has no remaining
-    demand.  Results are memoized per (coflow, residual-capacity signature,
-    remaining-demand signature) on the instance's allocator, so the repeated
-    LP families of Terra and the greedy baselines are solved once.
+    demand.  Results are memoized per (coflow, remaining-demand signature)
+    on the instance's allocator — the network is always the empty one — so
+    the repeated LP families of Terra and the greedy baselines are solved
+    once.
     """
     alpha = max_concurrent_rate(instance, coflow_index, remaining)
     if np.isinf(alpha):

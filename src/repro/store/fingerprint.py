@@ -50,7 +50,11 @@ from repro.schedule.timegrid import TimeGrid
 #: optimum is unchanged, but it can return a different optimal vertex and
 #: routes edge fractions by path decomposition, so free path LP-heuristic
 #: and Stretch results can move.
-FINGERPRINT_SCHEMA = 6
+#: Schema 7 marks the simulator's shared HiGHS engine: every max-concurrent-
+#: flow LP restarts from its template's kept basis instead of a resident
+#: model, so alpha is unchanged but another optimal routing vertex can come
+#: back, and free path simulator baselines can move.
+FINGERPRINT_SCHEMA = 7
 
 
 class FingerprintError(ValueError):

@@ -753,15 +753,15 @@ class TestR010DirectLinprog:
             tmp_path,
             "sim/allocator.py",
             """
-            from repro.lp.backends import make_persistent_lp
+            from repro.lp.backends import make_highs_engine
             from repro.lp.solver import solve_lp
 
             def solve(program):
                 return solve_lp(program, require_optimal=True)
 
-            def resident(c, matrix, row_lower, row_upper, lower, upper):
-                return make_persistent_lp(
-                    c, matrix, row_lower, row_upper, lower, upper
+            def warm(c, start, index, value, row_lower, row_upper, lower, upper, basis):
+                return make_highs_engine().solve(
+                    c, start, index, value, row_lower, row_upper, lower, upper, basis
                 )
             """,
         )

@@ -160,6 +160,59 @@ class TestConversionsAndCopies:
         view.add_edge("c", "a", capacity=9.0)
         assert not g.has_edge("c", "a")
 
+    def test_mutated_copies_change_no_later_query(self):
+        """The read-only queries run on a cached graph, not on a copy; a
+        mutated copy from to_networkx must not reach them."""
+        from repro.network.paths import all_shortest_paths, shortest_path
+
+        def answers(graph: NetworkGraph) -> tuple:
+            return (
+                graph.is_connected("a", "c"),
+                graph.is_connected("c", "a"),
+                graph.max_flow_value("a", "c"),
+                shortest_path(graph, "a", "c"),
+                all_shortest_paths(graph, "a", "c"),
+            )
+
+        expected = answers(triangle())
+        for cold in (True, False):
+            g = triangle()
+            if not cold:
+                assert answers(g) == expected  # the cache is built first
+            first, second = g.to_networkx(), g.to_networkx()
+            assert first is not second
+            first.remove_edge("a", "c")
+            first.add_edge("c", "a", capacity=9.0)
+            first["a"]["b"]["capacity"] = 0.5
+            second.remove_node("b")
+            assert answers(g) == expected
+            assert g.to_networkx()["a"]["b"]["capacity"] == 2.0
+
+    @pytest.mark.parametrize("topology", ["swan_topology", "gscale_topology"])
+    def test_queries_answer_as_on_a_copy(self, topology):
+        """Equal shortest paths are told apart by predecessor order, which a
+        copy rebuilds; the cached graph must answer as to_networkx() would
+        (SWAN NY->HK and G-Scale DC5->DC9 differ on an uncopied graph)."""
+        import networkx as nx
+
+        from repro.network import topologies
+        from repro.network.paths import shortest_path
+
+        graph = getattr(topologies, topology)()
+        for source in graph.nodes:
+            for sink in graph.nodes:
+                if source == sink or not graph.is_connected(source, sink):
+                    continue
+                copy = graph.to_networkx()
+                assert shortest_path(graph, source, sink) == tuple(
+                    nx.shortest_path(copy, source, sink)
+                )
+                assert graph.max_flow_value(source, sink) == pytest.approx(
+                    nx.maximum_flow_value(copy, source, sink, capacity="capacity"),
+                    rel=0,
+                    abs=0,
+                )
+
     def test_scaled(self):
         scaled = triangle().scaled(2.0)
         assert scaled.capacity("a", "b") == 4.0

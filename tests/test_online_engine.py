@@ -329,6 +329,58 @@ class TestPriorityPolicies:
         assert result.coflow_completion_times[1] == pytest.approx(2.0)
         assert result.coflow_completion_times[0] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("model", ["free_path", "single_path"])
+    def test_resolve_skips_finished_coflows_with_the_same_order(
+        self, model, monkeypatch
+    ):
+        """A finished coflow's remaining time is 0 without an LP, and the
+        whole order equals the one that asks every released coflow."""
+        import repro.online.policies as policies
+        from repro.online.batch import wsjf_ratios
+        from repro.sim.rate_allocation import RATE_TOL, max_concurrent_rate
+
+        instance = random_instance(
+            swan_topology(), num_coflows=14, max_flows_per_coflow=4, model=model, rng=8
+        )
+        rng = np.random.default_rng(3)
+        coflow_of_flow = instance.coflow_of_flow()
+        finished = rng.random(instance.num_coflows) < 0.5
+        remaining = instance.demands() * rng.uniform(0.1, 1.0, instance.num_flows)
+        remaining[finished[coflow_of_flow]] = 0.0
+        release = instance.coflow_release_times()
+
+        def asked_everyone(time: float) -> list:
+            released = release <= time + policies._boundary_tol(time)
+            remaining_time = np.zeros(instance.num_coflows)
+            for j in np.nonzero(released)[0]:
+                rate = max_concurrent_rate(instance, int(j), remaining)
+                if np.isinf(rate):
+                    remaining_time[j] = 0.0
+                elif rate <= RATE_TOL:
+                    remaining_time[j] = float("inf")
+                else:
+                    remaining_time[j] = 1.0 / rate
+            ratio = wsjf_ratios(remaining_time, instance.weights)
+            order = sorted(np.nonzero(released)[0].tolist(), key=lambda j: (ratio[j], j))
+            return order + [j for j in range(instance.num_coflows) if not released[j]]
+
+        asked = []
+
+        def spy(inst, j, rem):
+            asked.append(j)
+            return max_concurrent_rate(inst, j, rem)
+
+        monkeypatch.setattr(policies, "max_concurrent_rate", spy)
+        priority = IncrementalResolvePolicy().priority_function(
+            ArrivalStream.from_instance(instance), SolverConfig()
+        )
+        for time in (float(np.median(release)), float(release.max())):
+            del asked[:]
+            released = release <= time + policies._boundary_tol(time)
+            assert priority(time, remaining, instance) == asked_everyone(time)
+            assert sorted(asked) == np.nonzero(released & ~finished)[0].tolist()
+        assert (release <= release.max()).all() and finished.any() and not finished.all()
+
     def test_single_coflow_instances(self):
         for policy in (IncrementalResolvePolicy(), WSJFPolicy()):
             result = run_online_policy(single_coflow_instance(), policy)

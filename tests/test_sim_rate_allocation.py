@@ -272,7 +272,7 @@ class TestReachabilityShortCircuit:
             template = _FreePathTemplate(
                 graph.num_edges, [allocator._commodity(f) for f in flows]
             )
-            alpha, _ = template.solve(remaining[flows], residual)
+            alpha, _ = template.solve(remaining[flows], residual, allocator._engine)
             if blocked:
                 assert alpha <= RATE_TOL
             else:
@@ -295,44 +295,45 @@ class TestReachabilityShortCircuit:
         residual[graph.out_edge_indices("s")] = 0.0
         return residual
 
-    def _model_solves(self, allocator: RateAllocator) -> list:
-        return [
-            t._persistent.solves
-            for t in allocator._templates.values()
-            if t._persistent is not None
-        ]
+    def _solver_state(self, allocator: RateAllocator) -> tuple:
+        """Engine solves and each template's (solve count, basis object)."""
+        engine = allocator._engine
+        return (
+            None if engine is None else engine.solves,
+            [(t.solves, id(t.basis)) for t in allocator._templates.values()],
+        )
 
     def test_blocked_coflow_builds_and_solves_nothing(self, two_coflows):
         allocator = RateAllocator(two_coflows)
         remaining = two_coflows.demands()
         capacity = two_coflows.graph.capacity_vector()
-        # A resident model for the other coflow, whose solve count must hold.
+        # A template for the other coflow, whose basis and solves must hold.
         allocator.coflow_allocation(1, remaining, capacity)
         templates = dict(allocator._templates)
-        solves = self._model_solves(allocator)
+        state = self._solver_state(allocator)
         lp_solves = allocator.lp_solves
 
         alloc = allocator.coflow_allocation(0, remaining, self._source_cut(two_coflows))
         assert alloc.flow_idx.size == 0 and alloc.flow_rates.size == 0
         assert not alloc.usage.any()
         assert allocator._templates == templates
-        assert self._model_solves(allocator) == solves
+        assert self._solver_state(allocator) == state
         assert allocator.lp_solves == lp_solves
         assert allocator.blocked == 1
 
-    def test_blocked_coflow_leaves_its_own_model_alone(self, two_coflows):
+    def test_blocked_coflow_leaves_its_own_template_alone(self, two_coflows):
         allocator = RateAllocator(two_coflows)
         remaining = two_coflows.demands()
         capacity = two_coflows.graph.capacity_vector()
         assert allocator.coflow_allocation(0, remaining, capacity).flow_idx.size == 1
-        solves = self._model_solves(allocator)
+        state = self._solver_state(allocator)
         alloc = allocator.coflow_allocation(0, remaining, self._source_cut(two_coflows))
         assert alloc.flow_idx.size == 0
-        assert self._model_solves(allocator) == solves
+        assert self._solver_state(allocator) == state
         assert allocator.lp_solves == 1
 
     @pytest.mark.skipif(not HIGHS_AVAILABLE, reason="scipy HiGHS API not importable")
-    def test_resident_models_skip_presolve(self, free_instance):
+    def test_templates_keep_a_basis_on_a_presolve_free_engine(self, free_instance):
         allocator = RateAllocator(free_instance)
         remaining = free_instance.demands()
         capacity = free_instance.graph.capacity_vector()
@@ -340,4 +341,6 @@ class TestReachabilityShortCircuit:
             allocator.coflow_allocation(j, remaining, capacity)
         assert len(allocator._templates) == free_instance.num_coflows
         for template in allocator._templates.values():
-            assert template._persistent.presolve == "off"
+            assert template.basis is not None
+        assert allocator._engine._highs.getOptionValue("presolve")[1] == "off"
+        assert allocator._engine.solves == free_instance.num_coflows
