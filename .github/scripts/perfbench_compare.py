@@ -12,7 +12,10 @@ checkout, so a change cannot loosen the check it is measured by.
 One run per side cannot separate a small change from run-to-run spread,
 so a flag or a gain asks for alternating pairs of runs, not a verdict.
 The script only reads ``perfbench/`` and ``BENCHMARK.json`` of each
-checkout.
+checkout.  Before the first run it compiles ``src/`` and ``perfbench/`` of
+both checkouts to bytecode, so neither side's ``setup_s`` includes
+compilation, also under ``PYTHONDONTWRITEBYTECODE=1`` (which stops
+imports, not ``compileall``, from writing ``__pycache__``).
 
 Usage (exit code 1 when anything is flagged)::
 
@@ -27,6 +30,15 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Write the bytecode of *checkout*'s ``src/`` and ``perfbench/``."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+        cwd=checkout,
+        check=True,
+    )
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
@@ -68,6 +80,8 @@ def compare(
     """Run both checkouts on every workload, print a table, return the
     flags and the gains beyond their bounds."""
     spec = json.loads((base_dir / "BENCHMARK.json").read_text())
+    for checkout in (base_dir, head_dir):
+        compile_checkout(checkout)
     flags: List[str] = []
     gains: List[str] = []
     for workload in (w["name"] for w in spec["workloads"]):

@@ -12,16 +12,12 @@ The shared LP is the one the config asks for
 (:meth:`~repro.api.request.SolverConfig.lp_kwargs`: grid and solver method),
 and :func:`~repro.core.scheduler.lp_solution_for` reuses it only for
 algorithms whose request it answers, logging a debug line when reuse is
-skipped.  Each instance batch additionally runs under an
-:class:`~repro.lp.solver.LPSolveCache`, so any algorithm that re-solves a
-program identical to one already solved in the batch (Jahanjou's interval
-LP, a mismatched-grid re-solve requested twice, ...) gets the memoized
-solution instead of a second HiGHS run.
+skipped.  Any other LP an algorithm needs (Jahanjou's interval LP, a
+mismatched-grid re-solve) is solved afresh.
 """
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import time
 import warnings
@@ -31,14 +27,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from repro.coflow.instance import CoflowInstance
 from repro.core.scheduler import lp_solution_for
 from repro.core.timeindexed import CoflowLPSolution
-from repro.lp.solver import solver_cache
 
 from repro.api.algorithms import BUILTIN_ALGORITHMS
 from repro.api.registry import get_algorithm
 from repro.api.report import SolveReport
 from repro.api.request import SolverConfig
-
-logger = logging.getLogger(__name__)
 
 
 def solve(
@@ -103,30 +96,22 @@ def _effective_start_method() -> str:
 
 
 def _solve_instance_batch(
-    task: Tuple[CoflowInstance, Tuple[str, ...], SolverConfig, bool],
+    task: Tuple[CoflowInstance, Tuple[str, ...], SolverConfig],
 ) -> List[SolveReport]:
     """Worker: run every algorithm on one instance, sharing one LP solve.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can pickle
     it; the task tuple carries everything the child process needs.
     """
-    instance, algorithms, config, share_lp = task
+    instance, algorithms, config = task
     infos = [get_algorithm(name) for name in algorithms]
-    with solver_cache() as cache:
-        shared: Optional[CoflowLPSolution] = None
-        if share_lp and any(info.uses_shared_lp for info in infos):
-            shared = lp_solution_for(instance, **config.lp_kwargs())
-        reports = [
-            solve(instance, info.name, config=config, lp_solution=shared)
-            for info in infos
-        ]
-        if cache.hits:
-            logger.debug(
-                "solver warm-start cache for instance %r: %s",
-                instance.name,
-                cache.stats(),
-            )
-    return reports
+    shared: Optional[CoflowLPSolution] = None
+    if any(info.uses_shared_lp for info in infos):
+        shared = lp_solution_for(instance, **config.lp_kwargs())
+    return [
+        solve(instance, info.name, config=config, lp_solution=shared)
+        for info in infos
+    ]
 
 
 def solve_many(
@@ -135,7 +120,6 @@ def solve_many(
     *,
     config: Optional[SolverConfig] = None,
     parallel: Optional[int] = None,
-    share_lp: bool = True,
 ) -> List[SolveReport]:
     """Solve every instance with every algorithm; return reports instance-major.
 
@@ -157,9 +141,6 @@ def solve_many(
         identical whether the batch runs serially or in parallel.
     parallel:
         Number of worker processes; ``None`` or ``1`` runs in-process.
-    share_lp:
-        Solve the time-indexed LP once per instance and reuse it across all
-        ``uses_shared_lp`` algorithms of that instance (on by default).
     """
     names: Tuple[str, ...] = (
         (algorithms,) if isinstance(algorithms, str) else tuple(algorithms)
@@ -175,7 +156,7 @@ def solve_many(
     cfg = config if config is not None else SolverConfig()
     rngs = cfg.spawn_rngs(len(batch))
     tasks = [
-        (instance, names, cfg.replace(rng=rng), share_lp)
+        (instance, names, cfg.replace(rng=rng))
         for instance, rng in zip(batch, rngs)
     ]
 

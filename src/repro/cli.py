@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--scale", type=float, default=1.0)
     exp.add_argument("--csv", help="optional CSV output path")
     exp.add_argument("--json", help="optional JSON output path")
-    exp.add_argument(
-        "--store",
-        default=None,
-        help="result-store directory: cache the deterministic per-algorithm "
-        "series so repeated runs skip solved series",
-    )
 
     verify = sub.add_parser(
         "verify",
@@ -168,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-families",
         action="store_true",
         help="list the registered scenario families and invariants, then exit",
-    )
-    verify.add_argument(
-        "--store",
-        default=None,
-        help="result-store directory: cache per-scenario blocks so an "
-        "interrupted verification resumes and a repeated one is free",
     )
 
     sweep = sub.add_parser(
@@ -372,8 +360,19 @@ def _cmd_algorithms(out) -> int:
     return 0
 
 
+def _load_trace(path: str) -> Optional[CoflowInstance]:
+    """The instance in trace *path*, or ``None`` after printing why not."""
+    try:
+        return CoflowInstance.load_json(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: could not load trace {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_solve(args, out) -> int:
-    instance = CoflowInstance.load_json(args.trace)
+    instance = _load_trace(args.trace)
+    if instance is None:
+        return 2
     try:
         report = solve(
             instance,
@@ -417,7 +416,12 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_batch(args, out) -> int:
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    instances = [CoflowInstance.load_json(path) for path in args.traces]
+    instances = []
+    for path in args.traces:
+        instance = _load_trace(path)
+        if instance is None:
+            return 2
+        instances.append(instance)
     config = SolverConfig(
         slot_length=args.slot_length,
         epsilon=args.epsilon,
@@ -452,12 +456,7 @@ def _cmd_batch(args, out) -> int:
 
 def _cmd_experiment(args, out) -> int:
     config = get_experiment(args.experiment_id)
-    store = None
-    if args.store:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store)
-    result = run_experiment(config, scale=args.scale, store=store)
+    result = run_experiment(config, scale=args.scale)
     print(format_result_table(result), file=out)
     checks = summarize_shape_checks(result)
     if checks:
@@ -495,11 +494,6 @@ def _cmd_verify(args, out) -> int:
         algorithms = [
             name.strip() for name in args.algorithms.split(",") if name.strip()
         ]
-    store = None
-    if args.store:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store)
     try:
         # Unknown family/algorithm/invariant names all fail fast inside
         # run_verification, before any scenario is generated or solved.
@@ -509,7 +503,6 @@ def _cmd_verify(args, out) -> int:
             families=args.families,
             algorithms=algorithms,
             invariants=args.invariants,
-            store=store,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.api import SolverConfig
+from repro.api import SolverConfig, solve
 from repro.coflow.instance import CoflowInstance
 from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.scheduler import lp_solution_for
@@ -27,9 +27,7 @@ from repro.core.stretch import evaluate_stretch
 from repro.core.timeindexed import CoflowLPSolution, solve_time_indexed_lp
 from repro.experiments import figures as F
 from repro.experiments.figures import ExperimentConfig
-from repro.lp.solver import solver_cache
 from repro.network.topologies import named_topology
-from repro.store import ResultStore, cached_solve
 from repro.utils.rng import as_generator
 from repro.utils.timing import Stopwatch
 from repro.workloads.generator import WorkloadSpec, generate_instance
@@ -102,16 +100,8 @@ def _evaluate_series(
     lp_solution: CoflowLPSolution,
     rng: np.random.Generator,
     watch: Stopwatch,
-    store: Optional["ResultStore"] = None,
 ) -> Dict[str, float]:
-    """Compute every requested series for one workload instance.
-
-    With a *store*, the deterministic single-algorithm series go through
-    :func:`repro.store.cached_solve`: a repeated experiment run reads them
-    back instead of re-solving.  The λ-sampling series are *not* cached —
-    they draw from the experiment's shared random stream, and skipping a
-    draw would shift every later sample (breaking run-to-run equality).
-    """
+    """Compute every requested series for one workload instance."""
     out: Dict[str, float] = {}
     series = set(config.series)
 
@@ -127,10 +117,9 @@ def _evaluate_series(
         if series_name not in series:
             continue
         with watch.measure(series_name):
-            report = cached_solve(
+            report = solve(
                 instance,
                 algorithm,
-                store=store,
                 config=_SERIES_CONFIG,
                 lp_solution=lp_solution,
             )
@@ -199,7 +188,6 @@ def run_experiment(
     *,
     scale: float = 1.0,
     rng_seed: Optional[int] = None,
-    store: Optional[ResultStore] = None,
 ) -> ExperimentResult:
     """Run one experiment configuration and collect all series.
 
@@ -214,11 +202,6 @@ def run_experiment(
         scale at the cost of much longer LP solves.
     rng_seed:
         Seed for the λ-sampling randomness (defaults to the config seed).
-    store:
-        Optional persistent :class:`~repro.store.ResultStore`; the
-        deterministic per-algorithm series then read/write through it, so
-        repeated experiment runs skip already-solved series (see
-        :func:`_evaluate_series`).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -226,26 +209,6 @@ def run_experiment(
     result = ExperimentResult(config=config)
     rng = as_generator(config.seed if rng_seed is None else rng_seed)
     start = time.perf_counter()
-
-    # One warm-start cache per experiment: identical LPs requested twice
-    # (coincident geometric grids in the ε sweep, interval series re-solving
-    # the default-ε LP, ...) return the memoized solution.
-    with solver_cache():
-        _run_experiment_body(config, scale, watch, result, rng, store)
-
-    result.timings = watch.as_dict()
-    result.timings["total"] = time.perf_counter() - start
-    return result
-
-
-def _run_experiment_body(
-    config: ExperimentConfig,
-    scale: float,
-    watch: Stopwatch,
-    result: "ExperimentResult",
-    rng,
-    store: Optional[ResultStore] = None,
-) -> None:
     if config.epsilon_values:
         # ε sweep (Fig. 8): one workload, one column per ε value.
         workload = config.workloads[0]
@@ -281,10 +244,14 @@ def _run_experiment_body(
                     instance, **_SERIES_CONFIG.lp_kwargs()
                 )
             result.values[workload] = _evaluate_series(
-                config, instance, lp_solution, rng, watch, store
+                config, instance, lp_solution, rng, watch
             )
             result.metadata[workload] = {
                 "num_coflows": instance.num_coflows,
                 "num_flows": instance.num_flows,
                 "lp_size": lp_solution.lp_result.metadata.get("lp_size"),
             }
+
+    result.timings = watch.as_dict()
+    result.timings["total"] = time.perf_counter() - start
+    return result

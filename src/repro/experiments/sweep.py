@@ -21,8 +21,8 @@ chunk into a :class:`~repro.store.ResultStore`:
   :func:`repro.api.solve_many`: its per-batch RNG spawning keys streams on
   batch *composition*, which a resume, by construction, changes.  The
   per-instance execution pattern (one shared time-indexed LP handed to
-  every ``uses_shared_lp`` algorithm under one warm-start cache, worker
-  processes over a pool) is the same.
+  every ``uses_shared_lp`` algorithm, worker processes over a pool) is the
+  same.
 
 A sweep is described by a :class:`SweepSpec` (JSON-serializable, so the
 ``repro sweep`` CLI takes a spec file) and addressed by a stable
@@ -58,7 +58,6 @@ from repro.api.batch import _effective_start_method
 from repro.api.registry import get_algorithm
 from repro.coflow.instance import CoflowInstance
 from repro.core.scheduler import lp_solution_for
-from repro.lp.solver import solver_cache
 from repro.network.topologies import named_topology
 from repro.store import (
     ResultStore,
@@ -395,9 +394,9 @@ def _solve_unit_tasks(
 
     Mirrors :func:`repro.api.batch._solve_instance_batch`: one shared LP
     (the one the first unit's config asks for) for every ``uses_shared_lp``
-    algorithm, everything under one warm-start cache — but each unit
-    carries its *own* config (its derived seed), and the shared solution is
-    handed *only* to ``uses_shared_lp`` algorithms.
+    algorithm — but each unit carries its *own* config (its derived seed),
+    and the shared solution is handed *only* to ``uses_shared_lp``
+    algorithms.
     Both choices serve the same invariant: a unit's inputs (and therefore
     its stored bytes) depend on its address alone, never on which other
     units happen to share its chunk or group.  This is also why
@@ -417,40 +416,39 @@ def _solve_unit_tasks(
     """
     policy = backoff if backoff is not None else Backoff()
     results: List[Tuple[str, Optional[Dict], Optional[Dict]]] = []
-    with solver_cache():
-        shared = None
-        if any(
-            get_algorithm(algorithm).uses_shared_lp
-            for _, algorithm, _ in unit_tasks
-        ):
-            first_key, _, first_cfg = unit_tasks[0]
-            lp_kwargs = first_cfg.lp_kwargs()
-            try:
-                shared = retry_call(
-                    lambda attempt: lp_solution_for(instance, **lp_kwargs),
-                    backoff=policy,
-                    path=("sweep-shared-lp", first_key),
-                )
-            except SOLVER_FAILURES:
-                shared = None  # consumers fall back to their own LP below
-        for key, algorithm, cfg in unit_tasks:
+    shared = None
+    if any(
+        get_algorithm(algorithm).uses_shared_lp
+        for _, algorithm, _ in unit_tasks
+    ):
+        first_key, _, first_cfg = unit_tasks[0]
+        lp_kwargs = first_cfg.lp_kwargs()
+        try:
+            shared = retry_call(
+                lambda attempt: lp_solution_for(instance, **lp_kwargs),
+                backoff=policy,
+                path=("sweep-shared-lp", first_key),
+            )
+        except SOLVER_FAILURES:
+            shared = None  # consumers fall back to their own LP below
+    for key, algorithm, cfg in unit_tasks:
 
-            def unit_attempt(
-                attempt: int, key=key, algorithm=algorithm, cfg=cfg
-            ) -> Dict:
-                lp = shared if get_algorithm(algorithm).uses_shared_lp else None
-                report = solve(instance, algorithm, config=cfg, lp_solution=lp)
-                return report_to_dict(report)
+        def unit_attempt(
+            attempt: int, key=key, algorithm=algorithm, cfg=cfg
+        ) -> Dict:
+            lp = shared if get_algorithm(algorithm).uses_shared_lp else None
+            report = solve(instance, algorithm, config=cfg, lp_solution=lp)
+            return report_to_dict(report)
 
-            try:
-                payload = retry_call(
-                    unit_attempt, backoff=policy, path=("sweep-unit", key)
-                )
-                results.append((key, payload, None))
-            except SOLVER_FAILURES as exc:
-                results.append(
-                    (key, None, _failure_record(key, algorithm, exc, policy.retries + 1))
-                )
+        try:
+            payload = retry_call(
+                unit_attempt, backoff=policy, path=("sweep-unit", key)
+            )
+            results.append((key, payload, None))
+        except SOLVER_FAILURES as exc:
+            results.append(
+                (key, None, _failure_record(key, algorithm, exc, policy.retries + 1))
+            )
     return results
 
 

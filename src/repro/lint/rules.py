@@ -607,7 +607,8 @@ def check_bare_sleep(ctx: FileContext) -> Iterator[Finding]:
     ),
     rationale=(
         "the engine layer normalizes every result into an LPResult, "
-        "solve_lp caches only optimal results, and make_highs_engine "
+        "solve_lp raises LPSolverError when an optimum is required but "
+        "not reached, and make_highs_engine "
         "returns None when HIGHS_AVAILABLE is false so callers fall back "
         "to linprog; a direct engine call bypasses all three"
     ),

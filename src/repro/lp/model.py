@@ -327,7 +327,11 @@ class LinearProgram:
         return c, a_ub, b_ub, a_eq, b_eq, (self._lower.copy(), self._upper.copy())
 
     def size_summary(self) -> Dict[str, int]:
-        """Quick size report used by the LP-scaling ablation benchmark."""
+        """Variable, constraint and nonzero counts of the program.
+
+        :func:`repro.lp.solver.solve_lp` attaches them to every result's
+        metadata, and perfbench's tracer reads them per LP build.
+        """
         nnz = sum(v.size for v in self._ub_vals) + sum(v.size for v in self._eq_vals)
         return {
             "variables": self._num_vars,

@@ -25,9 +25,8 @@ Components
   baseline orderings, report consistency, online release and lower-bound
   respect, the certified LP horizon).
 * :mod:`~repro.scenarios.verify` — the harness + machine-readable report,
-  what ``repro verify`` runs (``--family``, ``--algorithms``,
-  ``--invariant`` select scenarios and checks; ``--store`` resumes and
-  replays them).
+  what ``repro verify`` runs (``--family``, ``--algorithms`` and
+  ``--invariant`` select scenarios and checks).
 """
 
 from repro.scenarios import families as _families  # noqa: F401 - registers built-ins

@@ -27,9 +27,6 @@ import numpy as np
 
 from repro.api import SolverConfig, available_algorithms, get_algorithm, solve
 from repro.core.scheduler import lp_solution_for
-from repro.lp.solver import solver_cache
-from repro.store import ResultStore, config_fingerprint, text_key
-from repro.store.fingerprint import FingerprintError
 from repro.utils.io import atomic_write_json
 from repro.utils.retry import SOLVER_FAILURES, Backoff, retry_call
 from repro.utils.timing import file_stamp, report_stamp
@@ -96,11 +93,11 @@ def execute_scenario(
     """Solve one scenario with every applicable algorithm (no invariants yet).
 
     Solves the shared time-indexed LP once, hands it to every algorithm
-    (under one warm-start cache, exactly like the batch runner), and records
-    crashes per algorithm instead of raising — the resulting
-    :class:`ScenarioRun` is what the invariant suite cross-checks.  Exposed
-    separately from :func:`verify_scenario` so tests can corrupt a real run
-    before checking that invariants catch the corruption.
+    (exactly like the batch runner), and records crashes per algorithm
+    instead of raising — the resulting :class:`ScenarioRun` is what the
+    invariant suite cross-checks.  Exposed separately from
+    :func:`verify_scenario` so tests can corrupt a real run before checking
+    that invariants catch the corruption.
     """
     instance = scenario.instance
     names = _scenario_algorithms(scenario, algorithms)
@@ -108,60 +105,26 @@ def execute_scenario(
 
     run = ScenarioRun(scenario=scenario, config=cfg, lp_solution=None)
     address = (scenario.family, str(scenario.index), str(scenario.root_seed))
-    with solver_cache():
+    try:
+        run.lp_solution = retry_call(
+            lambda attempt: lp_solution_for(instance, **cfg.lp_kwargs()),
+            backoff=VERIFY_BACKOFF,
+            path=("verify-shared-lp", *address),
+        )
+    except SOLVER_FAILURES as exc:
+        run.errors["shared-lp"] = f"{type(exc).__name__}: {exc}"
+    for name in names:
         try:
-            run.lp_solution = retry_call(
-                lambda attempt: lp_solution_for(instance, **cfg.lp_kwargs()),
+            run.reports[name] = retry_call(
+                lambda attempt, name=name: solve(
+                    instance, name, config=cfg, lp_solution=run.lp_solution
+                ),
                 backoff=VERIFY_BACKOFF,
-                path=("verify-shared-lp", *address),
+                path=("verify-solve", name, *address),
             )
         except SOLVER_FAILURES as exc:
-            run.errors["shared-lp"] = f"{type(exc).__name__}: {exc}"
-        for name in names:
-            try:
-                run.reports[name] = retry_call(
-                    lambda attempt, name=name: solve(
-                        instance, name, config=cfg, lp_solution=run.lp_solution
-                    ),
-                    backoff=VERIFY_BACKOFF,
-                    path=("verify-solve", name, *address),
-                )
-            except SOLVER_FAILURES as exc:
-                run.errors[name] = f"{type(exc).__name__}: {exc}"
+            run.errors[name] = f"{type(exc).__name__}: {exc}"
     return run
-
-
-def _scenario_block_key(
-    scenario: Scenario,
-    config: Optional[SolverConfig],
-    algorithms: Optional[Sequence[str]],
-    invariants: Optional[Sequence[str]],
-) -> Optional[str]:
-    """Store address of one scenario's verification block, or ``None``.
-
-    ``None`` (uncacheable) when the base config carries a live generator —
-    the block would not be reproducible.  The key covers the scenario's
-    full address, the *overlaid* config actually used (the per-scenario rng
-    and the λ-sample cap included) and the resolved names of the algorithms
-    run and the invariants checked.  Default selections resolve against the
-    registries, so narrowing a selection, or registering an algorithm or an
-    invariant, never replays a block that lacks it.
-    """
-    try:
-        cfg_fp = config_fingerprint(_scenario_config(scenario, config))
-    except FingerprintError:
-        return None
-    ran = _scenario_algorithms(scenario, algorithms)
-    checked = invariant_names() if invariants is None else invariants
-    return text_key(
-        "verify-scenario",
-        scenario.family,
-        str(scenario.index),
-        str(scenario.root_seed),
-        cfg_fp,
-        "algorithms:" + ",".join(sorted(set(ran))),
-        "invariants:" + ",".join(sorted(set(checked))),
-    )
 
 
 def verify_scenario(
@@ -170,31 +133,13 @@ def verify_scenario(
     config: Optional[SolverConfig] = None,
     algorithms: Optional[Sequence[str]] = None,
     invariants: Optional[Sequence[str]] = None,
-    store: Optional[ResultStore] = None,
 ) -> Dict:
     """Run all applicable algorithms on one scenario and check the invariants.
 
     Returns the scenario's JSON-ready report block: provenance, per-algorithm
     outcomes, per-invariant violation lists and the flat ``violations`` list
     the harness aggregates.
-
-    With a *store*, completed blocks are checkpointed under a key covering
-    the scenario address, overlaid config and selections: an interrupted
-    ``repro verify --store`` run resumes from the last finished scenario,
-    and a repeated run replays entirely from the store (blocks come back
-    flagged ``"cached": true``).
     """
-    key = (
-        _scenario_block_key(scenario, config, algorithms, invariants)
-        if store is not None
-        else None
-    )
-    if key is not None:
-        cached = store.get(key)
-        if isinstance(cached, dict) and "violations" in cached:
-            block = dict(cached)
-            block["cached"] = True
-            return block
     started = time.perf_counter()
     run = execute_scenario(scenario, config=config, algorithms=algorithms)
     invariant_results = check_invariants(run, invariants=invariants)
@@ -222,7 +167,7 @@ def verify_scenario(
         }
         for name, report in run.reports.items()
     }
-    block = {
+    return {
         "scenario": scenario.describe(),
         "algorithms": algorithms_block,
         "invariants": {
@@ -232,14 +177,6 @@ def verify_scenario(
         "violations": violations,
         "seconds": seconds,
     }
-    # Crashes may be transient (memory pressure, a missing backend): a block
-    # containing one must be retried on the next run, never replayed from
-    # the store.  Invariant violations are deterministic content and cache
-    # fine.
-    has_crash = any(v["kind"] == "crash" for v in violations)
-    if key is not None and not has_crash:
-        store.put(key, block, kind="verify-scenario")
-    return block
 
 
 def run_verification(
@@ -250,7 +187,6 @@ def run_verification(
     algorithms: Optional[Sequence[str]] = None,
     invariants: Optional[Sequence[str]] = None,
     config: Optional[SolverConfig] = None,
-    store: Optional[ResultStore] = None,
 ) -> Dict:
     """Sample *budget* scenarios and differentially verify every algorithm.
 
@@ -272,11 +208,6 @@ def run_verification(
     config:
         Base solver configuration (the per-scenario rng and a verification
         λ-sample cap are overlaid onto it).
-    store:
-        Optional persistent :class:`~repro.store.ResultStore`.  Completed
-        scenario blocks are checkpointed as they finish, so an interrupted
-        run resumes where it stopped and a repeated run is read entirely
-        from the store (see :func:`verify_scenario`).
     """
     # Typos and empty selections fail fast, before any scenario is
     # generated or solved.
@@ -293,7 +224,6 @@ def run_verification(
             config=config,
             algorithms=algorithms,
             invariants=invariants,
-            store=store,
         )
         for scenario in scenarios
     ]
@@ -327,9 +257,6 @@ def run_verification(
         "scenarios": scenario_blocks,
         "summary": {
             "scenarios": len(scenario_blocks),
-            "cached_scenarios": sum(
-                1 for b in scenario_blocks if b.get("cached")
-            ),
             "families_covered": families_covered,
             "algorithms_run": algorithms_run,
             "uncovered_algorithms": uncovered,
@@ -361,12 +288,10 @@ def format_verification_report(report: Dict) -> str:
     """Human-readable summary of a verification report (CLI output)."""
     lines: List[str] = []
     summary = report["summary"]
-    cached = summary.get("cached_scenarios", 0)
-    cached_note = f", {cached} from store" if cached else ""
     lines.append(
         f"verified {summary['scenarios']} scenarios "
         f"(seed {report['seed']}, families: "
-        f"{', '.join(summary['families_covered'])}{cached_note})"
+        f"{', '.join(summary['families_covered'])})"
     )
     lines.append(
         f"{'scenario':<26s} {'model':<12s} {'coflows':>7s} {'algos':>5s} "

@@ -1,10 +1,10 @@
 """repro.store — persistent, content-addressed result store.
 
 The durable-computation layer under the sweep orchestrator
-(:mod:`repro.experiments.sweep`), the experiment runner and the verifier:
-every solved ``(instance, algorithm, config)`` triple is keyed by a stable
-BLAKE2b fingerprint (the keying discipline of
-:func:`repro.utils.rng.derive_seed`) and written atomically to disk, so
+(:mod:`repro.experiments.sweep`), its one consumer: every solved
+``(instance, algorithm, config)`` triple is keyed by a stable BLAKE2b
+fingerprint (the keying discipline of :func:`repro.utils.rng.derive_seed`)
+and written atomically to disk, so
 
 * an interrupted run resumes to a byte-identical result set — completed
   work is never recomputed, pending work recomputes to the same bytes; and
@@ -17,12 +17,10 @@ Components
   (:func:`instance_fingerprint`, :func:`config_fingerprint`,
   :func:`result_key`).
 * :mod:`~repro.store.serialize` — the JSON report surface
-  (:func:`report_to_dict` / :func:`report_from_dict`).
+  (:func:`report_to_dict`).
 * :mod:`~repro.store.store` — :class:`ResultStore`: atomic writes,
   corruption quarantine, failure records, sweep manifests, hit/miss
   accounting.
-* :mod:`~repro.store.cache` — :func:`cached_solve`, the store-aware
-  :func:`repro.api.solve`.
 """
 
 from repro.store.fingerprint import (
@@ -39,11 +37,9 @@ from repro.store.serialize import (
     MEASUREMENT_FIELDS,
     REPORT_SCHEMA,
     canonical_payload_bytes,
-    report_from_dict,
     report_to_dict,
 )
 from repro.store.store import STORE_SCHEMA, ResultStore
-from repro.store.cache import cacheable_config, cached_solve
 
 __all__ = [
     "FINGERPRINT_SCHEMA",
@@ -52,14 +48,11 @@ __all__ = [
     "REPORT_SCHEMA",
     "STORE_SCHEMA",
     "ResultStore",
-    "cacheable_config",
-    "cached_solve",
     "canonical_json",
     "canonical_payload_bytes",
     "config_fingerprint",
     "grid_fingerprint",
     "instance_fingerprint",
-    "report_from_dict",
     "report_to_dict",
     "result_key",
     "text_key",

@@ -1,10 +1,9 @@
 """Stable content fingerprints for the result store.
 
-Every cached result is addressed by a BLAKE2b fingerprint of
+Every stored result is addressed by a BLAKE2b fingerprint of
 ``(CoflowInstance, algorithm, SolverConfig)`` — the same keying discipline
 as :func:`repro.utils.rng.derive_seed` (stateless, length-prefixed
-components, endianness- and process-independent) and the LP program
-fingerprint of :mod:`repro.lp.solver`.  The guarantees:
+components, endianness- and process-independent).  The guarantees:
 
 * the same logical inputs always produce the same key, in any process, on
   any platform — a store written by a sweep shard on one worker is readable
@@ -20,9 +19,10 @@ Randomness
 A :class:`~repro.api.request.SolverConfig` whose ``rng`` is a live
 ``numpy.random.Generator`` (or ``SeedSequence``) has no stable textual
 identity — its future draws depend on hidden mutable state.  Such configs
-raise :class:`FingerprintError`; callers that want caching must pin an
-integer seed (or ``None``, which the cache layer refuses separately for
-randomized algorithms — see :func:`repro.store.cache.cached_solve`).
+raise :class:`FingerprintError`.  The sweep pins an integer seed, derived
+from each unit's address, for every randomized algorithm (see
+:func:`repro.experiments.sweep.enumerate_units`), so ``None`` keys only
+deterministic ones.
 """
 
 from __future__ import annotations

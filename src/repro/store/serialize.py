@@ -2,26 +2,24 @@
 
 The store does not persist the full in-memory report: LP solutions and slot
 schedules are large, numpy-shaped and cheap to regenerate when actually
-needed, while every consumer of cached results (sweeps, experiment tables,
-verification summaries) reads only the report surface —
-objective, completion times, bound, timing and JSON-safe extras.  The
-surface round-trips losslessly; ``schedule``/``lp_solution``/``feasibility``
-come back as ``None`` with the original feasibility verdict preserved under
-``extras["store_feasible"]``.
+needed, while the sweep reads only the report surface — objective,
+completion times, bound, timing, the feasibility verdict and JSON-safe
+extras.  Of ``schedule`` and ``lp_solution`` the surface keeps only
+whether the report had one.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.api.report import SolveReport
-from repro.coflow.instance import CoflowInstance
 
-#: Version of the serialized report surface (stored in every entry; entries
-#: with a different version are treated as misses, never misparsed).
+#: Version of the serialized report surface, stored in every entry.  A
+#: surface change also bumps the store's ``FINGERPRINT_SCHEMA``, so an entry
+#: of another version is never looked up.
 REPORT_SCHEMA = 1
 
 
@@ -81,47 +79,6 @@ def report_to_dict(report: SolveReport) -> Dict:
         "had_lp_solution": report.lp_solution is not None,
         "extras": _clean_extras(report.extras),
     }
-
-
-def report_from_dict(data: Dict, instance: CoflowInstance) -> SolveReport:
-    """Rebuild the report surface for *instance* from :func:`report_to_dict`.
-
-    The caller supplies the instance (the store key already pins its
-    content, so any instance with the same fingerprint is *the* instance).
-    Heavy fields are not resurrected: ``schedule``, ``lp_solution`` and
-    ``feasibility`` are ``None``; the original verdict survives as
-    ``extras["store_feasible"]``.
-    """
-    if data.get("report_schema") != REPORT_SCHEMA:
-        raise ValueError(
-            f"unsupported report schema {data.get('report_schema')!r} "
-            f"(expected {REPORT_SCHEMA})"
-        )
-    if data["num_coflows"] != instance.num_coflows:
-        raise ValueError(
-            f"cached report has {data['num_coflows']} coflows but the "
-            f"instance has {instance.num_coflows}; wrong instance for entry"
-        )
-    extras = dict(data.get("extras", {}))
-    extras["store_feasible"] = bool(data.get("feasible", True))
-    report = SolveReport(
-        algorithm=data["algorithm"],
-        instance=instance,
-        objective=float(data["objective"]),
-        coflow_completion_times=np.asarray(
-            data["coflow_completion_times"], dtype=float
-        ),
-        lower_bound=(
-            None if data.get("lower_bound") is None else float(data["lower_bound"])
-        ),
-        solve_seconds=(
-            None
-            if data.get("solve_seconds") is None
-            else float(data["solve_seconds"])
-        ),
-        extras=extras,
-    )
-    return report
 
 
 #: Fields that record *how the run went*, not *what the result is* — they

@@ -116,6 +116,8 @@ def load_trace(path: str | Path, *, require_ordered: bool = False) -> TraceLike:
     """
     where = str(path)
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"unrecognized trace file {path} (not a JSON object)")
     kind = payload.get("kind")
     if kind == "instance":
         trace: TraceLike = _instance_from_dict(payload["data"], where=where)

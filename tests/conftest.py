@@ -128,3 +128,22 @@ def small_swan_single_instance(swan_graph, rng) -> CoflowInstance:
         model=TransmissionModel.SINGLE_PATH,
         rng=rng,
     )
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Names of the instances whose time-indexed LP
+    :func:`repro.core.scheduler.lp_solution_for` solved fresh, in call
+    order — the one path by which a shared LP is solved, and so the count
+    the "one LP per instance" guarantee is checked against."""
+    import repro.core.scheduler as scheduler
+
+    solved = []
+    original = scheduler.solve_time_indexed_lp
+
+    def counting(instance, **kwargs):
+        solved.append(instance.name)
+        return original(instance, **kwargs)
+
+    monkeypatch.setattr(scheduler, "solve_time_indexed_lp", counting)
+    return solved

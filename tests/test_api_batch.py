@@ -147,10 +147,6 @@ class TestSolveManyValidation:
         reports = solve_many(instances[:2], "fifo")
         assert [r.algorithm for r in reports] == ["fifo", "fifo"]
 
-    def test_share_lp_disabled(self, instances):
-        reports = solve_many(instances[:1], ["fifo"], share_lp=False)
-        assert reports[0].lower_bound is None
-
 
 class TestSharedLPGridKeying:
     """The shared LP is only reused for the request it answers."""
@@ -234,6 +230,19 @@ class TestSharedLPGridKeying:
             a = reports[2 * i]
             b = reports[2 * i + 1]
             assert a.lp_solution is b.lp_solution
+
+    def test_batch_solves_one_lp_per_instance(self, instances, lp_solves):
+        solve_many(
+            instances[:3],
+            CORE_ALGORITHMS + ("fifo",),
+            config=SolverConfig(rng=1, num_samples=2),
+        )
+        assert lp_solves == [instance.name for instance in instances[:3]]
+
+    def test_lp_free_batch_solves_no_lp(self, instances, lp_solves):
+        reports = solve_many(instances[:2], ("fifo", "sincronia", "terra"))
+        assert lp_solves == []
+        assert all(report.lp_solution is None for report in reports)
 
 
 class TestSolveSecondsSentinel:
@@ -345,13 +354,20 @@ class TestSolveGridThreading:
         assert grid == resolve_grid(swan_single_path, epsilon=0.2)
         assert grid != resolve_grid(swan_single_path)
 
-    def test_solve_many_shares_the_requested_grid(self, swan_single_path):
+    @pytest.mark.parametrize(
+        "grid_kwargs",
+        [{"slot_length": 0.5}, {"epsilon": 0.2}],
+        ids=["slot_length", "epsilon"],
+    )
+    def test_solve_many_shares_the_requested_grid(self, swan_single_path, grid_kwargs):
         # Regression: solve_many's shared LP dropped config fields, so core
         # reports came back on an LP the config did not ask for.
-        config = SolverConfig(slot_length=0.5, rng=0)
-        expected = resolve_grid(swan_single_path, slot_length=0.5)
+        config = SolverConfig(rng=0, **grid_kwargs)
+        expected = resolve_grid(swan_single_path, **grid_kwargs)
         reports = solve_many(
-            [swan_single_path], CORE_ALGORITHMS + ("fifo",), config=config
+            [swan_single_path],
+            CORE_ALGORITHMS + ("fifo", "jahanjou"),
+            config=config,
         )
         core = [r for r in reports if r.algorithm in CORE_ALGORITHMS]
         assert len(core) == len(CORE_ALGORITHMS)
@@ -361,6 +377,16 @@ class TestSolveGridThreading:
         single = api.solve(swan_single_path, "lp-heuristic", config=config)
         assert_solved_on_a_prefix(single.lp_solution, expected)
         assert single.lower_bound == pytest.approx(core[0].lower_bound)
+        # Jahanjou solves its own interval LP, at epsilon = 0.2 the same
+        # program as the shared one; beside the core algorithms it schedules
+        # exactly as it does alone.
+        batched = reports[-1]
+        alone = api.solve(swan_single_path, "jahanjou", config=config)
+        assert batched.algorithm == "jahanjou"
+        assert batched.objective == alone.objective
+        np.testing.assert_array_equal(
+            batched.coflow_completion_times, alone.coflow_completion_times
+        )
 
     def test_baselines_have_no_lp_solution(self):
         # An LP-free baseline solved standalone gets no shared LP.

@@ -79,6 +79,8 @@ class TestCliParser:
             ["solve", "t.json", "--strategy", "refine"],
             ["solve", "t.json", "--backend", "auto"],
             ["batch", "t.json", "--strategy", "direct"],
+            ["verify", "--store", "s"],
+            ["experiment", "fig06", "--store", "s"],
         ],
     )
     def test_rejects_removed_lp_solve_flags(self, argv):
@@ -178,6 +180,38 @@ class TestCliCommands:
         )
         assert code == 0
         assert "stretch-best" in out.getvalue()
+
+    @pytest.mark.parametrize("command", ["solve", "batch"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, '{"coflows": []}', "[1, 2]", "not json"],
+        ids=["missing", "no-graph", "list", "not-json"],
+    )
+    def test_bad_trace_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, command, content
+    ):
+        trace = tmp_path / "trace.json"
+        if content is not None:
+            trace.write_text(content)
+        assert main([command, str(trace)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not load trace {trace}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content", [None, "[1, 2]", "not json"], ids=["missing", "list", "not-json"]
+    )
+    def test_online_bad_trace_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, content
+    ):
+        trace = tmp_path / "trace.json"
+        if content is not None:
+            trace.write_text(content)
+        argv = ["online", str(trace), "--policy", "batch"]
+        assert main(argv, out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestClosedStdout:

@@ -13,6 +13,7 @@ from repro.api import UnknownAlgorithmError, solve
 from repro.core.scheduler import lp_solution_for
 from repro.core.stretch import run_stretch
 from repro.core.timeindexed import solve_time_indexed_lp
+from repro.schedule.timegrid import TimeGrid
 
 CORE_ALGORITHMS = ("lp-heuristic", "stretch", "stretch-average", "stretch-best")
 
@@ -28,6 +29,34 @@ class TestCoflowScheduler:
             "grid": first.grid.boundary_digest(),
             "solver_method": "highs",
         }
+
+    def test_equal_grid_spelled_differently_is_reused(
+        self, example_free_path_instance
+    ):
+        # The request is the grid itself, not the parameters that named it.
+        first = lp_solution_for(example_free_path_instance, num_slots=8)
+        second = lp_solution_for(
+            example_free_path_instance,
+            shared=first,
+            grid=TimeGrid.uniform(8, 1.0),
+        )
+        assert second is first
+
+    @pytest.mark.parametrize("algorithm", CORE_ALGORITHMS)
+    def test_core_algorithm_solves_no_lp_of_its_own(
+        self, example_free_path_instance, lp_solves, algorithm
+    ):
+        shared = lp_solution_for(example_free_path_instance, num_slots=8)
+        report = solve(
+            example_free_path_instance,
+            algorithm,
+            num_slots=8,
+            rng=0,
+            num_samples=3,
+            lp_solution=shared,
+        )
+        assert report.lp_solution is shared
+        assert lp_solves == ["figure4"]
 
     def test_shared_solution_of_another_instance_rejected(
         self, example_free_path_instance, example_single_path_instance

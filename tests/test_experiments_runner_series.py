@@ -128,40 +128,30 @@ class TestSincroniaSeries:
         assert "Sincronia-style BSSI" in table
 
 
-class TestRunnerStore:
-    """run_experiment(store=...) caches the deterministic algorithm series."""
+class TestRunnerLPReuse:
+    """Each workload solves its LP once; every series reads that solve."""
 
     def _config(self):
         return ExperimentConfig(
-            experiment_id="store-tiny",
-            title="tiny store-backed run",
+            experiment_id="reuse-tiny",
+            title="tiny shared-LP run",
             topology="swan",
             model=TransmissionModel.FREE_PATH,
-            workloads=("FB",),
-            series=(F.SERIES_LP_BOUND, F.SERIES_HEURISTIC, F.SERIES_FIFO),
+            workloads=("FB", "TPC-DS"),
+            series=(
+                F.SERIES_LP_BOUND,
+                F.SERIES_HEURISTIC,
+                F.SERIES_BEST_LAMBDA,
+                F.SERIES_FIFO,
+            ),
             num_coflows=3,
             seed=11,
         )
 
-    def test_repeated_run_hits_the_store(self, tmp_path):
-        from repro.store import ResultStore
+    def test_one_lp_solve_per_workload(self, lp_solves):
+        run_experiment(self._config())
+        assert lp_solves == ["reuse-tiny-FB", "reuse-tiny-TPC-DS"]
 
-        store = ResultStore(tmp_path / "store")
-        cold = run_experiment(self._config(), store=store)
-        writes_after_cold = store.writes
-        assert writes_after_cold == 2  # heuristic + fifo series
-
-        warm = run_experiment(self._config(), store=store)
-        assert store.writes == writes_after_cold  # nothing re-solved
-        assert store.hits == 2
-        assert warm.values == cold.values
-
-    def test_store_and_storeless_runs_agree(self, tmp_path):
-        from repro.store import ResultStore
-
+    def test_repeated_run_gives_identical_values(self):
         config = self._config()
-        plain = run_experiment(config)
-        stored = run_experiment(
-            config, store=ResultStore(tmp_path / "store")
-        )
-        assert stored.values == plain.values
+        assert run_experiment(config).values == run_experiment(config).values

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import repro.experiments.sweep as sweep_module
-from repro.api import SolverConfig
+from repro.api import SolverConfig, solve
 from repro.experiments.sweep import (
     InstanceSpec,
     SweepSpec,
@@ -18,7 +18,12 @@ from repro.experiments.sweep import (
     shard_units,
     sweep_status,
 )
-from repro.store import ResultStore, canonical_payload_bytes, result_key
+from repro.store import (
+    ResultStore,
+    canonical_payload_bytes,
+    report_to_dict,
+    result_key,
+)
 from repro.utils.retry import Backoff
 
 
@@ -153,6 +158,39 @@ class TestRunSweep:
         assert store.misses == 0
         assert all(u.status == "hit" for u in warm.units)
         assert result_bytes(warm) == result_bytes(run_sweep(spec, store))
+
+    def test_one_lp_solve_per_instance(self, tmp_path, lp_solves):
+        # One chunk holds every unit, so each instance's LP consumers
+        # (lp-heuristic and stretch) read one shared solve.
+        spec = tiny_spec()
+        run_sweep(spec, ResultStore(tmp_path / "store"), num_shards=1)
+        assert len(lp_solves) == len(spec.instances)
+
+    def test_warm_rerun_solves_no_lp(self, tmp_path, lp_solves):
+        spec = tiny_spec()
+        store = ResultStore(tmp_path / "store")
+        run_sweep(spec, store)
+        assert lp_solves
+        lp_solves.clear()
+        assert run_sweep(spec, store).complete
+        assert lp_solves == []
+
+    def test_stored_reports_equal_standalone_solves(self, tmp_path):
+        # A unit's stored report is the report of one plain solve under the
+        # unit's own config (its epsilon and, if randomized, its derived
+        # seed): sharing an LP within a group changes no byte.
+        spec = tiny_spec(epsilons=(None, 0.5))
+        result = run_sweep(spec, ResultStore(tmp_path / "store"))
+        instances = [ispec.build() for ispec in spec.instances]
+        for unit in result.units:
+            config = spec.config.replace(epsilon=unit.epsilon, rng=unit.rng_seed)
+            report = solve(
+                instances[unit.instance_index], unit.algorithm, config=config
+            )
+            stored = result.reports[unit.key]
+            assert canonical_payload_bytes(report_to_dict(report)) == (
+                canonical_payload_bytes(stored)
+            ), unit.describe()
 
     def test_shard_layout_never_changes_results(self, tmp_path):
         spec = tiny_spec()

@@ -1,6 +1,6 @@
 """Tests for the HiGHS engine of repro.lp.backends (programs solved in turn,
-each warm-started from its own kept basis), the simulator's linprog fallback,
-and the LPSolveCache warm-start cache of repro.lp.solver.
+each warm-started from its own kept basis) and the simulator's linprog
+fallback.
 
 The fallback coverage matters operationally: ``HighsEngine`` leans on
 ``scipy.optimize._highspy``, a *private* scipy module whose layout may change
@@ -20,8 +20,6 @@ from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
 from repro.lp.backends import HIGHS_AVAILABLE, HighsEngine, make_highs_engine
-from repro.lp.model import LinearProgram
-from repro.lp.solver import LPSolveCache, solve_lp, solver_cache
 from repro.network.topologies import gscale_topology, paper_example_topology, swan_topology
 from repro.sim.rate_allocation import RATE_TOL, RateAllocator, _FreePathTemplate
 from repro.sim.simulator import simulate_priority_schedule, static_order_priority
@@ -283,101 +281,3 @@ class TestLinprogFallback:
             atol=1e-9,
         )
         assert np.all(inc.coflow_completion_times > 0)
-
-
-# --------------------------------------------------------------------------- #
-# LPSolveCache: hits, misses, eviction, isolation of returned results
-# --------------------------------------------------------------------------- #
-def toy_program(rhs: float = 4.0) -> LinearProgram:
-    lp = LinearProgram(name=f"toy-{rhs:g}")
-    idx = lp.add_variables("x", 2, upper=3.0).indices()
-    lp.set_objective(idx, [-3.0, -2.0])
-    lp.add_constraint(idx, [1.0, 1.0], "<=", rhs)
-    return lp
-
-
-class TestLPSolveCache:
-    def test_hit_and_miss_accounting(self):
-        cache = LPSolveCache()
-        first = solve_lp(toy_program(), cache=cache)
-        second = solve_lp(toy_program(), cache=cache)
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-        assert "warm_start" not in first.metadata
-        assert second.metadata["warm_start"] == "reused"
-        assert second.objective == pytest.approx(first.objective)
-
-    def test_different_programs_do_not_collide(self):
-        cache = LPSolveCache()
-        a = solve_lp(toy_program(4.0), cache=cache)
-        b = solve_lp(toy_program(2.0), cache=cache)
-        assert cache.stats()["misses"] == 2
-        assert a.objective != pytest.approx(b.objective)
-
-    def test_hits_return_independent_copies(self):
-        cache = LPSolveCache()
-        solve_lp(toy_program(), cache=cache)
-        hit = solve_lp(toy_program(), cache=cache)
-        hit.x[:] = -1.0
-        hit.metadata["tag"] = "mutated"
-        clean = solve_lp(toy_program(), cache=cache)
-        assert np.all(clean.x >= 0.0)
-        assert "tag" not in clean.metadata
-
-    def test_lru_eviction(self):
-        cache = LPSolveCache(max_entries=2)
-        solve_lp(toy_program(4.0), cache=cache)
-        solve_lp(toy_program(3.0), cache=cache)
-        # Touch 4.0 so 3.0 becomes the least recently used entry ...
-        solve_lp(toy_program(4.0), cache=cache)
-        # ... and a third program evicts it.
-        solve_lp(toy_program(2.0), cache=cache)
-        assert len(cache) == 2
-        stats_before = cache.stats()["misses"]
-        solve_lp(toy_program(3.0), cache=cache)  # evicted above: miss again
-        solve_lp(toy_program(4.0), cache=cache)  # just evicted by 3.0: miss too
-        assert cache.stats()["misses"] == stats_before + 2
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            LPSolveCache(max_entries=0)
-
-    def test_non_optimal_results_are_not_cached(self):
-        # Regression: a transient failure must never be replayed as a
-        # permanent one.  An infeasible program solved twice under one
-        # cache is two misses and zero stored entries.
-        lp = LinearProgram(name="infeasible")
-        idx = lp.add_variables("x", 1, lower=0.0).indices()
-        lp.set_objective(idx, [1.0])
-        lp.add_constraint(idx, [1.0], "<=", -1.0)
-        cache = LPSolveCache()
-        first = solve_lp(lp, cache=cache)
-        second = solve_lp(lp, cache=cache)
-        assert not first.is_optimal and not second.is_optimal
-        assert "warm_start" not in second.metadata
-        assert len(cache) == 0
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 2}
-
-    def test_store_rejects_non_optimal_directly(self):
-        cache = LPSolveCache()
-        lp = LinearProgram(name="infeasible")
-        idx = lp.add_variables("x", 1, lower=0.0).indices()
-        lp.set_objective(idx, [1.0])
-        lp.add_constraint(idx, [1.0], "<=", -1.0)
-        failed = solve_lp(lp)
-        cache.store("some-key", failed)
-        assert len(cache) == 0
-        assert cache.lookup("some-key") is None
-
-    def test_solver_cache_context_installs_and_restores(self):
-        from repro.lp.solver import active_solver_cache
-
-        assert active_solver_cache() is None
-        with solver_cache() as outer:
-            solve_lp(toy_program())
-            solve_lp(toy_program())
-            assert outer.stats()["hits"] == 1
-            inner_cache = LPSolveCache()
-            with solver_cache(inner_cache):
-                assert active_solver_cache() is inner_cache
-            assert active_solver_cache() is outer
-        assert active_solver_cache() is None

@@ -67,6 +67,37 @@ class TestSolveLP:
         assert result.status in (LPStatus.UNBOUNDED, LPStatus.INFEASIBLE)
         assert not result.is_optimal
 
+    def test_metadata_is_the_program_size_summary(self):
+        program = knapsack_relaxation()
+        result = solve_lp(program)
+        assert result.metadata == program.size_summary()
+
+    def test_repeated_solves_are_identical(self):
+        # Every call is a fresh, deterministic solve: a caller that solves
+        # the same program twice gets the same answer to the last bit.
+        first = solve_lp(knapsack_relaxation())
+        second = solve_lp(knapsack_relaxation())
+        assert second.objective == first.objective
+        np.testing.assert_array_equal(second.x, first.x)
+
+    def test_each_solve_returns_an_independent_result(self):
+        program = knapsack_relaxation()
+        first = solve_lp(program)
+        first.x[:] = -1.0
+        first.metadata["tag"] = "mutated"
+        second = solve_lp(program)
+        assert second is not first
+        np.testing.assert_allclose(second.x, [3.0, 1.0], atol=1e-6)
+        assert "tag" not in second.metadata
+
+    def test_require_optimal_error_names_program_and_status(self):
+        lp = LinearProgram(name="planted")
+        idx = lp.add_variables("x", 1, upper=1.0).indices()
+        lp.add_constraint(idx, [1.0], ">=", 2.0)
+        with pytest.raises(LPSolverError) as excinfo:
+            solve_lp(lp, require_optimal=True)
+        assert "'planted' failed to solve: infeasible" in str(excinfo.value)
+
     def test_no_constraints_bounded_by_variable_bounds(self):
         lp = LinearProgram()
         idx = lp.add_variables("x", 2, upper=1.0).indices()

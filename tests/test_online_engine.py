@@ -24,13 +24,7 @@ from repro.online import (
     run_online_policy,
 )
 from repro.online.batch import _epoch_index
-from repro.store import (
-    ResultStore,
-    cached_solve,
-    canonical_payload_bytes,
-    report_from_dict,
-    report_to_dict,
-)
+from repro.store import ResultStore, canonical_payload_bytes, report_to_dict
 from repro.workloads.generator import random_instance
 
 
@@ -455,24 +449,14 @@ class TestOnlineStoreRoundTrip:
         # Nothing in the online extras may be elided: every value crosses
         # the JSON boundary as-is (no raw numpy arrays left).
         assert "_dropped" not in surface["extras"]
-        json.dumps(surface)  # fully serializable
-        restored = report_from_dict(surface, instance)
-        assert restored.objective == pytest.approx(report.objective)
-        assert np.allclose(
-            restored.coflow_completion_times, report.coflow_completion_times
-        )
-        assert restored.extras["first_service_times"] == (
+        restored = json.loads(json.dumps(surface))
+        assert restored == surface
+        assert restored["objective"] == report.objective
+        assert restored["coflow_completion_times"] == [
+            float(t) for t in report.coflow_completion_times
+        ]
+        assert restored["extras"]["first_service_times"] == (
             report.extras["first_service_times"]
-        )
-
-    def test_cached_solve_hits_on_second_call(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        instance = staggered_instance()
-        first = cached_solve(instance, "online-batch", store=store)
-        second = cached_solve(instance, "online-batch", store=store)
-        assert store.hits == 1 and store.writes == 1
-        assert np.allclose(
-            first.coflow_completion_times, second.coflow_completion_times
         )
 
     def test_greedy_metadata_is_json_safe(self):

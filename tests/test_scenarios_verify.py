@@ -23,6 +23,14 @@ from repro.scenarios import (
 from repro.scenarios.families import expected_model
 
 
+def without_timing(algorithms_block):
+    """A scenario block's per-algorithm outcomes without their run times."""
+    return {
+        name: {key: value for key, value in stats.items() if key != "solve_seconds"}
+        for name, stats in algorithms_block.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def small_report():
     # Budget 12 > the eight families, so every family is sampled and index 1
@@ -110,6 +118,66 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="at least one"):
             run_verification(budget=1, seed=0, algorithms=[])
 
+    def test_registered_invariant_is_checked_by_default(self):
+        from repro.scenarios.invariants import _REGISTRY, register_invariant
+
+        @register_invariant("planted-always-violated", description="test only")
+        def _always_violated(run):
+            return ["planted violation"]
+
+        try:
+            report = run_verification(budget=2, seed=0, algorithms=["fifo"])
+        finally:
+            _REGISTRY.pop("planted-always-violated", None)
+        assert "planted-always-violated" in report["invariants"]
+        assert report["summary"]["violations"] == 2
+        assert not report["summary"]["ok"]
+        for block in report["scenarios"]:
+            assert block["invariants"]["planted-always-violated"] == {
+                "ok": False,
+                "violations": ["planted violation"],
+            }
+
+    def test_registered_algorithm_runs_by_default(self):
+        import dataclasses
+
+        from repro.api.registry import _REGISTRY, get_algorithm, register_algorithm
+
+        fifo = get_algorithm("fifo").solver
+
+        @register_algorithm("planted-fifo", description="test only")
+        def _planted(instance, config, lp_solution=None):
+            report = fifo(instance, config, lp_solution)
+            return dataclasses.replace(report, algorithm="planted-fifo")
+
+        try:
+            report = run_verification(budget=2, seed=0)
+        finally:
+            _REGISTRY.pop("planted-fifo", None)
+        assert "planted-fifo" in report["summary"]["algorithms_run"]
+        for block in report["scenarios"]:
+            algorithms = block["algorithms"]
+            assert algorithms["planted-fifo"]["objective"] == (
+                algorithms["fifo"]["objective"]
+            )
+
+    def test_equivalent_selections_give_the_same_report(self, small_report):
+        # Naming the default algorithms and invariants explicitly, in
+        # another order, verifies the same thing.
+        explicit = run_verification(
+            budget=2,
+            seed=0,
+            algorithms=list(reversed(available_algorithms())),
+            invariants=list(reversed(invariant_names())),
+        )
+        for ours, theirs in zip(explicit["scenarios"], small_report["scenarios"]):
+            assert ours["scenario"] == theirs["scenario"]
+            assert ours["invariants"] == theirs["invariants"]
+            assert ours["violations"] == theirs["violations"]
+            assert without_timing(ours["algorithms"]) == (
+                without_timing(theirs["algorithms"])
+            )
+
 
 class TestVerifyScenario:
     def test_single_scenario_block_shape(self):
@@ -120,6 +188,16 @@ class TestVerifyScenario:
         for stats in block["algorithms"].values():
             assert stats["objective"] >= 0
             assert stats["feasible"]
+
+    def test_scenario_solves_one_shared_lp(self, lp_solves):
+        scenario = build_scenario("link-failure", 0, 4)
+        run = execute_scenario(
+            scenario,
+            algorithms=["lp-heuristic", "stretch", "stretch-best", "fifo"],
+        )
+        assert lp_solves == [run.instance.name]
+        for name in ("lp-heuristic", "stretch", "stretch-best"):
+            assert run.reports[name].lp_solution is run.lp_solution
 
     def test_shared_lp_honours_the_config_grid(self):
         # Regression: the shared LP dropped config fields and was solved on
@@ -324,163 +402,22 @@ class TestCli:
         assert invariants == list(invariant_names())
 
 
-class TestVerifyStore:
-    """Store-backed verification: resume + replay semantics."""
-
-    def test_repeated_run_replays_from_store(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        cold = run_verification(budget=3, seed=0, store=store)
-        assert cold["summary"]["cached_scenarios"] == 0
-        assert store.writes == 3
-
-        warm = run_verification(budget=3, seed=0, store=store)
-        assert warm["summary"]["cached_scenarios"] == 3
-        assert store.writes == 3  # nothing recomputed
-        # Identical verification content, scenario by scenario.
-        for a, b in zip(cold["scenarios"], warm["scenarios"]):
-            assert a["scenario"] == b["scenario"]
-            assert a["violations"] == b["violations"]
-            for algo in a["algorithms"]:
-                assert a["algorithms"][algo]["objective"] == pytest.approx(
-                    b["algorithms"][algo]["objective"]
-                )
-
-    def test_partial_store_resumes_the_remainder(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        run_verification(budget=2, seed=0, store=store)
-        # A wider run covers the two stored scenarios for free and only
-        # verifies the new ones.
-        wider = run_verification(budget=4, seed=0, store=store)
-        assert wider["summary"]["cached_scenarios"] == 2
-        assert store.writes == 4
-
-    def test_selections_are_part_of_the_key(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        run_verification(budget=2, seed=0, store=store)
-        narrowed = run_verification(
-            budget=2, seed=0, store=store, algorithms=["fifo"]
-        )
-        # Narrowing the algorithm selection must not replay the wider block.
-        assert narrowed["summary"]["cached_scenarios"] == 0
-        assert narrowed["summary"]["algorithms_run"] == ["fifo"]
-
-    def test_invariant_registered_after_a_stored_run_is_checked(self, tmp_path):
-        from repro.scenarios.invariants import _REGISTRY, register_invariant
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        stored = run_verification(budget=2, seed=0, algorithms=["fifo"], store=store)
-        assert stored["summary"]["ok"]
-
-        @register_invariant("planted-always-violated", description="test only")
-        def _always_violated(run):
-            return ["planted violation"]
-
-        try:
-            again = run_verification(
-                budget=2, seed=0, algorithms=["fifo"], store=store
-            )
-        finally:
-            _REGISTRY.pop("planted-always-violated", None)
-        # The default invariant set grew, so the stored blocks (which never
-        # ran the planted invariant) must not be replayed.
-        assert again["summary"]["cached_scenarios"] == 0
-        assert not again["summary"]["ok"]
-        for block in again["scenarios"]:
-            assert not block["invariants"]["planted-always-violated"]["ok"]
-
-    def test_algorithm_registered_after_a_stored_run_is_run(self, tmp_path):
-        import dataclasses
-
-        from repro.api.registry import _REGISTRY, get_algorithm, register_algorithm
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        run_verification(budget=2, seed=0, store=store)
-        fifo = get_algorithm("fifo").solver
-
-        @register_algorithm("planted-fifo", description="test only")
-        def _planted(instance, config, lp_solution=None):
-            report = fifo(instance, config, lp_solution)
-            return dataclasses.replace(report, algorithm="planted-fifo")
-
-        try:
-            again = run_verification(budget=2, seed=0, store=store)
-        finally:
-            _REGISTRY.pop("planted-fifo", None)
-        # The default algorithm set grew, so no stored block may stand in
-        # for a run that now includes the planted algorithm.
-        assert again["summary"]["cached_scenarios"] == 0
-        for block in again["scenarios"]:
-            assert "planted-fifo" in block["algorithms"]
-
-    def test_equivalent_selections_share_stored_blocks(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        run_verification(budget=2, seed=0, store=store)
-        # Explicit selections naming the same algorithms and invariants as
-        # the defaults, in another order, address the same blocks.
-        explicit = run_verification(
-            budget=2,
-            seed=0,
-            store=store,
-            algorithms=list(reversed(available_algorithms())),
-            invariants=list(reversed(invariant_names())),
-        )
-        assert explicit["summary"]["cached_scenarios"] == 2
-        assert store.writes == 2
-
-    def test_cli_store_flag(self, tmp_path, capsys):
-        store_dir = str(tmp_path / "store")
-        out_dir = str(tmp_path / "reports")
-        assert (
-            cli_main(
-                ["verify", "--budget", "2", "--seed", "0",
-                 "--store", store_dir, "--output", out_dir]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            cli_main(
-                ["verify", "--budget", "2", "--seed", "0",
-                 "--store", store_dir, "--output", out_dir]
-            )
-            == 0
-        )
-        assert "2 from store" in capsys.readouterr().out
-
-
 class TestCrashBlocksNotCached:
-    """Regression: transient crashes must be retried, never replayed."""
+    """A transient crash is a violation of its own run only."""
 
-    def test_crash_block_is_recomputed_next_run(self, tmp_path, monkeypatch):
+    def test_crash_block_is_recomputed_next_run(self, monkeypatch):
         from repro.scenarios import engine
-        from repro.store import ResultStore
         import repro.scenarios.verify as verify_mod
 
         scenario = engine.build_scenario("bursty-arrivals", 0, 0)
-        store = ResultStore(tmp_path / "store")
 
         def crashing_solve(*args, **kwargs):
             raise MemoryError("transient pressure")
 
         monkeypatch.setattr(verify_mod, "solve", crashing_solve)
-        block = verify_scenario(scenario, store=store)
+        block = verify_scenario(scenario)
         assert any(v["kind"] == "crash" for v in block["violations"])
-        assert store.writes == 0  # the failed block was not checkpointed
 
         monkeypatch.undo()
-        healed = verify_scenario(scenario, store=store)
-        assert not healed.get("cached")
+        healed = verify_scenario(scenario)
         assert healed["violations"] == []
-        assert store.writes == 1  # the clean block now is
-        replay = verify_scenario(scenario, store=store)
-        assert replay.get("cached") is True

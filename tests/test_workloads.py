@@ -180,6 +180,12 @@ class TestTraces:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    def test_non_object_trace_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_trace(path)
+
     def test_trace_summary(self):
         coflows = generate_coflows(swan_topology(), WorkloadSpec("FB", 4, seed=1))
         summary = trace_summary(coflows)
