@@ -37,7 +37,10 @@ class SolverConfig:
         Random source for the λ-sampling algorithms (``None``, an int seed,
         or a :class:`numpy.random.Generator`).
     solver_method:
-        scipy ``linprog`` method for every LP solve (``"highs"`` default).
+        :func:`scipy.optimize.linprog` method name for every LP solve
+        (``"highs"`` default).  The HiGHS methods run on scipy's HiGHS
+        directly, with ``linprog``'s options and result; any other name
+        goes to ``linprog``, which rejects an unknown one.
     num_samples:
         Number of λ draws for ``stretch-best`` / ``stretch-average``.
     compact:

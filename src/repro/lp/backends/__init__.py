@@ -4,9 +4,14 @@ Public surface:
 
 * :class:`LPSpec` — the solver-agnostic standard form of an assembled
   program;
-* :func:`solve_spec` — one cold :func:`scipy.optimize.linprog` solve of a
-  spec, reported as an :class:`~repro.lp.result.LPResult` (every
-  time-indexed LP goes through it via :func:`repro.lp.solver.solve_lp`);
+* :func:`solve_cold` — one cold solve of a spec on a fresh HiGHS
+  instance, loaded by pointer with the options ``linprog`` would set, and
+  reported as an :class:`~repro.lp.result.LPResult` (every time-indexed LP
+  goes through it via :func:`repro.lp.solver.solve_lp`);
+* :func:`solve_spec` — the same solve through
+  :func:`scipy.optimize.linprog`, bit for bit, only slower: the fallback
+  when scipy's in-process HiGHS API is unavailable or the method is not a
+  HiGHS one;
 * :class:`HighsEngine` / :func:`make_highs_engine` — one HiGHS instance
   that solves the simulator's programs in turn, each from the basis its
   caller kept; ``None`` when scipy's in-process HiGHS API is unavailable.
@@ -23,6 +28,7 @@ from repro.lp.backends.highs import (
     HighsEngine,
     HighsEngineError,
     make_highs_engine,
+    solve_cold,
 )
 from repro.lp.backends.linprog import solve_spec
 
@@ -33,5 +39,6 @@ __all__ = [
     "HighsEngineError",
     "LPSpec",
     "make_highs_engine",
+    "solve_cold",
     "solve_spec",
 ]

@@ -1,10 +1,12 @@
 """The solver-agnostic standard form every LP solve in the repository uses.
 
 An assembled :class:`~repro.lp.model.LinearProgram` reduces to an
-:class:`LPSpec`; :func:`repro.lp.backends.linprog.solve_spec` solves one
-spec once, and :class:`~repro.lp.backends.highs.HighsEngine` solves the
-simulator's compressed-column programs in turn, each from its kept basis
-(their fallback without HiGHS is an :class:`LPSpec`).  Code outside
+:class:`LPSpec`; :func:`repro.lp.backends.highs.solve_cold` solves one
+spec once on HiGHS directly (:func:`repro.lp.backends.linprog.solve_spec`
+gives the same result through ``linprog``), and
+:class:`~repro.lp.backends.highs.HighsEngine` solves the simulator's
+compressed-column programs in turn, each from its kept basis (their
+fallback without HiGHS is an :class:`LPSpec`).  Code outside
 :mod:`repro.lp.backends` never imports a solver engine directly — lint rule
 R010 enforces it.
 """
@@ -17,9 +19,11 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-#: HiGHS dual-simplex is the most robust choice for these very sparse,
-#: highly degenerate scheduling LPs; "highs" lets scipy pick between simplex
-#: and interior point.
+#: The method name of :func:`scipy.optimize.linprog`: "highs" leaves the
+#: choice between simplex and interior point to HiGHS ("highs-ds" and
+#: "highs-ipm" force one); both cold solve paths set the dual simplex
+#: strategy, the most robust choice for these very sparse, highly
+#: degenerate scheduling LPs.
 DEFAULT_METHOD = "highs"
 
 

@@ -1,10 +1,13 @@
-"""One-shot LP solves through :func:`scipy.optimize.linprog` (HiGHS).
+"""One-shot LP solves through :func:`scipy.optimize.linprog` (HiGHS): the
+fallback.
 
 This module is one of the two sanctioned homes of a direct solver-engine
-import (lint rule R010).  :func:`repro.lp.solver.solve_lp` solves every
-assembled program through :func:`solve_spec`, and the simulator falls back
-to it when the in-process HiGHS engine of :mod:`repro.lp.backends.highs` is
-unavailable.
+import (lint rule R010).  :func:`repro.lp.solver.solve_lp` solves an
+assembled program through :func:`solve_spec` only when the method is not a
+HiGHS one or scipy's in-process HiGHS API is unavailable; otherwise
+:func:`repro.lp.backends.highs.solve_cold` gives the same result without
+the wrapper.  The simulator falls back to :func:`solve_spec` when the
+in-process HiGHS engine is unavailable.
 """
 
 from __future__ import annotations

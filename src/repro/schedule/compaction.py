@@ -14,6 +14,7 @@ least the same duration.
 
 from __future__ import annotations
 
+import bisect
 from typing import List, Optional
 
 import numpy as np
@@ -69,49 +70,49 @@ def compact_schedule(
     result = schedule.copy()
     fractions = result.fractions
     edge_fractions = result.edge_fractions
-    grid = result.grid
-    release = result.instance.flow_release_times()
+    starts = result.grid.boundaries[:-1].tolist()
+    durations = result.grid.durations.tolist()
 
-    active = (fractions > tol).any(axis=0)
-    idle: List[int] = [int(s) for s in np.nonzero(~active)[0]]
+    # A move writes only into an earlier slot and clears the slot it leaves,
+    # so every busy slot still holds its original flows when the scan
+    # reaches it: one mask taken up front decides them all.
+    busy = fractions > tol
+    active = busy.any(axis=0)
+    busy_slots = np.flatnonzero(active).tolist()
+    if respect_release_times:
+        release = result.instance.flow_release_times()
+        latest_release = np.where(busy[:, busy_slots], release[:, None], -np.inf).max(
+            axis=0, initial=-np.inf
+        ).tolist()
+    # Sorted by index, so also by start.
+    idle: List[int] = np.flatnonzero(~active).tolist()
 
-    for t in range(result.num_slots):
-        if not active[t]:
-            continue
-        flows_here = np.nonzero(fractions[:, t] > tol)[0]
-        if flows_here.size == 0:
-            continue
-        latest_release = float(release[flows_here].max()) if respect_release_times else 0.0
-        target: Optional[int] = None
-        target_pos = -1
-        for pos, candidate in enumerate(idle):
+    for i, t in enumerate(busy_slots):
+        # The first idle slot that starts once every flow of slot t is out.
+        first = (
+            bisect.bisect_left(idle, latest_release[i] - 1e-12, key=starts.__getitem__)
+            if respect_release_times
+            else 0
+        )
+        target_pos: Optional[int] = None
+        for pos in range(first, len(idle)):
+            candidate = idle[pos]
             if candidate >= t:
                 break
-            if grid.slot_duration(candidate) + 1e-12 < grid.slot_duration(t):
-                continue
-            if respect_release_times and grid.slot_start(candidate) < latest_release - 1e-12:
-                continue
-            target = candidate
-            target_pos = pos
-            break
-        if target is None:
+            if durations[candidate] + 1e-12 >= durations[t]:
+                target_pos = pos
+                break
+        if target_pos is None:
             continue
         # Move the whole slot t into the idle slot `target`.
+        target = idle.pop(target_pos)
         fractions[:, target] = fractions[:, t]
         fractions[:, t] = 0.0
         if edge_fractions is not None:
             edge_fractions[:, target, :] = edge_fractions[:, t, :]
             edge_fractions[:, t, :] = 0.0
-        # Slot `target` is now busy, slot t becomes idle (and may be reused
-        # by an even later slot).
-        idle.pop(target_pos)
-        # Keep the idle list sorted by inserting t in order.
-        insert_at = 0
-        while insert_at < len(idle) and idle[insert_at] < t:
-            insert_at += 1
-        idle.insert(insert_at, t)
-        active[target] = True
-        active[t] = False
+        # Slot t becomes idle (and may be reused by an even later slot).
+        bisect.insort(idle, t)
 
     result.metadata["compacted"] = True
     return result

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.lp.backends.highs as highs_module
+import repro.lp.backends.linprog as linprog_module
+from repro.core.timeindexed import build_time_indexed_lp, solve_time_indexed_lp
+from repro.lp.backends import HIGHS_AVAILABLE
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.solver import LPSolverError, solve_lp
+from repro.network.topologies import swan_topology
+from repro.workloads.generator import WorkloadSpec, generate_instance
 
 
 def knapsack_relaxation() -> LinearProgram:
@@ -106,6 +112,58 @@ class TestSolveLP:
         result = solve_lp(lp)
         assert result.is_optimal
         assert result.objective == pytest.approx(-2.0)
+
+
+def time_indexed_program() -> LinearProgram:
+    """The free-path LP of four TPC-DS coflows on SWAN, on its certified grid."""
+    instance = generate_instance(
+        swan_topology(),
+        WorkloadSpec(profile="TPC-DS", num_coflows=4, seed=3),
+        model="free_path",
+        rng=3,
+    )
+    return build_time_indexed_lp(instance, solve_time_indexed_lp(instance).grid)[0]
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSolvePath:
+    @pytest.mark.skipif(not HIGHS_AVAILABLE, reason="scipy HiGHS API not importable")
+    @pytest.mark.parametrize("method", ["highs", "HiGHS-DS", "highs-ipm"])
+    def test_highs_methods_solve_on_highs_directly(self, monkeypatch, method):
+        cold = count_calls(monkeypatch, highs_module, "solve_cold")
+        fallback = count_calls(monkeypatch, linprog_module, "solve_spec")
+        assert solve_lp(knapsack_relaxation(), method=method).is_optimal
+        assert (len(cold), len(fallback)) == (1, 0)
+
+    def test_without_highs_linprog_solves_it_the_same(self, monkeypatch):
+        program = time_indexed_program()
+        expected = solve_lp(program)
+        monkeypatch.setattr(highs_module, "HIGHS_AVAILABLE", False)
+        cold = count_calls(monkeypatch, highs_module, "solve_cold")
+        fallback = count_calls(monkeypatch, linprog_module, "solve_spec")
+        result = solve_lp(program)
+        assert (len(cold), len(fallback)) == (0, 1)
+        assert result.status is expected.status is LPStatus.OPTIMAL
+        assert result.simplex_iterations == expected.simplex_iterations
+        assert result.objective == expected.objective
+        assert result.x.tobytes() == expected.x.tobytes()
+        assert result.metadata == program.size_summary()
+
+    def test_unknown_method_raises_value_error(self):
+        with pytest.raises(ValueError):
+            solve_lp(knapsack_relaxation(), method="not-a-backend")
 
 
 class TestLPResult:
