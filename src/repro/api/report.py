@@ -152,7 +152,8 @@ class SolveReport:
         lp_solution: Optional[CoflowLPSolution] = None,
         solve_seconds: Optional[float] = None,
     ) -> "SolveReport":
-        """Wrap a legacy :class:`BaselineResult` (comparison baselines)."""
+        """Wrap the :class:`BaselineResult` a comparison baseline returns;
+        its ``metadata`` becomes the report's ``extras``."""
         return cls(
             algorithm=result.algorithm,
             instance=result.instance,

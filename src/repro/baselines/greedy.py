@@ -8,7 +8,9 @@ benchmarks, and (c) exercise for the continuous-time simulator substrate.
 * **FIFO** — coflows ordered by release time (an "uncoordinated" cluster).
 * **Weighted SJF** — coflows ordered by standalone completion time divided by
   weight (the natural weighted shortest-job-first rule; with unit weights it
-  degenerates to SJF, the rule RAPIER-style heuristics build on).
+  degenerates to SJF, the rule RAPIER-style heuristics build on).  The same
+  static order (:func:`wsjf_order`) drives the ``online-wsjf`` policy of
+  :mod:`repro.online.policies`.
 * **SEBF** — smallest effective bottleneck first: order by standalone
   completion time, ignoring weights (the Varys rule transplanted to general
   graphs).
@@ -16,11 +18,13 @@ benchmarks, and (c) exercise for the continuous-time simulator substrate.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 from repro.baselines.result import BaselineResult
+from repro.baselines.terra import standalone_completion_times
 from repro.coflow.instance import CoflowInstance
-from repro.sim.rate_allocation import coflow_standalone_time
 from repro.sim.simulator import (
     fifo_priority,
     remaining_fraction_priority,
@@ -28,12 +32,39 @@ from repro.sim.simulator import (
     static_order_priority,
 )
 
+#: Weights at or below this are treated as zero by :func:`wsjf_ratios`.
+WEIGHT_TOL = 1e-12
 
-def _standalone_times(instance: CoflowInstance) -> np.ndarray:
-    return np.array(
-        [coflow_standalone_time(instance, j) for j in range(instance.num_coflows)],
-        dtype=float,
-    )
+
+def wsjf_ratios(standalone: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``standalone / weight`` ratios with zero/near-zero weights guarded.
+
+    A coflow whose weight underflows to (near) zero contributes nothing to
+    the objective, so it deterministically gets the *worst* ratio
+    (``inf`` — scheduled last) instead of emitting a divide RuntimeWarning
+    and letting ``0/0 = nan`` scramble the sort order.
+    """
+    weights = np.asarray(weights, dtype=float)
+    standalone = np.asarray(standalone, dtype=float)
+    ratio = np.full(standalone.shape, np.inf)
+    positive = weights > WEIGHT_TOL
+    ratio[positive] = standalone[positive] / weights[positive]
+    return ratio
+
+
+def wsjf_order(instance: CoflowInstance) -> Tuple[List[int], np.ndarray]:
+    """The static WSJF priority order with its standalone times.
+
+    Returns ``(order, standalone)``: coflow indices sorted by full-demand
+    ``standalone time / weight`` (ties by index, weights at or below
+    :data:`WEIGHT_TOL` last — see :func:`wsjf_ratios`).  The one
+    implementation behind both :func:`weighted_sjf_schedule` and the
+    ``online-wsjf`` policy, so the two can never drift apart.
+    """
+    standalone = standalone_completion_times(instance)
+    ratio = wsjf_ratios(standalone, instance.weights)
+    order = sorted(range(instance.num_coflows), key=lambda j: (ratio[j], j))
+    return order, standalone
 
 
 def fifo_schedule(instance: CoflowInstance) -> BaselineResult:
@@ -50,12 +81,10 @@ def weighted_sjf_schedule(instance: CoflowInstance) -> BaselineResult:
     """Weighted shortest job first: order by standalone time / weight.
 
     With unit weights this is plain shortest job first.  The ordering is
-    static (computed once from the full demands), which matches how such
-    heuristics are typically deployed.
+    static (computed once from the full demands, :func:`wsjf_order`), which
+    matches how such heuristics are typically deployed.
     """
-    standalone = _standalone_times(instance)
-    ratio = standalone / instance.weights
-    order = sorted(range(instance.num_coflows), key=lambda j: (ratio[j], j))
+    order, standalone = wsjf_order(instance)
     sim = simulate_priority_schedule(instance, static_order_priority(order))
     return BaselineResult(
         algorithm="weighted-sjf",
@@ -66,7 +95,7 @@ def weighted_sjf_schedule(instance: CoflowInstance) -> BaselineResult:
 
 
 def sebf_priority_fn(instance: CoflowInstance, standalone: np.ndarray):
-    """SEBF's dynamic priority as an array-based function (simulator hot path)."""
+    """SEBF's dynamic priority for the simulator."""
     return remaining_fraction_priority(
         instance, standalone, standalone_tiebreak=False
     )
@@ -80,7 +109,7 @@ def sebf_schedule(instance: CoflowInstance) -> BaselineResult:
     outstanding, so the rule behaves like shortest *remaining* bottleneck
     first as coflows drain.
     """
-    standalone = _standalone_times(instance)
+    standalone = standalone_completion_times(instance)
     sim = simulate_priority_schedule(instance, sebf_priority_fn(instance, standalone))
     return BaselineResult(
         algorithm="sebf",

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.baselines.result import BaselineResult
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.sim.rate_allocation import RATE_TOL, coflow_standalone_time
+from repro.sim.rate_allocation import coflow_standalone_time
 from repro.sim.simulator import (
     remaining_fraction_priority,
     simulate_priority_schedule,
@@ -50,7 +50,7 @@ def standalone_completion_times(instance: CoflowInstance) -> np.ndarray:
 
 
 def srtf_priority_fn(instance: CoflowInstance, standalone: np.ndarray):
-    """Terra's SRTF priority as an array-based function (simulator hot path).
+    """Terra's SRTF priority for the simulator.
 
     Remaining standalone time scales with the remaining demand fraction:
     the max-concurrent-flow structure of a coflow does not change as it
@@ -63,11 +63,7 @@ def srtf_priority_fn(instance: CoflowInstance, standalone: np.ndarray):
     )
 
 
-def terra_offline_schedule(
-    instance: CoflowInstance,
-    *,
-    record_timeline: bool = False,
-) -> BaselineResult:
+def terra_offline_schedule(instance: CoflowInstance) -> BaselineResult:
     """Run Terra's offline SRTF algorithm on a free path instance.
 
     Raises
@@ -82,9 +78,7 @@ def terra_offline_schedule(
             "the instance with instance.with_model('free_path')"
         )
     standalone = standalone_completion_times(instance)
-    sim = simulate_priority_schedule(
-        instance, srtf_priority_fn(instance, standalone), record_timeline=record_timeline
-    )
+    sim = simulate_priority_schedule(instance, srtf_priority_fn(instance, standalone))
     return BaselineResult(
         algorithm="terra",
         instance=instance,

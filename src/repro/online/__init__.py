@@ -20,15 +20,11 @@ algorithms of :mod:`repro.core`:
   (``online-batch``, ``online-batch-wc``, ``online-resolve``,
   ``online-wsjf``) carry the ``online=True`` capability flag and flow
   through ``solve()``, ``repro sweep`` and ``repro verify``;
-* :func:`~repro.online.batch.greedy_online_schedule` — the static WSJF
-  baseline as a single-shot simulator run.
+* :mod:`~repro.online.batch` — what the policies share: the result types
+  and the epoch arithmetic.
 """
 
-from repro.online.batch import (
-    BatchRecord,
-    OnlineScheduleResult,
-    greedy_online_schedule,
-)
+from repro.online.batch import BatchRecord, OnlineScheduleResult
 from repro.online.engine import OnlineEngine
 from repro.online.policies import (
     ONLINE_ALGORITHMS,
@@ -51,6 +47,5 @@ __all__ = [
     "OnlinePolicy",
     "OnlineScheduleResult",
     "WSJFPolicy",
-    "greedy_online_schedule",
     "run_online_policy",
 ]

@@ -22,8 +22,8 @@ batching constant.
 This module targets the *completion time* objective, as the paper notes that
 online *flow time* is a much harder open problem.  The framework itself runs
 as :class:`~repro.online.policies.GeometricBatchingPolicy` on the event
-engine; this module holds what the policies share: the result types, the
-epoch arithmetic and the static WSJF baseline.
+engine; this module holds what the policies share: the result types and
+the epoch arithmetic.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ import numpy as np
 # order observable.
 from repro.coflow.instance import CoflowInstance
 from repro.schedule.timegrid import relative_tol
-from repro.sim.simulator import simulate_priority_schedule, static_order_priority
-from repro.sim.rate_allocation import coflow_standalone_time
 
 #: The offline algorithms the framework's guarantees are stated for.  Any
 #: algorithm registered in :mod:`repro.api` (and supporting the instance's
@@ -149,69 +147,3 @@ def _epoch_index(release_time: float, base: float) -> int:
     # Sub-1 releases collapse into epoch 0 regardless of how negative the
     # log ratio was (epoch 0 covers all of [0, 1)).
     return max(k + 1, 0)
-
-
-#: Weights at or below this are treated as zero by :func:`wsjf_ratios`.
-WEIGHT_TOL = 1e-12
-
-
-def wsjf_ratios(standalone: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``standalone / weight`` ratios with zero/near-zero weights guarded.
-
-    A coflow whose weight underflows to (near) zero contributes nothing to
-    the objective, so it deterministically gets the *worst* ratio
-    (``inf`` — scheduled last) instead of emitting a divide RuntimeWarning
-    and letting ``0/0 = nan`` scramble the sort order.
-    """
-    weights = np.asarray(weights, dtype=float)
-    standalone = np.asarray(standalone, dtype=float)
-    ratio = np.full(standalone.shape, np.inf)
-    positive = weights > WEIGHT_TOL
-    ratio[positive] = standalone[positive] / weights[positive]
-    return ratio
-
-
-def wsjf_order(instance: CoflowInstance) -> tuple:
-    """The static WSJF priority order with its standalone times.
-
-    Returns ``(order, standalone)``: coflow indices sorted by full-demand
-    ``standalone time / weight`` (ties by index, zero weights last — see
-    :func:`wsjf_ratios`).  The one implementation behind both
-    :func:`greedy_online_schedule` and the ``online-wsjf`` policy, so the
-    two can never drift apart.
-    """
-    standalone = np.array(
-        [coflow_standalone_time(instance, j) for j in range(instance.num_coflows)]
-    )
-    ratio = wsjf_ratios(standalone, instance.weights)
-    order = sorted(range(instance.num_coflows), key=lambda j: (ratio[j], j))
-    return order, standalone
-
-
-def greedy_online_schedule(instance: CoflowInstance) -> OnlineScheduleResult:
-    """A non-clairvoyant online baseline: *static* weighted-SJF.
-
-    The priority order is computed **once**, from the full-demand standalone
-    time / weight ratio of every coflow, and held fixed for the whole run;
-    the continuous-time simulator handles releases, preemption and work
-    conservation under that static order.  (The per-arrival *re-evaluating*
-    variant — recompute priorities from remaining demand at every release —
-    is the ``online-resolve`` policy of :mod:`repro.online.policies`, run
-    through the event engine.)  Unlike the batching framework this baseline
-    never waits, so it is strong on lightly loaded instances and degrades
-    when large low-value coflows arrive early.
-    """
-    order, standalone = wsjf_order(instance)
-    sim = simulate_priority_schedule(instance, static_order_priority(order))
-    # Metadata crosses serialization boundaries (repro.store, CSV/JSON
-    # export), so it is normalized to plain JSON types here — never raw
-    # numpy arrays.
-    return OnlineScheduleResult(
-        instance=instance,
-        algorithm="online-greedy-wsjf",
-        coflow_completion_times=sim.coflow_completion_times,
-        metadata={
-            "standalone_times": [float(s) for s in standalone],
-            "order": [int(j) for j in order],
-        },
-    )

@@ -26,7 +26,10 @@ incremental re-solve    on every arrival, re-prioritize all released
                         and the schedule is executed by the incremental
                         simulator.
 non-clairvoyant WSJF    the static weighted-SJF baseline: one full-demand
-                        standalone/weight ordering, held fixed.
+                        standalone/weight ordering, held fixed — the
+                        order of :func:`repro.baselines.greedy.wsjf_order`,
+                        which the offline ``weighted-sjf`` baseline runs
+                        too.
 ======================  ====================================================
 
 The module registers four algorithms in :mod:`repro.api.registry` with the
@@ -49,14 +52,11 @@ import numpy as np
 from repro.api.registry import get_algorithm, register_algorithm
 from repro.api.report import SolveReport
 from repro.api.request import SolverConfig
+from repro.baselines.greedy import wsjf_order, wsjf_ratios
 from repro.coflow.instance import CoflowInstance
 from repro.core.timeindexed import CoflowLPSolution
 from repro.sim.rate_allocation import RATE_TOL, max_concurrent_rate
-from repro.sim.simulator import (
-    PriorityFunction,
-    array_priority,
-    static_order_priority,
-)
+from repro.sim.simulator import PriorityFunction, static_order_priority
 from repro.utils.validation import check_positive
 
 from repro.online.batch import (
@@ -64,8 +64,6 @@ from repro.online.batch import (
     OnlineScheduleResult,
     _boundary_tol,
     _epoch_index,
-    wsjf_order,
-    wsjf_ratios,
 )
 from repro.online.stream import ArrivalStream
 
@@ -156,7 +154,6 @@ class IncrementalResolvePolicy(OnlinePolicy):
         coflow_of_flow = instance.coflow_of_flow()
         state = {"released": -1, "order": list(range(num))}
 
-        @array_priority
         def priority(
             time: float, remaining: np.ndarray, inst: CoflowInstance
         ) -> List[int]:

@@ -47,7 +47,7 @@ from repro.api.registry import get_algorithm
 from repro.api.report import SolveReport
 from repro.api.request import SolverConfig
 from repro.baselines.greedy import sebf_priority_fn
-from repro.baselines.terra import srtf_priority_fn
+from repro.baselines.terra import srtf_priority_fn, standalone_completion_times
 from repro.coflow.instance import TransmissionModel
 from repro.core.timeindexed import (
     CoflowLPSolution,
@@ -59,7 +59,6 @@ from repro.core.timeindexed import (
 from repro.core.timeindexed_reference import build_time_indexed_lp_reference
 from repro.schedule.feasibility import check_feasibility
 from repro.schedule.timegrid import TimeGrid, relative_tol
-from repro.sim.rate_allocation import coflow_standalone_time
 from repro.sim.simulator import fifo_priority, simulate_priority_schedule
 
 from repro.scenarios.engine import Scenario
@@ -99,15 +98,14 @@ class ScenarioRun:
         Several invariants need this oracle (the simulator-equivalence
         priority and the baseline-ordering cross-check); each coflow costs
         one max-concurrent-flow LP solve, so the array is computed once per
-        run and shared.
+        run and shared.  It is computed on a fresh copy of the instance:
+        standalone times are memoized per instance object, and the
+        baselines that recorded theirs ran on this one, so asking it would
+        read back their memo instead of recomputing.
         """
         if self._standalone is None:
-            self._standalone = np.array(
-                [
-                    coflow_standalone_time(self.instance, j)
-                    for j in range(self.instance.num_coflows)
-                ]
-            )
+            fresh = self.instance.with_coflows(self.instance.coflows)
+            self._standalone = standalone_completion_times(fresh)
         return self._standalone
 
 

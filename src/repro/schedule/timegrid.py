@@ -41,10 +41,6 @@ def relative_tol(magnitude: float, base: float) -> float:
     return base * max(1.0, abs(magnitude))
 
 
-#: Backwards-compatible private alias (internal callers predate the rename).
-_relative_tol = relative_tol
-
-
 class TimeGrid:
     """An increasing sequence of slot boundaries ``0 = b_0 < b_1 < ... < b_T``.
 
@@ -164,7 +160,7 @@ class TimeGrid:
         """
         if time < 0:
             raise ValueError(f"time must be non-negative, got {time}")
-        if time > self.horizon + _relative_tol(self.horizon, 1e-9):
+        if time > self.horizon + relative_tol(self.horizon, 1e-9):
             raise ValueError(
                 f"time {time} is beyond the grid horizon {self.horizon}"
             )
@@ -173,7 +169,7 @@ class TimeGrid:
         # searchsorted with side='left' gives the first boundary >= time.
         idx = int(
             np.searchsorted(
-                self._bounds, time - _relative_tol(time, 1e-12), side="left"
+                self._bounds, time - relative_tol(time, 1e-12), side="left"
             )
         )
         return min(idx - 1, self.num_slots - 1)
@@ -189,7 +185,7 @@ class TimeGrid:
         if release_time < 0:
             raise ValueError("release_time must be non-negative")
         usable = np.nonzero(
-            self._bounds[1:] > release_time + _relative_tol(release_time, 1e-12)
+            self._bounds[1:] > release_time + relative_tol(release_time, 1e-12)
         )[0]
         if usable.size == 0:
             raise ValueError(

@@ -5,31 +5,26 @@ heuristics) do not work with a slotted LP schedule: they repeatedly allocate
 *rates* to flows and advance continuous time to the next completion or
 release event.  This package provides that substrate:
 
-* :mod:`repro.sim.rate_allocation` — priority-ordered rate allocation for
-  both transmission models (per-path bottleneck sharing for the single path
-  model, max-concurrent-flow LPs on residual capacity for the free path
-  model);
+* :mod:`repro.sim.rate_allocation` — per-coflow fastest-completion rates on
+  a residual network (``RateAllocator.coflow_allocation``: per-path
+  bottleneck sharing for the single path model, a max-concurrent-flow LP
+  for the free path model) and the standalone completion times built on
+  them;
 * :mod:`repro.sim.simulator` — the event loop: release events, completion
-  events, per-event re-allocation, and the resulting completion times.
+  events, a priority-ordered re-allocation at every event, and the
+  resulting completion times.  A priority function is called as
+  ``(time, remaining, instance)``.
 """
 
-from repro.sim.rate_allocation import (
-    RateAllocation,
-    allocate_rates,
-    coflow_standalone_time,
-)
+from repro.sim.rate_allocation import coflow_standalone_time
 from repro.sim.simulator import (
-    FlowState,
     SimulationResult,
     TimelineEntry,
     simulate_priority_schedule,
 )
 
 __all__ = [
-    "RateAllocation",
-    "allocate_rates",
     "coflow_standalone_time",
-    "FlowState",
     "SimulationResult",
     "TimelineEntry",
     "simulate_priority_schedule",

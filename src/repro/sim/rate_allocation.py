@@ -6,11 +6,11 @@ Two questions are answered here:
    (:func:`coflow_standalone_time`, :func:`max_concurrent_rate`) — this is
    the quantity Terra computes per coflow before ordering them by SRTF.
 2. *Given a priority order over coflows, what rate does every flow get right
-   now?* (:func:`allocate_rates`) — coflows are served greedily in priority
-   order, each receiving the rates that let it finish as early as possible on
-   the capacity left over by higher-priority coflows.  This mirrors how
-   Varys/Terra-style schedulers turn an ordering into a work-conserving rate
-   assignment.
+   now?* (:meth:`RateAllocator.coflow_allocation`, called by the simulator
+   once per coflow in priority order) — each coflow receives the rates that
+   let it finish as early as possible on the capacity left over by
+   higher-priority coflows.  This mirrors how Varys/Terra-style schedulers
+   turn an ordering into a work-conserving rate assignment.
 
 For the single path model the per-coflow allocation has a closed form (the
 coflow's flows progress proportionally to their remaining demand, limited by
@@ -45,8 +45,7 @@ blocked allocations it short-circuits (:attr:`RateAllocator.blocked`).
 
 The allocator assumes instances and their graphs are immutable once
 scheduling starts (the same assumption the instance-level array caches
-make).  The loop-based originals live in :mod:`repro.sim.reference` and are
-used as the equivalence oracle and benchmark baseline.
+make).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.coflow.instance import CoflowInstance, FlowRef, TransmissionModel
+from repro.coflow.instance import CoflowInstance, TransmissionModel
 from repro.lp.backends import (
     HighsEngine,
     HighsEngineError,
@@ -72,27 +71,6 @@ from repro.network.graph import NetworkGraph
 
 #: Rates below this threshold are treated as zero.
 RATE_TOL = 1e-9
-
-
-@dataclass
-class RateAllocation:
-    """Result of one allocation round.
-
-    Attributes
-    ----------
-    rates:
-        Rate (demand units per unit time) assigned to each flow, indexed by
-        global flow index.  Flows not in the active set get 0.
-    edge_rates:
-        Optional per-flow, per-edge rates for the free path model, shape
-        ``(num_flows, num_edges)``; used to verify capacity feasibility.
-    residual_capacity:
-        Capacity left unused on every edge after the allocation.
-    """
-
-    rates: np.ndarray
-    edge_rates: Optional[np.ndarray]
-    residual_capacity: np.ndarray
 
 
 @dataclass
@@ -173,12 +151,13 @@ def _commodity_rows(graph: NetworkGraph, source: str, sink: str) -> _CommodityRo
 class _FreePathTemplate:
     """Prebuilt max-concurrent-flow LP for one fixed set of active flows.
 
-    The program (variable order, row order, sparsity pattern, bounds) is the
-    loop-built LP of :mod:`repro.sim.reference`: variable 0 is ``alpha``,
-    then ``y[a, e]`` per active flow *a* and edge *e*; the equality rows are
-    the flows' commodity rows in order, then one capacity row per edge.
-    Only the ``-remaining`` coefficients of ``alpha`` in the source/sink
-    rows and the residual right-hand sides vary between calls.
+    Variable 0 is ``alpha``, then ``y[a, e]`` per active flow *a* and edge
+    *e*; the equality rows are the flows' commodity rows in order, then one
+    capacity row per edge.  Only the ``-remaining`` coefficients of
+    ``alpha`` in the source/sink rows and the residual right-hand sides vary
+    between calls.  The test suite's loop oracle (``tests/sim_reference.py``)
+    builds the same program row by row, and the two are compared entry for
+    entry.
 
     A template holds the program in compressed-column form and the optimal
     basis of its last solve, not a solver: every solve writes its inputs
@@ -579,136 +558,6 @@ def get_rate_allocator(instance: CoflowInstance) -> RateAllocator:
         # entry was present.
         _ALLOCATORS[instance] = allocator
     return allocator
-
-
-# --------------------------------------------------------------------------- #
-# public primitives (same signatures as the original loop implementations)
-# --------------------------------------------------------------------------- #
-def single_path_coflow_rates(
-    instance: CoflowInstance,
-    flow_refs: Sequence[FlowRef],
-    remaining: np.ndarray,
-    residual: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fastest-completion rates for one coflow's flows along pinned paths.
-
-    All flows of the coflow progress proportionally to their remaining
-    demand: flow *f* gets rate ``alpha * remaining_f`` with the largest
-    ``alpha`` such that no edge of the residual network is overloaded.
-
-    Returns ``(rates_by_global_index, usage)`` where ``usage`` has one
-    entry per edge.
-    """
-    allocator = get_rate_allocator(instance)
-    cand = np.array([r.global_index for r in flow_refs], dtype=np.int64)
-    if allocator.free_path:
-        # A free-path instance whose flows happen to carry pinned paths may
-        # still use the single-path primitive (legacy behaviour); build the
-        # incidence locally from the given refs.
-        edge_index = instance.graph.edge_index()
-        ef_list: List[int] = []
-        ee_list: List[int] = []
-        for ref in flow_refs:
-            for edge in ref.flow.path_edges():
-                ef_list.append(ref.global_index)
-                ee_list.append(edge_index[edge])
-        ef_all = np.array(ef_list, dtype=np.int64)
-        ee_all = np.array(ee_list, dtype=np.int64)
-        keep = remaining[ef_all] > RATE_TOL if ef_all.size else np.zeros(0, bool)
-        rates = np.zeros(instance.num_flows, dtype=float)
-        usage = np.zeros(allocator.num_edges, dtype=float)
-        if keep.any():
-            usage_per_alpha = np.bincount(
-                ee_all[keep],
-                weights=remaining[ef_all[keep]],
-                minlength=allocator.num_edges,
-            )
-            loaded = usage_per_alpha > RATE_TOL
-            with np.errstate(divide="ignore"):
-                alpha = max(
-                    float(np.min(residual[loaded] / usage_per_alpha[loaded])), 0.0
-                )
-            if alpha > RATE_TOL:
-                active = cand[remaining[cand] > RATE_TOL]
-                rates[active] = alpha * remaining[active]
-                usage = alpha * usage_per_alpha
-        return rates, usage
-    positions = np.nonzero(np.isin(allocator._inc_flows, cand))[0]
-    incidence = (allocator._inc_flows[positions], allocator._inc_edges[positions])
-    alloc = allocator._single_path_core(cand, incidence, remaining, residual)
-    rates = np.zeros(instance.num_flows, dtype=float)
-    rates[alloc.flow_idx] = alloc.flow_rates
-    return rates, alloc.usage.copy()
-
-
-def free_path_coflow_rates(
-    instance: CoflowInstance,
-    flow_refs: Sequence[FlowRef],
-    remaining: np.ndarray,
-    residual: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fastest-completion rates for one coflow in the free path model.
-
-    Solves the max-concurrent-flow LP: maximise ``alpha`` such that routing
-    ``alpha * remaining_f`` units per unit time for every unfinished flow *f*
-    of the coflow is a feasible multicommodity flow within the residual
-    capacities.
-
-    Returns ``(rates, per_flow_edge_rates, usage)``.
-    """
-    allocator = get_rate_allocator(instance)
-    cand = np.array([r.global_index for r in flow_refs], dtype=np.int64)
-    alloc = allocator._free_path_core(cand, remaining, residual)
-    rates = np.zeros(instance.num_flows, dtype=float)
-    flow_edge_rates = np.zeros((instance.num_flows, allocator.num_edges), dtype=float)
-    rates[alloc.flow_idx] = alloc.flow_rates
-    if alloc.flow_idx.size:
-        flow_edge_rates[alloc.flow_idx] = alloc.edge_rates
-    return rates, flow_edge_rates, alloc.usage.copy()
-
-
-def allocate_rates(
-    instance: CoflowInstance,
-    remaining: np.ndarray,
-    coflow_priority: Sequence[int],
-    *,
-    active_coflows: Optional[Sequence[int]] = None,
-) -> RateAllocation:
-    """Greedy, priority-ordered rate allocation (one simulator round).
-
-    Parameters
-    ----------
-    instance:
-        The scheduling instance (model decides the allocation primitive).
-    remaining:
-        Remaining demand of every flow (global flow index).
-    coflow_priority:
-        Coflow indices from highest to lowest priority.
-    active_coflows:
-        Coflows currently allowed to transmit (released and unfinished);
-        defaults to every coflow in *coflow_priority*.
-    """
-    allocator = get_rate_allocator(instance)
-    graph = instance.graph
-    residual = graph.capacity_vector()
-    rates = np.zeros(instance.num_flows, dtype=float)
-    edge_rates = (
-        np.zeros((instance.num_flows, graph.num_edges), dtype=float)
-        if allocator.free_path
-        else None
-    )
-    active_set = set(active_coflows if active_coflows is not None else coflow_priority)
-
-    for j in coflow_priority:
-        if j not in active_set:
-            continue
-        alloc = allocator.coflow_allocation(j, remaining, residual)
-        if alloc.flow_idx.size:
-            rates[alloc.flow_idx] = alloc.flow_rates
-            if edge_rates is not None:
-                edge_rates[alloc.flow_idx] += alloc.edge_rates
-            residual = np.clip(residual - alloc.usage, 0.0, None)
-    return RateAllocation(rates=rates, edge_rates=edge_rates, residual_capacity=residual)
 
 
 def max_concurrent_rate(

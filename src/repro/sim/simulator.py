@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time as time_module
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,22 +29,6 @@ from repro.sim.rate_allocation import (
 #: Guard against pathological event loops (should never trigger for sane
 #: priority functions: each event either releases or finishes something).
 MAX_EVENTS_FACTOR = 20
-
-
-@dataclass
-class FlowState:
-    """Mutable per-flow simulation state."""
-
-    global_index: int
-    coflow_index: int
-    demand: float
-    remaining: float
-    release_time: float
-    completion_time: Optional[float] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.remaining <= RATE_TOL
 
 
 @dataclass
@@ -98,32 +82,12 @@ class SimulationResult:
         return float(self.coflow_completion_times.max(initial=0.0))
 
 
-#: A priority function maps (simulation time, flow states, instance) to a
-#: list of coflow indices ordered from highest to lowest priority.  Only
-#: released, unfinished coflows need to be ranked; others are ignored.
-PriorityFunction = Callable[[float, Sequence[FlowState], CoflowInstance], Sequence[int]]
-
-
-def array_priority(fn):
-    """Mark a priority function as array-based (hot-path protocol).
-
-    An array-based priority function is called as ``fn(time, remaining,
-    instance)`` where *remaining* is the simulator's per-flow remaining
-    demand vector (read-only by convention) instead of the list of
-    :class:`FlowState` objects.  The simulator then skips the per-event
-    Python loop that keeps the ``FlowState.remaining`` mirrors up to date,
-    which dominates the event cost for the closed-form single path model.
-    """
-    fn.supports_arrays = True
-    return fn
-
-
-def _coflow_release_times(instance: CoflowInstance) -> np.ndarray:
-    """Earliest time each coflow may start (min over its flows' release times).
-
-    Cached on the instance (the FIFO priority asks at every event).
-    """
-    return instance.coflow_release_times()
+#: A priority function maps (simulation time, remaining demand of every
+#: flow, instance) to a list of coflow indices ordered from highest to
+#: lowest priority.  The remaining-demand vector is the simulator's own and
+#: must only be read.  Only released, unfinished coflows need to be ranked;
+#: others are ignored.
+PriorityFunction = Callable[[float, np.ndarray, CoflowInstance], Sequence[int]]
 
 
 def simulate_priority_schedule(
@@ -141,10 +105,10 @@ def simulate_priority_schedule(
     instance:
         The coflow instance (model picks the rate-allocation primitive).
     priority_fn:
-        Called at every event with the current time and flow states; returns
-        coflow indices from highest to lowest priority.  Coflows omitted from
-        the returned order are treated as lowest priority (appended in index
-        order).
+        Called at every event with the current time and the remaining demand
+        of every flow (see :data:`PriorityFunction`); returns coflow indices
+        from highest to lowest priority.  Coflows omitted from the returned
+        order are treated as lowest priority (appended in index order).
     record_timeline:
         Store the piecewise-constant rate timeline (memory-heavier; used by
         tests and examples).
@@ -180,20 +144,10 @@ def simulate_priority_schedule(
         this simulation, including any that the priority function caused),
         ``seconds`` and ``events_per_sec``.
     """
-    flow_states = [
-        FlowState(
-            global_index=ref.global_index,
-            coflow_index=ref.coflow_index,
-            demand=ref.demand,
-            remaining=ref.demand,
-            release_time=ref.release_time,
-        )
-        for ref in instance.flow_refs()
-    ]
-    num_flows = len(flow_states)
-    num_coflows = instance.num_coflows
-    coflow_release = _coflow_release_times(instance)
     remaining = np.array(instance.demands(), dtype=float)
+    num_flows = instance.num_flows
+    num_coflows = instance.num_coflows
+    coflow_release = instance.coflow_release_times()
     flow_release = instance.flow_release_times()
     # Flows sorted by release time, so the next release and the flows an
     # interval releases are binary searches.  An unreleased flow is never
@@ -237,15 +191,12 @@ def simulate_priority_schedule(
     dirty = np.ones(num_coflows, dtype=bool)
     alloc_computed = 0
     alloc_reused = 0
-    priority_wants_arrays = bool(getattr(priority_fn, "supports_arrays", False))
     wall_start = time_module.perf_counter()
 
     def finish(done: np.ndarray, at: float) -> None:
         flow_completion[done] = at
         finished_flows[done] = True
         dirty[coflow_idx[done]] = True
-        for f in done.tolist():
-            flow_states[f].completion_time = at
 
     while not finished_flows.all():
         events += 1
@@ -280,11 +231,7 @@ def simulate_priority_schedule(
             > 0
         )
 
-        if priority_wants_arrays:
-            listed_order = priority_fn(time, remaining, instance)
-        else:
-            listed_order = priority_fn(time, flow_states, instance)
-        order = np.fromiter(listed_order, dtype=np.int64)
+        order = np.fromiter(priority_fn(time, remaining, instance), dtype=np.int64)
         listed = np.zeros(num_coflows, dtype=bool)
         listed[order] = True
         if not listed.all():
@@ -362,10 +309,6 @@ def simulate_priority_schedule(
         done = moving[remaining[moving] <= RATE_TOL]
         if done.size:
             finish(done, time)
-        if not priority_wants_arrays:
-            # The FlowState mirrors only exist for legacy priority functions.
-            for f in moving.tolist():
-                flow_states[f].remaining = float(remaining[f])
         # Coflows that gained a released flow must be re-allocated.
         crossed = release_order[
             np.searchsorted(sorted_release, previous_time + 1e-12, side="right") :
@@ -417,7 +360,6 @@ def remaining_fraction_priority(
     totals = instance.coflow_total_demands()
     tiebreak = np.arange(instance.num_coflows)
 
-    @array_priority
     def priority(
         time: float, remaining: np.ndarray, inst: CoflowInstance
     ) -> List[int]:
@@ -438,12 +380,11 @@ def remaining_fraction_priority(
     return priority
 
 
-@array_priority
 def fifo_priority(
-    time: float, flow_states: Sequence[FlowState], instance: CoflowInstance
+    time: float, remaining: np.ndarray, instance: CoflowInstance
 ) -> List[int]:
     """First-released, first-served priority (ties broken by coflow index)."""
-    release = _coflow_release_times(instance)
+    release = instance.coflow_release_times()
     order = np.lexsort((np.arange(instance.num_coflows), release))
     return order.tolist()
 
@@ -452,9 +393,8 @@ def static_order_priority(order: Sequence[int]) -> PriorityFunction:
     """A priority function that always returns the same fixed order."""
     fixed = list(order)
 
-    @array_priority
     def priority(
-        time: float, flow_states: Sequence[FlowState], instance: CoflowInstance
+        time: float, remaining: np.ndarray, instance: CoflowInstance
     ) -> List[int]:
         return list(fixed)
 

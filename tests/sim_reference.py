@@ -2,35 +2,67 @@
 
 This module preserves the original (pre-optimization) per-event rate
 allocation and simulator loop of :mod:`repro.sim.rate_allocation` /
-:mod:`repro.sim.simulator` verbatim.  Like
-:mod:`repro.core.timeindexed_reference` it is an equivalence oracle:
-``tests/test_sim_incremental.py`` and
-``tests/test_sim_rate_allocation.py`` assert that the optimized allocation
-and simulator reproduce it (same event count, same piecewise-constant
-rates, same completion times).
+:mod:`repro.sim.simulator`.  Like :mod:`repro.core.timeindexed_reference`
+it is an equivalence oracle: ``test_sim_incremental.py`` and
+``test_sim_rate_allocation.py`` assert that the optimized allocation and
+simulator reproduce it (same event count, same piecewise-constant rates,
+same completion times).  The tests import it as ``sim_reference`` (pytest
+puts this directory on the import path).
 
-Not part of the public API; use :func:`repro.sim.simulate_priority_schedule`
-everywhere else.
+It keeps the original loop's own interface: a mutable :class:`FlowState`
+per flow, a priority function called as ``(time, flow_states, instance)``
+and a :class:`RateAllocation` per round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.coflow.instance import CoflowInstance, FlowRef, TransmissionModel
 from repro.lp.model import ConstraintSense, LinearProgram
 from repro.lp.solver import solve_lp
-from repro.sim.rate_allocation import RATE_TOL, RateAllocation
+from repro.sim.rate_allocation import RATE_TOL
 from repro.sim.simulator import (
     MAX_EVENTS_FACTOR,
-    FlowState,
-    PriorityFunction,
     SimulationResult,
     TimelineEntry,
-    _coflow_release_times,
 )
+
+
+@dataclass
+class FlowState:
+    """Mutable per-flow simulation state."""
+
+    global_index: int
+    coflow_index: int
+    demand: float
+    remaining: float
+    release_time: float
+    completion_time: Optional[float] = None
+
+
+@dataclass
+class RateAllocation:
+    """Result of one allocation round.
+
+    ``rates`` holds every flow's rate by global flow index (0 outside the
+    active set), ``edge_rates`` the per-flow, per-edge rates of the free
+    path model (``None`` for single path) and ``residual_capacity`` the
+    capacity left unused on every edge.
+    """
+
+    rates: np.ndarray
+    edge_rates: Optional[np.ndarray]
+    residual_capacity: np.ndarray
+
+
+#: The original loop's priority signature: (time, flow states, instance).
+ReferencePriority = Callable[
+    [float, Sequence[FlowState], CoflowInstance], Sequence[int]
+]
 
 
 def _path_edge_indices(instance: CoflowInstance, ref: FlowRef) -> List[int]:
@@ -259,7 +291,7 @@ def standalone_times_reference(instance: CoflowInstance) -> np.ndarray:
 
 def simulate_priority_schedule_reference(
     instance: CoflowInstance,
-    priority_fn: PriorityFunction,
+    priority_fn: ReferencePriority,
     *,
     record_timeline: bool = False,
     max_time: Optional[float] = None,
@@ -277,7 +309,7 @@ def simulate_priority_schedule_reference(
     ]
     num_flows = len(flow_states)
     num_coflows = instance.num_coflows
-    coflow_release = _coflow_release_times(instance)
+    coflow_release = instance.coflow_release_times()
     remaining = np.array([s.remaining for s in flow_states], dtype=float)
     flow_release = np.array([s.release_time for s in flow_states], dtype=float)
     flow_completion = np.zeros(num_flows, dtype=float)

@@ -1,14 +1,18 @@
 """Tests for the greedy priority baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.api import solve
 from repro.baselines.greedy import fifo_schedule, sebf_schedule, weighted_sjf_schedule
 from repro.baselines.result import BaselineResult
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
 from repro.network.topologies import parallel_edges_topology
+from repro.scenarios import BUILTIN_FAMILIES, build_scenario
 
 
 @pytest.fixture
@@ -60,6 +64,35 @@ class TestWeightedSJF:
         result = weighted_sjf_schedule(unweighted)
         # SJF order: urgent (1), mid (2), big (4).
         np.testing.assert_allclose(result.coflow_completion_times, [7.0, 1.0, 3.0])
+
+
+class TestOneWsjfOrder:
+    """``weighted-sjf`` and ``online-wsjf`` run the same static order."""
+
+    def test_tiny_weight_is_scheduled_last_without_warning(self):
+        # A valid (positive) weight whose ratio overflows: the coflow adds
+        # nothing to the objective, so it goes last, with no RuntimeWarning.
+        graph = parallel_edges_topology(1, capacity=1.0)
+        coflows = [
+            Coflow([Flow("x1", "y1", 1.0, path=("x1", "y1"))], weight=1e-320),
+            Coflow([Flow("x1", "y1", 2.0, path=("x1", "y1"))], weight=1.0),
+        ]
+        instance = CoflowInstance(graph, coflows, model="single_path")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = weighted_sjf_schedule(instance)
+        np.testing.assert_allclose(result.coflow_completion_times, [3.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "family, index", [(f, i) for f in BUILTIN_FAMILIES for i in (0, 1)]
+    )
+    def test_offline_and_online_completion_times_are_identical(self, family, index):
+        instance = build_scenario(family, index, 0).instance
+        offline = solve(instance, "weighted-sjf")
+        online = solve(instance, "online-wsjf")
+        np.testing.assert_array_equal(
+            offline.coflow_completion_times, online.coflow_completion_times
+        )
 
 
 class TestSebf:

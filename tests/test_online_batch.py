@@ -1,4 +1,4 @@
-"""Tests for the online batching framework and the greedy online baseline."""
+"""Tests for the online batching framework and the static WSJF baseline."""
 
 import json
 import warnings
@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import SolverConfig
+from repro.api import SolverConfig, solve
+from repro.baselines.greedy import wsjf_order, wsjf_ratios
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
@@ -14,7 +15,7 @@ from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import parallel_edges_topology, swan_topology
 from repro.online import GeometricBatchingPolicy, run_online_policy
-from repro.online.batch import _epoch_index, greedy_online_schedule, wsjf_ratios
+from repro.online.batch import _epoch_index
 from repro.workloads.generator import WorkloadSpec, generate_instance, random_instance
 
 
@@ -151,7 +152,7 @@ class TestOnlineBatchSchedule:
         assert online.num_batches >= 2
         # The greedy baseline runs in continuous time: it may beat the slotted
         # LP bound, but not by half, and stays within 3x of offline.
-        greedy = greedy_online_schedule(spread).weighted_completion_time
+        greedy = solve(spread, "online-wsjf").weighted_completion_time
         assert 0.5 * offline.objective <= greedy <= 3.0 * offline_objective
 
     def test_all_released_at_zero_gives_single_batch(self):
@@ -220,20 +221,21 @@ class TestWsjfRatios:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = greedy_online_schedule(instance)
-        assert result.metadata["order"] == [1, 0]
+            order, _ = wsjf_order(instance)
+            result = solve(instance, "online-wsjf")
+        assert order == [1, 0]
         assert result.coflow_completion_times[1] < result.coflow_completion_times[0]
 
 
 class TestGreedyOnline:
     def test_completion_after_release(self):
         instance = staggered_instance()
-        result = greedy_online_schedule(instance)
+        result = solve(instance, "online-wsjf")
         assert np.all(result.coflow_completion_times >= instance.release_times)
 
     def test_never_idles_unnecessarily(self):
         instance = staggered_instance()
-        result = greedy_online_schedule(instance)
+        result = solve(instance, "online-wsjf")
         # Total work is 4 units on a unit edge with last release at 3.0, so
         # the makespan cannot exceed 5 (work conservation).
         assert result.makespan <= 5.0 + 1e-6
@@ -241,7 +243,7 @@ class TestGreedyOnline:
     def test_batching_vs_greedy_tradeoff(self):
         instance = staggered_instance()
         batched = run_batching(instance, rng=0)
-        greedy = greedy_online_schedule(instance)
+        greedy = solve(instance, "online-wsjf")
         # The greedy baseline never waits, so on this lightly loaded instance
         # it is at least as good; the batching framework pays its waiting
         # cost in exchange for the worst-case guarantee.
@@ -250,9 +252,9 @@ class TestGreedyOnline:
     def test_metadata_is_json_serializable(self):
         """The store/export boundary: no raw numpy arrays in metadata."""
         instance = staggered_instance()
-        for result in (
-            greedy_online_schedule(instance),
-            run_batching(instance, rng=0),
+        for metadata in (
+            solve(instance, "online-wsjf").extras,
+            run_batching(instance, rng=0).metadata,
         ):
-            payload = json.dumps(result.metadata)
-            assert json.loads(payload) == result.metadata
+            payload = json.dumps(metadata)
+            assert json.loads(payload) == metadata

@@ -330,7 +330,7 @@ class TestPriorityPolicies:
         """A finished coflow's remaining time is 0 without an LP, and the
         whole order equals the one that asks every released coflow."""
         import repro.online.policies as policies
-        from repro.online.batch import wsjf_ratios
+        from repro.baselines.greedy import wsjf_ratios
         from repro.sim.rate_allocation import RATE_TOL, max_concurrent_rate
 
         instance = random_instance(
@@ -458,13 +458,6 @@ class TestOnlineStoreRoundTrip:
         assert restored["extras"]["first_service_times"] == (
             report.extras["first_service_times"]
         )
-
-    def test_greedy_metadata_is_json_safe(self):
-        from repro.online import greedy_online_schedule
-
-        result = greedy_online_schedule(staggered_instance())
-        json.dumps(result.metadata)
-        assert isinstance(result.metadata["standalone_times"], list)
 
 
 # --------------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ import pytest
 
 import repro.scenarios.invariants as invariants_module
 from repro.api.request import SolverConfig
+from repro.baselines.terra import standalone_completion_times
 from repro.scenarios import build_scenario, check_invariants, execute_scenario
 from repro.scenarios.invariants import (
     ScenarioRun,
@@ -21,6 +22,7 @@ from repro.scenarios.invariants import (
     invariant_names,
     register_invariant,
 )
+from repro.sim.rate_allocation import get_rate_allocator
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +251,32 @@ class TestOrderingBugsCaught:
         run.reports["terra"] = report
         messages = violations_of(run, "baseline-ordering")
         assert messages and "standalone times disagree" in messages[0]
+
+    @pytest.mark.parametrize(
+        "family, caught",
+        [
+            ("online-poisson", ["sebf", "terra", "weighted-sjf"]),  # free path
+            ("oversubscribed", ["sebf", "weighted-sjf"]),  # single path
+        ],
+        ids=["online-poisson", "oversubscribed"],
+    )
+    def test_poisoned_standalone_memo_is_caught(self, family, caught):
+        # Halve every memoized max-concurrent rate of the instance before
+        # the baselines run: each records doubled standalone times.  The
+        # oracle must recompute them, not read back the same memo.
+        scenario = build_scenario(family, 0, 0)
+        instance = scenario.instance
+        standalone_completion_times(instance)
+        memo = get_rate_allocator(instance)._standalone_cache
+        for key in memo:
+            memo[key] *= 0.5
+        run = execute_scenario(
+            scenario, algorithms=["terra", "weighted-sjf", "sebf"]
+        )
+        assert sorted(run.reports) == caught
+        messages = violations_of(run, "baseline-ordering")
+        assert sorted(m.split(":")[0] for m in messages) == caught
+        assert all("standalone times disagree" in m for m in messages)
 
     def test_corrupted_sincronia_order_is_caught(self, free_run):
         run = _shallow_copy(free_run)

@@ -24,23 +24,20 @@ from repro.coflow.instance import CoflowInstance, TransmissionModel
 from repro.network.topologies import paper_example_topology, parallel_edges_topology
 from repro.scenarios import BUILTIN_FAMILIES, build_scenario
 from repro.scenarios.families import expected_model
-from repro.sim.rate_allocation import (
-    allocate_rates,
-    coflow_standalone_time,
-    get_rate_allocator,
-)
-from repro.sim.reference import (
-    allocate_rates_reference,
-    fifo_priority_reference,
-    simulate_priority_schedule_reference,
-    srtf_priority_reference,
-    standalone_times_reference,
-)
+from repro.sim.rate_allocation import coflow_standalone_time, get_rate_allocator
 from repro.sim.simulator import (
     fifo_priority,
     remaining_fraction_priority,
     simulate_priority_schedule,
     static_order_priority,
+)
+
+from sim_reference import (
+    allocate_rates_reference,
+    fifo_priority_reference,
+    simulate_priority_schedule_reference,
+    srtf_priority_reference,
+    standalone_times_reference,
 )
 
 
@@ -184,17 +181,17 @@ class TestAgainstLoopReference:
         assert inc_objective == pytest.approx(ref_objective, rel=1e-3)
 
     def test_one_round_allocation_matches_reference(self):
+        # With every flow released at 0, the simulator's first interval is
+        # one allocation round over all coflows in priority order.
         for instance in (single_path_instance(), free_path_instance()):
-            remaining = instance.demands().copy()
+            instance = instance.without_release_times()
             order = list(range(instance.num_coflows))
-            new = allocate_rates(instance, remaining, order, active_coflows=order)
-            old = allocate_rates_reference(
-                instance, remaining, order, active_coflows=order
-            )
-            np.testing.assert_allclose(new.rates, old.rates, rtol=1e-6, atol=1e-8)
-            np.testing.assert_allclose(
-                new.residual_capacity, old.residual_capacity, rtol=1e-6, atol=1e-6
-            )
+            first = simulate_priority_schedule(
+                instance, static_order_priority(order), record_timeline=True
+            ).timeline[0]
+            old = allocate_rates_reference(instance, instance.demands(), order)
+            assert first.start == 0.0
+            np.testing.assert_allclose(first.rates, old.rates, rtol=1e-6, atol=1e-8)
 
 
 class TestStandaloneCache:
@@ -225,29 +222,6 @@ class TestStandaloneCache:
             instance, 0, remaining=instance.demands() * 0.5
         )
         assert halved == pytest.approx(base * 0.5)
-
-
-class TestLegacyPriorityProtocol:
-    def test_flow_state_priorities_still_work(self):
-        # A legacy (non-array) priority function keeps receiving FlowState
-        # objects with live remaining values.
-        instance = single_path_instance()
-        seen_states = []
-
-        def legacy_priority(time, flow_states, inst):
-            seen_states.append([s.remaining for s in flow_states])
-            return list(range(inst.num_coflows))
-
-        legacy = simulate_priority_schedule(instance, legacy_priority)
-        fast = simulate_priority_schedule(
-            instance, static_order_priority(range(instance.num_coflows))
-        )
-        np.testing.assert_allclose(
-            legacy.coflow_completion_times, fast.coflow_completion_times
-        )
-        # remaining values must have been updated between events
-        assert len(seen_states) >= 2
-        assert seen_states[0] != seen_states[-1]
 
 
 #: Every built-in scenario family at indices 0 and 1, which between them

@@ -4,7 +4,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-import repro.sim.reference as reference
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance, TransmissionModel
@@ -20,13 +19,34 @@ from repro.sim.rate_allocation import (
     RATE_TOL,
     RateAllocator,
     _FreePathTemplate,
-    allocate_rates,
     coflow_standalone_time,
-    free_path_coflow_rates,
+    get_rate_allocator,
     max_concurrent_rate,
-    single_path_coflow_rates,
 )
 from repro.workloads.generator import WorkloadSpec, generate_instance
+
+import sim_reference as reference
+
+
+def allocate(instance, remaining, order, residual=None):
+    """One priority-ordered allocation round, as the simulator runs it.
+
+    Each coflow of *order* in turn gets its fastest-completion allocation
+    (``RateAllocator.coflow_allocation``) on the capacity the coflows before
+    it left (all of *residual*, by default the graph's capacities, for the
+    first).  Returns ``(rates, usage, left)``: rates by global flow index,
+    the capacity used on every edge and the capacity left.
+    """
+    allocator = get_rate_allocator(instance)
+    left = instance.graph.capacity_vector() if residual is None else residual
+    rates = np.zeros(instance.num_flows)
+    usage = np.zeros(instance.graph.num_edges)
+    for j in order:
+        alloc = allocator.coflow_allocation(j, remaining, left)
+        rates[alloc.flow_idx] = alloc.flow_rates
+        usage += alloc.usage
+        left = np.clip(left - alloc.usage, 0.0, None)
+    return rates, usage, left
 
 
 @pytest.fixture
@@ -58,11 +78,7 @@ def free_instance() -> CoflowInstance:
 class TestSinglePathRates:
     def test_proportional_progress(self, disjoint_instance):
         remaining = disjoint_instance.demands()
-        residual = disjoint_instance.graph.capacity_vector()
-        refs = disjoint_instance.flows_of(0)
-        rates, usage = single_path_coflow_rates(
-            disjoint_instance, refs, remaining, residual
-        )
+        rates, usage, _ = allocate(disjoint_instance, remaining, [0])
         # alpha = min(2/4, 2/2) = 0.5 -> rates 2.0 and 1.0.
         assert rates[0] == pytest.approx(2.0)
         assert rates[1] == pytest.approx(1.0)
@@ -71,22 +87,13 @@ class TestSinglePathRates:
 
     def test_finished_flows_get_zero(self, disjoint_instance):
         remaining = np.array([0.0, 2.0, 2.0])
-        refs = disjoint_instance.flows_of(0)
-        rates, _ = single_path_coflow_rates(
-            disjoint_instance,
-            refs,
-            remaining,
-            disjoint_instance.graph.capacity_vector(),
-        )
+        rates, _, _ = allocate(disjoint_instance, remaining, [0])
         assert rates[0] == 0.0
         assert rates[1] > 0.0
 
     def test_zero_residual_gives_zero_rates(self, disjoint_instance):
         remaining = disjoint_instance.demands()
-        refs = disjoint_instance.flows_of(0)
-        rates, usage = single_path_coflow_rates(
-            disjoint_instance, refs, remaining, np.zeros(2)
-        )
+        rates, usage, _ = allocate(disjoint_instance, remaining, [0], np.zeros(2))
         assert np.all(rates == 0.0)
         assert np.all(usage == 0.0)
 
@@ -94,10 +101,8 @@ class TestSinglePathRates:
 class TestFreePathRates:
     def test_single_flow_uses_all_disjoint_paths(self, free_instance):
         remaining = free_instance.demands()
-        refs = free_instance.flows_of(0)  # blue s -> t, demand 3
-        rates, edge_rates, usage = free_path_coflow_rates(
-            free_instance, refs, remaining, free_instance.graph.capacity_vector()
-        )
+        # Coflow 0 is blue, s -> t with demand 3.
+        rates, usage, _ = allocate(free_instance, remaining, [0])
         # Max flow from s to t is 3 (three unit paths), so the whole demand
         # can ship at rate 3 (alpha = 1).
         assert rates[0] == pytest.approx(3.0, abs=1e-6)
@@ -105,11 +110,8 @@ class TestFreePathRates:
 
     def test_respects_residual_capacity(self, free_instance):
         remaining = free_instance.demands()
-        refs = free_instance.flows_of(0)
         residual = free_instance.graph.capacity_vector() * 0.5
-        rates, _, usage = free_path_coflow_rates(
-            free_instance, refs, remaining, residual
-        )
+        rates, usage, _ = allocate(free_instance, remaining, [0], residual)
         assert rates[0] == pytest.approx(1.5, abs=1e-6)
         edge_index = free_instance.graph.edge_index()
         for e, idx in edge_index.items():
@@ -117,10 +119,7 @@ class TestFreePathRates:
 
     def test_empty_active_set(self, free_instance):
         remaining = np.zeros(free_instance.num_flows)
-        refs = free_instance.flows_of(0)
-        rates, edge_rates, usage = free_path_coflow_rates(
-            free_instance, refs, remaining, free_instance.graph.capacity_vector()
-        )
+        rates, usage, _ = allocate(free_instance, remaining, [0])
         assert np.all(rates == 0.0)
         assert np.all(usage == 0.0)
 
@@ -128,41 +127,45 @@ class TestFreePathRates:
 class TestAllocateRates:
     def test_priority_order_matters(self, disjoint_instance):
         remaining = disjoint_instance.demands()
-        first = allocate_rates(disjoint_instance, remaining, [0, 1])
-        second = allocate_rates(disjoint_instance, remaining, [1, 0])
+        first, _, _ = allocate(disjoint_instance, remaining, [0, 1])
+        second, _, _ = allocate(disjoint_instance, remaining, [1, 0])
         # Coflow B (flow index 2) shares edge x1->y1 with coflow A's flow 0.
-        assert first.rates[2] < second.rates[2]
+        assert first[2] < second[2]
 
     def test_work_conservation_on_disjoint_edges(self, disjoint_instance):
         remaining = disjoint_instance.demands()
-        allocation = allocate_rates(disjoint_instance, remaining, [0, 1])
+        rates, _, _ = allocate(disjoint_instance, remaining, [0, 1])
         # Edge x2->y2 is used only by coflow A, so it should not be starved by
         # coflow B's priority position.
-        assert allocation.rates[1] > 0.0
+        assert rates[1] > 0.0
 
     def test_residual_capacity_nonnegative(self, disjoint_instance, free_instance):
         for inst in (disjoint_instance, free_instance):
-            allocation = allocate_rates(inst, inst.demands(), list(range(inst.num_coflows)))
-            assert np.all(allocation.residual_capacity >= -1e-9)
+            capacity = inst.graph.capacity_vector()
+            _, usage, left = allocate(inst, inst.demands(), range(inst.num_coflows))
+            assert np.all(left >= -1e-9)
+            assert np.all(usage <= capacity + 1e-6)
 
     def test_inactive_coflows_get_no_rate(self, disjoint_instance):
-        allocation = allocate_rates(
-            disjoint_instance,
-            disjoint_instance.demands(),
-            [0, 1],
-            active_coflows=[1],
-        )
-        assert allocation.rates[0] == 0.0
-        assert allocation.rates[1] == 0.0
-        assert allocation.rates[2] > 0.0
+        # The simulator allocates only to released, unfinished coflows: with
+        # coflow A left out, B has its edge to itself.
+        rates, _, _ = allocate(disjoint_instance, disjoint_instance.demands(), [1])
+        assert rates[0] == 0.0
+        assert rates[1] == 0.0
+        assert rates[2] == pytest.approx(2.0)
 
     def test_free_path_edge_rates_reported(self, free_instance):
-        allocation = allocate_rates(free_instance, free_instance.demands(), [0, 1])
-        assert allocation.edge_rates is not None
-        assert allocation.edge_rates.shape == (
-            free_instance.num_flows,
-            free_instance.graph.num_edges,
-        )
+        allocator = get_rate_allocator(free_instance)
+        remaining = free_instance.demands()
+        graph = free_instance.graph
+        alloc = allocator.coflow_allocation(0, remaining, graph.capacity_vector())
+        assert alloc.edge_rates.shape == (alloc.flow_idx.size, graph.num_edges)
+        np.testing.assert_allclose(alloc.usage, alloc.edge_rates.sum(axis=0))
+        # Each flow's edge rates carry its rate out of its source.
+        refs = free_instance.flow_refs()
+        for f, rate, row in zip(alloc.flow_idx, alloc.flow_rates, alloc.edge_rates):
+            sent = row[graph.out_edge_indices(refs[f].flow.source)].sum()
+            assert sent == pytest.approx(rate)
 
 
 class TestStandaloneTime:
