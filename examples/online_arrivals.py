@@ -14,23 +14,18 @@ stream of FB-style coflows arriving on SWAN and compares:
   remaining work, via warm-started LPs), and
 * the non-clairvoyant static weighted-SJF baseline.
 
-The online schedules all run through the event-driven engine of
-``repro.online`` — the same code path as the registered ``online-*``
-algorithms.  Run with::
+The online schedules are the registered ``online-*`` algorithms of
+``repro.online``, run through ``solve()`` like any offline algorithm
+(``batching_schedule`` of ``repro.online`` takes a different epoch base or
+offline algorithm).  Run with::
 
     python examples/online_arrivals.py [num_coflows]
 """
 
 import sys
 
-from repro import swan_topology
+from repro import solve, swan_topology
 from repro.core import lp_heuristic_schedule, solve_time_indexed_lp
-from repro.online import (
-    GeometricBatchingPolicy,
-    IncrementalResolvePolicy,
-    WSJFPolicy,
-    run_online_policy,
-)
 from repro.workloads import WorkloadSpec, generate_instance
 
 
@@ -55,20 +50,21 @@ def main():
 
     lp = solve_time_indexed_lp(instance)
     offline = lp_heuristic_schedule(lp).weighted_completion_time()
-    online = run_online_policy(instance, GeometricBatchingPolicy(2.0))
-    online_wc = run_online_policy(
-        instance, GeometricBatchingPolicy(2.0, early_start=True)
-    )
-    resolve = run_online_policy(instance, IncrementalResolvePolicy())
-    wsjf = run_online_policy(instance, WSJFPolicy())
+    online = solve(instance, "online-batch")
+    online_wc = solve(instance, "online-batch-wc")
+    resolve = solve(instance, "online-resolve")
+    wsjf = solve(instance, "online-wsjf")
 
     rows = [
         ("LP lower bound (offline)", lp.objective),
         ("offline LP heuristic (clairvoyant)", offline),
-        (f"online batching ({online.num_batches} batches)", online.weighted_completion_time),
-        (f"work-conserving batching ({online_wc.num_batches} batches)", online_wc.weighted_completion_time),
-        ("online re-solve (per-arrival LPs)", resolve.weighted_completion_time),
-        ("online static weighted SJF", wsjf.weighted_completion_time),
+        (f"online batching ({online.extras['num_batches']} batches)", online.objective),
+        (
+            f"work-conserving batching ({online_wc.extras['num_batches']} batches)",
+            online_wc.objective,
+        ),
+        ("online re-solve (per-arrival LPs)", resolve.objective),
+        ("online static weighted SJF", wsjf.objective),
     ]
     width = max(len(name) for name, _ in rows)
     print(f"{'algorithm'.ljust(width)} | weighted completion time | vs offline heuristic")
@@ -78,13 +74,13 @@ def main():
         print(f"{name.ljust(width)} | {value:24.1f} | {ratio:8.2f}x")
 
     print("\nbatch structure:")
-    for batch in online.batches:
+    for batch in online.extras["batches"]:
         members = ", ".join(
-            instance.coflows[j].name or f"C{j}" for j in batch.coflow_indices
+            instance.coflows[j].name or f"C{j}" for j in batch["coflow_indices"]
         )
         print(
-            f"  epoch {batch.epoch_index}: starts at t = {batch.start_time:.1f}, "
-            f"makespan {batch.makespan:.1f}, coflows [{members}]"
+            f"  epoch {batch['epoch_index']}: starts at t = {batch['start_time']:.1f}, "
+            f"makespan {batch['makespan']:.1f}, coflows [{members}]"
         )
 
     print(

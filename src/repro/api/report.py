@@ -117,10 +117,9 @@ class SolveReport:
     def competitive_ratio(self, offline_objective: float) -> float:
         """Objective divided by a clairvoyant offline objective or bound.
 
-        The online-scheduling metric: how much the policy pays for not
-        knowing future arrivals.  Returns ``inf`` for a non-positive
-        reference (mirrors
-        :meth:`repro.online.batch.OnlineScheduleResult.competitive_ratio`).
+        The online-scheduling metric: how much an ``online-*`` algorithm
+        pays for not knowing future arrivals.  Returns ``inf`` for a
+        non-positive reference.
         """
         if offline_objective <= 0:
             return float("inf")

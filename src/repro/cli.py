@@ -52,12 +52,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.api import (
     SolverConfig,
     algorithm_table,
     available_algorithms,
+    get_algorithm,
     solve,
     solve_many,
 )
@@ -66,9 +68,11 @@ from repro.experiments.export import write_csv, write_json
 from repro.experiments.figures import ALL_EXPERIMENTS, get_experiment
 from repro.experiments.reporting import format_result_table, summarize_shape_checks
 from repro.experiments.runner import run_experiment
-from repro.network.topologies import gscale_topology, named_topology, swan_topology
+from repro.network.topologies import TOPOLOGY_NAMES, named_topology, swan_topology
+from repro.online import batching_schedule
 from repro.workloads.generator import WorkloadSpec, generate_instance
 from repro.workloads.profiles import BENCHMARK_NAMES
+from repro.workloads.traces import load_trace, replay_coflows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,31 +313,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_topologies(out) -> int:
-    for name, graph in (("swan", swan_topology()), ("gscale", gscale_topology())):
+    for name in TOPOLOGY_NAMES:
+        graph = named_topology(name)
         print(
-            f"{name:<8s} {graph.name:<10s} nodes={graph.num_nodes:<3d} "
+            f"{name:<23s} {graph.name:<15s} nodes={graph.num_nodes:<3d} "
             f"directed edges={graph.num_edges:<3d} "
             f"total capacity={graph.total_capacity():g}",
             file=out,
         )
-    print(
-        "helper topologies: paper-example, figure-1, star, line, ring, "
-        "parallel-edges, switch-fabric (see repro.network.topologies)",
-        file=out,
-    )
     return 0
 
 
 def _cmd_generate(args, out) -> int:
-    graph = named_topology(args.topology)
-    spec = WorkloadSpec(
-        profile=args.workload,
-        num_coflows=args.num_coflows,
-        weighted=not args.unweighted,
-        demand_scale=args.demand_scale,
-        seed=args.seed,
-    )
-    instance = generate_instance(graph, spec, model=args.model, rng=args.seed)
+    try:
+        graph = named_topology(args.topology)
+        spec = WorkloadSpec(
+            profile=args.workload,
+            num_coflows=args.num_coflows,
+            weighted=not args.unweighted,
+            demand_scale=args.demand_scale,
+            seed=args.seed,
+        )
+        instance = generate_instance(graph, spec, model=args.model, rng=args.seed)
+    except (KeyError, ValueError) as exc:  # unknown topology, bad size knob
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     instance.save_json(args.output)
     print(
         f"wrote {instance.num_coflows} coflows / {instance.num_flows} flows "
@@ -456,7 +460,11 @@ def _cmd_batch(args, out) -> int:
 
 def _cmd_experiment(args, out) -> int:
     config = get_experiment(args.experiment_id)
-    result = run_experiment(config, scale=args.scale)
+    try:
+        result = run_experiment(config, scale=args.scale)
+    except ValueError as exc:  # non-positive --scale, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_result_table(result), file=out)
     checks = summarize_shape_checks(result)
     if checks:
@@ -587,24 +595,17 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_online(args, out) -> int:
-    from repro.online import (
-        ArrivalStream,
-        GeometricBatchingPolicy,
-        IncrementalResolvePolicy,
-        OnlineEngine,
-        WSJFPolicy,
-    )
-
     if (args.trace is None) == (args.family is None):
         print(
             "error: give exactly one input — a trace path or --family",
             file=sys.stderr,
         )
         return 2
+    batching = args.policy in ("batch", "batch-wc")
     # Flags that only the batching policies read must not be silently
     # ignored: a "comparison across bases" that never varied anything is
     # worse than an error.
-    if args.policy in ("resolve", "wsjf"):
+    if not batching:
         if args.base is not None:
             print(
                 f"error: --base only applies to the batching policies, "
@@ -622,51 +623,71 @@ def _cmd_online(args, out) -> int:
             return 2
     try:
         if args.family is not None:
-            stream = ArrivalStream.from_scenario(
-                args.family, args.index, args.root_seed
-            )
+            from repro.scenarios.engine import build_scenario
+
+            input_name = f"{args.family}#{args.index}@{args.root_seed}"
+            scenario = build_scenario(args.family, args.index, args.root_seed)
+            instance = scenario.instance
         else:
-            stream = ArrivalStream.from_trace(args.trace)
-        if args.policy in ("batch", "batch-wc"):
-            policy = GeometricBatchingPolicy(
-                args.base if args.base is not None else 2.0,
+            input_name = f"trace:{Path(args.trace).stem}"
+            instance = load_trace(args.trace)
+            if not isinstance(instance, CoflowInstance):
+                # A bare coflow trace (what `scenarios convert-fb` writes)
+                # is replayed onto SWAN, its foreign endpoints remapped by a
+                # generator seeded from --seed.
+                instance = replay_coflows(
+                    instance, swan_topology(), rng=args.seed, name=input_name
+                )
+        # Before any solving: a bad offline algorithm must not surface only
+        # after the online run, from the clairvoyant comparison.
+        get_algorithm(args.offline_algorithm).check_supports(instance.model)
+        config = SolverConfig(slot_length=args.slot_length, rng=args.seed)
+        default_knobs = args.base is None and args.offline_algorithm == "lp-heuristic"
+        if batching and not default_knobs:
+            report = batching_schedule(
+                instance,
+                config,
+                base=args.base if args.base is not None else 2.0,
                 offline_algorithm=args.offline_algorithm,
                 early_start=args.policy == "batch-wc",
             )
-        elif args.policy == "resolve":
-            policy = IncrementalResolvePolicy()
         else:
-            policy = WSJFPolicy()
-        config = SolverConfig(slot_length=args.slot_length, rng=args.seed)
-        result = OnlineEngine(stream, config=config).run(policy)
+            report = solve(instance, f"online-{args.policy}", config=config)
     except (OSError, KeyError, ValueError) as exc:
-        # Missing trace file, unknown family/offline algorithm, bad base.
+        # Missing trace file, unknown family/offline algorithm, model
+        # mismatch, bad base.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    instance = stream.instance
-    print(f"stream            : {stream}", file=out)
-    print(f"policy            : {result.algorithm}", file=out)
+    release = instance.coflow_release_times()
     print(
-        f"objective         : {result.weighted_completion_time:.3f} "
-        f"(makespan {result.makespan:.3f})",
+        f"input             : {input_name} ({instance.num_coflows} arrivals, "
+        f"span [0, {release.max(initial=0.0):g}])",
         file=out,
     )
-    if result.batches:
-        print(f"batches           : {result.num_batches}", file=out)
-        for batch in result.batches:
+    print(f"policy            : {report.extras['policy']}", file=out)
+    print(
+        f"objective         : {report.objective:.3f} "
+        f"(makespan {report.makespan:.3f})",
+        file=out,
+    )
+    batches = report.extras.get("batches", [])
+    if batches:
+        print(f"batches           : {len(batches)}", file=out)
+        for batch in batches:
             members = ", ".join(
-                instance.coflows[j].name or f"C{j}" for j in batch.coflow_indices
+                instance.coflows[j].name or f"C{j}" for j in batch["coflow_indices"]
             )
             print(
-                f"  epoch {batch.epoch_index:<3d} start t={batch.start_time:<8.3f} "
-                f"makespan {batch.makespan:<8.3f} [{members}]",
+                f"  epoch {batch['epoch_index']:<3d} "
+                f"start t={batch['start_time']:<8.3f} "
+                f"makespan {batch['makespan']:<8.3f} [{members}]",
                 file=out,
             )
     if args.compare_offline:
         # The same config as the online run, so the clairvoyant baseline
         # never silently solves under different knobs.
         offline = solve(instance, args.offline_algorithm, config=config)
-        ratio = result.competitive_ratio(offline.objective)
+        ratio = report.competitive_ratio(offline.objective)
         bound = (
             "n/a" if offline.lower_bound is None else f"{offline.lower_bound:.3f}"
         )

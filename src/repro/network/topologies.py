@@ -20,7 +20,7 @@ example in the paper's Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.network.graph import NetworkGraph
 from repro.utils.validation import check_positive
@@ -234,10 +234,21 @@ def parallel_edges_topology(
     return graph
 
 
+#: The names :func:`named_topology` accepts, one canonical spelling each
+#: (it also takes a few aliases, e.g. ``b4`` for ``gscale``).
+TOPOLOGY_NAMES: Tuple[str, ...] = (
+    "swan",
+    "gscale",
+    "paper-example",
+    "figure-1",
+    "fat-tree",
+    "fat-tree-oversubscribed",
+)
+
+
 def named_topology(name: str, capacity_scale: float = 1.0) -> NetworkGraph:
     """Look up a topology by the name used in experiment configurations."""
     key = name.strip().lower().replace("_", "-")
-    builders: Dict[str, NetworkGraph] = {}
     if key in ("swan", "microsoft-swan"):
         return swan_topology(capacity_scale)
     if key in ("gscale", "g-scale", "b4"):
@@ -251,6 +262,6 @@ def named_topology(name: str, capacity_scale: float = 1.0) -> NetworkGraph:
     if key in ("fat-tree-oversubscribed", "oversubscribed"):
         return fat_tree_topology(host_capacity=capacity_scale, oversubscription=4.0)
     raise KeyError(
-        f"unknown topology {name!r}; expected one of 'swan', 'gscale', "
-        "'paper-example', 'figure-1', 'fat-tree', 'fat-tree-oversubscribed'"
+        f"unknown topology {name!r}; expected one of "
+        + ", ".join(repr(known) for known in TOPOLOGY_NAMES)
     )

@@ -474,8 +474,8 @@ BUILTIN_FAMILIES = (
 
 #: The arrival-driven families — the default sample set when specifically
 #: exercising the online policies (``repro verify --family ...`` in the
-#: nightly online job, :meth:`repro.online.stream.ArrivalStream.from_scenario`
-#: demos).  Both carry the ``"online"`` tag in the registry.
+#: nightly online job, ``repro online --family ...`` demos).  Both carry the
+#: ``"online"`` tag in the registry.
 ONLINE_FAMILIES = (
     "online-poisson",
     "bursty-arrivals",

@@ -35,7 +35,7 @@ def relative_tol(magnitude: float, base: float) -> float:
 
     This is *the* boundary-tolerance discipline for time comparisons —
     shared by the grid methods below, the online epoch computation
-    (:mod:`repro.online.batch`) and the online verification invariants —
+    (:mod:`repro.online.engine`) and the online verification invariants —
     so a future tolerance change has exactly one site.
     """
     return base * max(1.0, abs(magnitude))

@@ -198,6 +198,36 @@ class TestCliCommands:
         assert err.startswith(f"error: could not load trace {trace}: ")
         assert "Traceback" not in err
 
+    def test_every_listed_topology_generates(self, tmp_path):
+        out = io.StringIO()
+        assert main(["topologies"], out=out) == 0
+        names = [line.split()[0] for line in out.getvalue().splitlines()]
+        assert "fat-tree" in names and "fat-tree-oversubscribed" in names
+        for name in names:
+            trace = tmp_path / f"{name}.json"
+            argv = ["generate", str(trace), "--topology", name, "--num-coflows", "2"]
+            assert main(argv, out=io.StringIO()) == 0, name
+            assert trace.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "{out}", "--topology", "star"],
+            ["generate", "{out}", "--num-coflows", "0"],
+            ["generate", "{out}", "--demand-scale", "-1"],
+            ["experiment", "fig06", "--scale", "0"],
+        ],
+        ids=["unknown-topology", "no-coflows", "negative-demand-scale", "zero-scale"],
+    )
+    def test_bad_knob_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        trace = tmp_path / "trace.json"
+        argv = [arg.format(out=trace) for arg in argv]
+        assert main(argv, out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not trace.exists()
+
     @pytest.mark.parametrize(
         "content", [None, "[1, 2]", "not json"], ids=["missing", "list", "not-json"]
     )

@@ -14,8 +14,8 @@ from repro.coflow.instance import CoflowInstance
 from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import parallel_edges_topology, swan_topology
-from repro.online import GeometricBatchingPolicy, run_online_policy
-from repro.online.batch import _epoch_index
+from repro.online import batching_schedule
+from repro.online.engine import _epoch_index
 from repro.workloads.generator import WorkloadSpec, generate_instance, random_instance
 
 
@@ -23,8 +23,12 @@ def run_batching(
     instance, *, base=2.0, offline_algorithm="lp-heuristic", rng=None
 ):
     """The geometric batching policy (``online-batch``) run on *instance*."""
-    policy = GeometricBatchingPolicy(base, offline_algorithm=offline_algorithm)
-    return run_online_policy(instance, policy, config=SolverConfig(rng=rng))
+    return batching_schedule(
+        instance,
+        SolverConfig(rng=rng),
+        base=base,
+        offline_algorithm=offline_algorithm,
+    )
 
 
 def staggered_instance() -> CoflowInstance:
@@ -110,20 +114,24 @@ class TestOnlineBatchSchedule:
         result = run_batching(instance, rng=0)
         release = instance.release_times
         assert np.all(result.coflow_completion_times > release)
-        for batch in result.batches:
-            assert batch.start_time >= batch.epoch_end - 1e-9
+        for batch in result.extras["batches"]:
+            assert batch["start_time"] >= batch["epoch_end"] - 1e-9
 
     def test_batches_do_not_overlap(self):
         instance = staggered_instance()
         result = run_batching(instance, rng=0)
-        ordered = sorted(result.batches, key=lambda b: b.start_time)
+        ordered = sorted(result.extras["batches"], key=lambda b: b["start_time"])
         for earlier, later in zip(ordered, ordered[1:]):
-            assert later.start_time >= earlier.start_time + earlier.makespan - 1e-9
+            assert (
+                later["start_time"]
+                >= earlier["start_time"] + earlier["makespan"] - 1e-9
+            )
 
     def test_every_coflow_assigned_to_exactly_one_batch(self):
         instance = staggered_instance()
         result = run_batching(instance, rng=0)
-        assigned = [j for batch in result.batches for j in batch.coflow_indices]
+        batches = result.extras["batches"]
+        assigned = [j for batch in batches for j in batch["coflow_indices"]]
         assert sorted(assigned) == list(range(instance.num_coflows))
 
     def test_objective_at_least_offline(self):
@@ -149,7 +157,7 @@ class TestOnlineBatchSchedule:
             # a factor of 4 is a generous envelope.
             assert online.weighted_completion_time <= 4.0 * offline_objective
         # From here on, offline and online are the spread instance's.
-        assert online.num_batches >= 2
+        assert online.extras["num_batches"] >= 2
         # The greedy baseline runs in continuous time: it may beat the slotted
         # LP bound, but not by half, and stays within 3x of offline.
         greedy = solve(spread, "online-wsjf").weighted_completion_time
@@ -161,8 +169,8 @@ class TestOnlineBatchSchedule:
             graph, num_coflows=3, with_release_times=False, model="free_path", rng=3
         )
         result = run_batching(instance, rng=0)
-        assert result.num_batches == 1
-        assert result.metadata["num_epochs"] == 1
+        assert result.extras["num_batches"] == 1
+        assert result.extras["num_epochs"] == 1
 
     def test_stretch_offline_algorithm_accepted(self):
         instance = staggered_instance()
@@ -191,7 +199,7 @@ class TestOnlineBatchSchedule:
         # With base 8 all three releases fall into at most two epochs ending
         # no earlier than with base 2, so the late coflows cannot finish
         # earlier than in the base-2 run's last batch start.
-        assert slow.num_batches <= fast.num_batches
+        assert slow.extras["num_batches"] <= fast.extras["num_batches"]
 
 
 class TestWsjfRatios:
@@ -254,7 +262,7 @@ class TestGreedyOnline:
         instance = staggered_instance()
         for metadata in (
             solve(instance, "online-wsjf").extras,
-            run_batching(instance, rng=0).metadata,
+            run_batching(instance, rng=0).extras,
         ):
             payload = json.dumps(metadata)
             assert json.loads(payload) == metadata

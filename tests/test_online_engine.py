@@ -1,42 +1,36 @@
-"""The event-driven online scheduling subsystem: streams, engine, policies,
-registry integration, store round-trips and resumable online sweeps."""
+"""The online scheduling algorithms: the batching event loop, the priority
+policies, the ``repro online`` command, registry integration, store
+round-trips and resumable online sweeps."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from repro.api import SolverConfig, available_algorithms, get_algorithm, solve, solve_many
+from repro.cli import main
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
 from repro.experiments.sweep import InstanceSpec, SweepSpec, run_sweep
 from repro.network.topologies import parallel_edges_topology, swan_topology
-from repro.online import (
-    ONLINE_ALGORITHMS,
-    ArrivalStream,
-    BatchRecord,
-    GeometricBatchingPolicy,
-    IncrementalResolvePolicy,
-    OnlineEngine,
-    OnlineScheduleResult,
-    WSJFPolicy,
-    run_online_policy,
-)
-from repro.online.batch import _epoch_index
+from repro.online import batching_schedule, resolve_priority
+from repro.online.engine import _epoch_index
+from repro.scenarios.engine import build_scenario
 from repro.store import ResultStore, canonical_payload_bytes, report_to_dict
 from repro.workloads.generator import random_instance
+from repro.workloads.traces import load_trace, save_trace
 
 
-def online_batch_schedule(
-    instance: CoflowInstance, *, base: float = 2.0, rng=None
-) -> OnlineScheduleResult:
-    """Oracle for the engine: geometric batching as one sequential loop.
+def online_batch_schedule(instance: CoflowInstance, *, base: float = 2.0, rng=None):
+    """Oracle for the event loop: geometric batching as one sequential loop.
 
     Every epoch's releases form one batch, solved by the offline LP
     heuristic with releases reset, and started once the epoch has closed
     and the previous batch has drained — the doubling framework with no
-    event queue, which the engine must reproduce exactly.
+    event queue, which :func:`batching_schedule` must reproduce exactly.
+    Returns the completion times and one record per batch.
     """
     config = SolverConfig(rng=rng)
     epochs = {}
@@ -67,25 +61,16 @@ def online_batch_schedule(
             completion[j] = batch_start + float(batch_times[local_j])
         makespan = float(batch_times.max(initial=0.0))
         batches.append(
-            BatchRecord(
-                epoch_index=epoch,
-                epoch_end=epoch_end,
-                start_time=batch_start,
-                makespan=makespan,
-                coflow_indices=list(members),
-                offline_objective=report.objective,
-                lp_lower_bound=report.lower_bound,
-            )
+            {
+                "epoch_index": epoch,
+                "epoch_end": epoch_end,
+                "start_time": batch_start,
+                "makespan": makespan,
+                "coflow_indices": list(members),
+            }
         )
         current_time = batch_start + makespan
-
-    return OnlineScheduleResult(
-        instance=instance,
-        algorithm="online-batch[lp-heuristic]",
-        coflow_completion_times=completion,
-        batches=batches,
-        metadata={"base": base, "num_epochs": len(epochs)},
-    )
+    return completion, batches
 
 
 def staggered_instance() -> CoflowInstance:
@@ -118,73 +103,21 @@ def single_coflow_instance(release: float = 0.0) -> CoflowInstance:
     return CoflowInstance(graph, [coflow], model="free_path")
 
 
-ALL_POLICIES = [
-    GeometricBatchingPolicy(2.0),
-    GeometricBatchingPolicy(2.0, early_start=True),
-    IncrementalResolvePolicy(),
-    WSJFPolicy(),
-]
-
-
 # --------------------------------------------------------------------------- #
-# streams
-# --------------------------------------------------------------------------- #
-class TestArrivalStream:
-    def test_arrivals_are_time_ordered_with_index_ties(self):
-        stream = ArrivalStream.from_instance(staggered_instance())
-        times = [a.time for a in stream.arrivals]
-        assert times == sorted(times)
-        assert [a.coflow_index for a in stream.arrivals] == [0, 1, 2]
-        assert stream.num_arrivals == 3
-        assert stream.last_arrival_time == 3.0
-
-    def test_from_scenario_is_bit_reproducible(self):
-        a = ArrivalStream.from_scenario("online-poisson", 2, 99)
-        b = ArrivalStream.from_scenario("online-poisson", 2, 99)
-        assert [x.time for x in a.arrivals] == [x.time for x in b.arrivals]
-        assert np.array_equal(a.instance.demands(), b.instance.demands())
-        assert np.array_equal(
-            a.instance.coflow_release_times(), b.instance.coflow_release_times()
-        )
-
-    def test_from_trace_roundtrip(self, tmp_path):
-        instance = staggered_instance()
-        path = tmp_path / "trace.json"
-        instance.save_json(path)
-        stream = ArrivalStream.from_trace(path)
-        assert stream.num_arrivals == instance.num_coflows
-        assert np.array_equal(
-            stream.instance.coflow_release_times(),
-            instance.coflow_release_times(),
-        )
-
-    def test_from_trace_replays_foreign_endpoints(self, tmp_path):
-        from repro.workloads.traces import save_trace
-
-        instance = staggered_instance()  # x1/y1 are foreign to SWAN
-        path = tmp_path / "coflows.json"
-        save_trace(list(instance.coflows), path)
-        stream = ArrivalStream.from_trace(path, swan_topology(), rng=0)
-        assert set(stream.instance.graph.nodes) == set(swan_topology().nodes)
-        assert stream.num_arrivals == instance.num_coflows
-
-
-# --------------------------------------------------------------------------- #
-# the engine's batching loop
+# the batching event loop
 # --------------------------------------------------------------------------- #
 class TestBatchingEngine:
     def test_engine_reproduces_legacy_batching_exactly(self):
         instance = staggered_instance()
-        legacy = online_batch_schedule(instance, rng=0)
-        engine = run_online_policy(instance, GeometricBatchingPolicy(2.0))
-        assert np.allclose(
-            legacy.coflow_completion_times, engine.coflow_completion_times
-        )
-        assert [b.epoch_index for b in legacy.batches] == [
-            b.epoch_index for b in engine.batches
+        legacy_times, legacy_batches = online_batch_schedule(instance, rng=0)
+        engine = batching_schedule(instance)
+        assert np.allclose(legacy_times, engine.coflow_completion_times)
+        batches = engine.extras["batches"]
+        assert [b["epoch_index"] for b in legacy_batches] == [
+            b["epoch_index"] for b in batches
         ]
-        assert [b.start_time for b in legacy.batches] == pytest.approx(
-            [b.start_time for b in engine.batches]
+        assert [b["start_time"] for b in legacy_batches] == pytest.approx(
+            [b["start_time"] for b in batches]
         )
 
     def test_engine_matches_legacy_on_random_releases(self):
@@ -195,34 +128,49 @@ class TestBatchingEngine:
             model="free_path",
             rng=11,
         )
-        legacy = online_batch_schedule(instance, rng=0)
-        engine = run_online_policy(instance, GeometricBatchingPolicy(2.0))
-        assert np.allclose(
-            legacy.coflow_completion_times, engine.coflow_completion_times
-        )
+        legacy_times, _ = online_batch_schedule(instance, rng=0)
+        engine = batching_schedule(instance)
+        assert np.allclose(legacy_times, engine.coflow_completion_times)
 
     def test_batches_never_overlap_and_start_after_releases(self):
         instance = staggered_instance()
-        result = run_online_policy(instance, GeometricBatchingPolicy(2.0))
+        batches = batching_schedule(instance).extras["batches"]
         release = instance.coflow_release_times()
-        ordered = sorted(result.batches, key=lambda b: b.start_time)
+        ordered = sorted(batches, key=lambda b: b["start_time"])
         for earlier, later in zip(ordered, ordered[1:]):
-            assert later.start_time >= earlier.start_time + earlier.makespan - 1e-9
-        for batch in result.batches:
-            for j in batch.coflow_indices:
-                assert batch.start_time >= release[j] - 1e-9
+            assert (
+                later["start_time"]
+                >= earlier["start_time"] + earlier["makespan"] - 1e-9
+            )
+        for batch in batches:
+            for j in batch["coflow_indices"]:
+                assert batch["start_time"] >= release[j] - 1e-9
+
+    def test_batch_members_arrive_in_release_order_ties_by_index(self):
+        graph = parallel_edges_topology(1, capacity=1.0)
+        coflows = [
+            Coflow(
+                [Flow("x1", "y1", 1.0, path=("x1", "y1"), release_time=release)],
+                release_time=release,
+                name=f"c{j}",
+            )
+            for j, release in enumerate((1.5, 1.0, 1.5, 1.2))
+        ]
+        instance = CoflowInstance(graph, coflows, model="free_path")
+        # All four fall into epoch [1, 2) and form one batch, whose members
+        # are listed in arrival order: by release time, ties by index.
+        (batch,) = batching_schedule(instance).extras["batches"]
+        assert batch["coflow_indices"] == [1, 3, 0, 2]
 
     def test_work_conserving_dispatches_when_idle(self):
         instance = staggered_instance()
-        plain = run_online_policy(instance, GeometricBatchingPolicy(2.0))
-        wc = run_online_policy(
-            instance, GeometricBatchingPolicy(2.0, early_start=True)
-        )
+        plain = batching_schedule(instance)
+        wc = batching_schedule(instance, early_start=True)
         # The link is idle at t = 0 when the first coflow arrives: the
         # work-conserving variant starts immediately instead of waiting for
         # the epoch boundary, so nothing finishes later than in the plain run.
-        assert wc.batches[0].start_time == pytest.approx(0.0)
-        assert plain.batches[0].start_time == pytest.approx(1.0)
+        assert wc.extras["batches"][0]["start_time"] == pytest.approx(0.0)
+        assert plain.extras["batches"][0]["start_time"] == pytest.approx(1.0)
         assert np.all(
             wc.coflow_completion_times <= plain.coflow_completion_times + 1e-9
         )
@@ -235,61 +183,46 @@ class TestBatchingEngine:
             model="free_path",
             rng=3,
         )
-        wc = run_online_policy(
-            instance, GeometricBatchingPolicy(2.0, early_start=True)
-        )
-        assert wc.num_batches == 1
-        assert wc.batches[0].start_time == pytest.approx(0.0)
-        assert sorted(wc.batches[0].coflow_indices) == [0, 1, 2]
+        wc = batching_schedule(instance, early_start=True)
+        assert wc.extras["num_batches"] == 1
+        (batch,) = wc.extras["batches"]
+        assert batch["start_time"] == pytest.approx(0.0)
+        assert sorted(batch["coflow_indices"]) == [0, 1, 2]
 
     def test_every_coflow_lands_in_exactly_one_batch(self):
         instance = staggered_instance()
-        for policy in (
-            GeometricBatchingPolicy(2.0),
-            GeometricBatchingPolicy(2.0, early_start=True),
-            GeometricBatchingPolicy(3.0),
-        ):
-            result = run_online_policy(instance, policy)
-            assigned = sorted(
-                j for b in result.batches for j in b.coflow_indices
-            )
+        for kwargs in ({}, {"early_start": True}, {"base": 3.0}):
+            batches = batching_schedule(instance, **kwargs).extras["batches"]
+            assigned = sorted(j for b in batches for j in b["coflow_indices"])
             assert assigned == list(range(instance.num_coflows))
 
     def test_single_coflow_released_late(self):
         instance = single_coflow_instance(release=5.0)
-        result = run_online_policy(instance, GeometricBatchingPolicy(2.0))
-        assert result.num_batches == 1
+        result = batching_schedule(instance)
+        assert result.extras["num_batches"] == 1
         # Released at 5 -> epoch [4, 8) -> batch starts when the epoch ends.
-        assert result.batches[0].start_time == pytest.approx(8.0)
+        assert result.extras["batches"][0]["start_time"] == pytest.approx(8.0)
         assert result.coflow_completion_times[0] >= 5.0 + 1.5 - 1e-9
 
     def test_invalid_policy_parameters(self):
-        with pytest.raises(ValueError):
-            GeometricBatchingPolicy(1.0)
-        with pytest.raises(ValueError):
-            GeometricBatchingPolicy(2.0, offline_algorithm="magic")
         instance = staggered_instance()
-
-        class WeirdPolicy:
-            kind = "quantum"
-
         with pytest.raises(ValueError):
-            OnlineEngine(ArrivalStream.from_instance(instance)).run(WeirdPolicy())
+            batching_schedule(instance, base=1.0)
+        with pytest.raises(ValueError):
+            batching_schedule(instance, offline_algorithm="magic")
 
 
 # --------------------------------------------------------------------------- #
 # priority policies
 # --------------------------------------------------------------------------- #
 class TestPriorityPolicies:
-    @pytest.mark.parametrize(
-        "policy", [IncrementalResolvePolicy(), WSJFPolicy()], ids=lambda p: p.name
-    )
-    def test_respects_releases_and_clairvoyant_floor(self, policy):
+    @pytest.mark.parametrize("name", ["online-resolve", "online-wsjf"])
+    def test_respects_releases_and_clairvoyant_floor(self, name):
         instance = staggered_instance()
-        result = run_online_policy(instance, policy)
+        result = solve(instance, name)
         release = instance.coflow_release_times()
         assert np.all(result.coflow_completion_times >= release - 1e-9)
-        first = result.metadata["first_service_times"]
+        first = result.extras["first_service_times"]
         for j, served in enumerate(first):
             assert served is not None
             assert served >= release[j] - 1e-9
@@ -317,7 +250,7 @@ class TestPriorityPolicies:
             ),
         ]
         instance = CoflowInstance(graph, coflows, model="free_path")
-        result = run_online_policy(instance, IncrementalResolvePolicy())
+        result = solve(instance, "online-resolve")
         # small-late (ratio 0.1) preempts big-early (remaining 3 / weight 1)
         # at its arrival and finishes first.
         assert result.coflow_completion_times[1] == pytest.approx(2.0)
@@ -365,9 +298,7 @@ class TestPriorityPolicies:
             return max_concurrent_rate(inst, j, rem)
 
         monkeypatch.setattr(policies, "max_concurrent_rate", spy)
-        priority = IncrementalResolvePolicy().priority_function(
-            ArrivalStream.from_instance(instance), SolverConfig()
-        )
+        priority = resolve_priority(instance)
         for time in (float(np.median(release)), float(release.max())):
             del asked[:]
             released = release <= time + policies._boundary_tol(time)
@@ -376,8 +307,8 @@ class TestPriorityPolicies:
         assert (release <= release.max()).all() and finished.any() and not finished.all()
 
     def test_single_coflow_instances(self):
-        for policy in (IncrementalResolvePolicy(), WSJFPolicy()):
-            result = run_online_policy(single_coflow_instance(), policy)
+        for name in ("online-resolve", "online-wsjf"):
+            result = solve(single_coflow_instance(), name)
             assert result.coflow_completion_times[0] == pytest.approx(1.5)
 
 
@@ -386,18 +317,18 @@ class TestPriorityPolicies:
 # --------------------------------------------------------------------------- #
 class TestRegistryIntegration:
     def test_all_policies_registered_with_online_flag(self):
-        assert ONLINE_ALGORITHMS == {
+        online = available_algorithms(online=True)
+        assert online == (
             "online-batch",
             "online-batch-wc",
             "online-resolve",
             "online-wsjf",
-        }
-        for name in ONLINE_ALGORITHMS:
+        )
+        for name in online:
             info = get_algorithm(name)
             assert info.online
             assert not info.uses_shared_lp
-        assert available_algorithms(online=True) == tuple(sorted(ONLINE_ALGORITHMS))
-        assert not set(available_algorithms(online=False)) & ONLINE_ALGORITHMS
+        assert not set(available_algorithms(online=False)) & set(online)
 
     def test_solve_produces_consistent_online_report(self):
         instance = staggered_instance()
@@ -424,13 +355,9 @@ class TestRegistryIntegration:
         assert online_report.competitive_ratio(online_report.lower_bound) >= 0.0
 
     def test_scenario_replay_through_solve_is_deterministic(self):
-        for name in sorted(ONLINE_ALGORITHMS):
-            a = solve(
-                ArrivalStream.from_scenario("bursty-arrivals", 1, 5).instance, name
-            )
-            b = solve(
-                ArrivalStream.from_scenario("bursty-arrivals", 1, 5).instance, name
-            )
+        for name in available_algorithms(online=True):
+            a = solve(build_scenario("bursty-arrivals", 1, 5).instance, name)
+            b = solve(build_scenario("bursty-arrivals", 1, 5).instance, name)
             assert np.array_equal(
                 a.coflow_completion_times, b.coflow_completion_times
             ), name
@@ -441,7 +368,7 @@ class TestRegistryIntegration:
 # store round-trips (the metadata bug batch)
 # --------------------------------------------------------------------------- #
 class TestOnlineStoreRoundTrip:
-    @pytest.mark.parametrize("name", sorted(ONLINE_ALGORITHMS))
+    @pytest.mark.parametrize("name", available_algorithms(online=True))
     def test_report_surface_roundtrips_without_drops(self, name):
         instance = staggered_instance()
         report = solve(instance, name)
@@ -512,3 +439,77 @@ class TestOnlineSweeps:
         warm = run_sweep(spec, store)
         assert warm.solved == 0
         assert warm.hits == len(warm.units)
+
+
+# --------------------------------------------------------------------------- #
+# the repro online command
+# --------------------------------------------------------------------------- #
+#: A 3-coflow Facebook-format trace whose m*/r* endpoints are foreign to
+#: every built-in topology.
+FB_TRACE = """\
+4 3
+1 0 2 1 2 1 3:10
+2 500 1 3 2 1:4 2:6
+3 900 1 4 1 2:8
+"""
+
+
+def run_online_cli(*argv) -> str:
+    out = io.StringIO()
+    assert main(["online", *map(str, argv)], out=out) == 0
+    return out.getvalue()
+
+
+class TestOnlineCli:
+    def test_instance_trace_is_used_as_is(self, tmp_path):
+        instance = staggered_instance()
+        path = tmp_path / "trace.json"
+        instance.save_json(path)
+        lines = run_online_cli(path, "--policy", "wsjf").splitlines()
+        assert lines[0].split(": ", 1)[1] == "trace:trace (3 arrivals, span [0, 3])"
+        expected = solve(instance, "online-wsjf").objective
+        assert lines[2].startswith(f"objective         : {expected:.3f} ")
+
+    def test_coflow_trace_replays_onto_swan_seeded_by_seed(self, tmp_path):
+        from repro.workloads.traces import replay_coflows
+
+        coflows = list(staggered_instance().coflows)  # x1/y1 are foreign to SWAN
+        path = tmp_path / "coflows.json"
+        save_trace(coflows, path)
+        text = run_online_cli(path, "--policy", "wsjf", "--seed", "4")
+        replayed = replay_coflows(coflows, swan_topology(), rng=4)
+        expected = solve(replayed, "online-wsjf").objective
+        assert f"objective         : {expected:.3f} " in text
+
+    def test_converted_facebook_trace_gives_the_same_output_twice(self, tmp_path):
+        src, path = tmp_path / "fb.txt", tmp_path / "fb.json"
+        src.write_text(FB_TRACE)
+        argv = ["scenarios", "convert-fb", str(src), str(path)]
+        assert main(argv, out=io.StringIO()) == 0
+        assert not isinstance(load_trace(path), CoflowInstance)
+        runs = [
+            run_online_cli(path, "--policy", "wsjf", "--seed", "0") for _ in range(3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "model, policy, offline",
+        [("free_path", "wsjf", "tera"), ("single_path", "resolve", "terra")],
+        ids=["unknown-name", "model-mismatch"],
+    )
+    def test_bad_offline_algorithm_fails_before_solving(
+        self, tmp_path, capsys, monkeypatch, model, policy, offline
+    ):
+        path = tmp_path / "trace.json"
+        argv = ["generate", str(path), "--model", model, "--num-coflows", "2"]
+        assert main(argv, out=io.StringIO()) == 0
+        solved = []
+        monkeypatch.setattr("repro.cli.solve", lambda *a, **k: solved.append(a))
+        out = io.StringIO()
+        argv = ["online", str(path), "--policy", policy]
+        argv += ["--offline-algorithm", offline, "--compare-offline"]
+        assert main(argv, out=out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and offline in err
+        assert "Traceback" not in err
+        assert out.getvalue() == "" and solved == []

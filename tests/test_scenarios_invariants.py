@@ -370,30 +370,29 @@ class TestOnlineBugsCaught:
         """Inject the bug at its source: an engine that ignores release
         times and batches everything at t = 0 must be flagged by both online
         invariants on a re-executed scenario."""
-        import repro.online.engine as engine_module
+        import repro.online.policies as policies
         from repro.scenarios.verify import execute_scenario
 
-        original = engine_module.OnlineEngine._run_batching
+        original = policies.batching_schedule
 
-        def buggy(self, policy):
-            result = original(self, policy)
+        def buggy(*args, **kwargs):
+            report = original(*args, **kwargs)
             # The "scheduler" shifts every batch (and therefore every
             # completion and first service) to start at time 0.
-            shift = {}
-            for batch in result.batches:
-                shift.update({j: batch.start_time for j in batch.coflow_indices})
-                batch.start_time = 0.0
-            times = result.coflow_completion_times.copy()
-            for j, start in shift.items():
-                times[j] -= start
-            result.coflow_completion_times = times
-            result.metadata["first_service_times"] = [
+            times = report.coflow_completion_times.copy()
+            for batch in report.extras.get("batches", []):
+                for j in batch["coflow_indices"]:
+                    times[j] -= batch["start_time"]
+                batch["start_time"] = 0.0
+            report.coflow_completion_times = times
+            report.objective = float(np.dot(report.instance.weights, times))
+            report.extras["first_service_times"] = [
                 None if t is None else 0.0
-                for t in result.metadata["first_service_times"]
+                for t in report.extras["first_service_times"]
             ]
-            return result
+            return report
 
-        monkeypatch.setattr(engine_module.OnlineEngine, "_run_batching", buggy)
+        monkeypatch.setattr(policies, "batching_schedule", buggy)
         run = execute_scenario(
             free_run.scenario, algorithms=["online-batch", "lp-heuristic"]
         )
