@@ -2,8 +2,8 @@
 
 ``solve`` dispatches one instance to one registered algorithm and returns a
 :class:`~repro.api.report.SolveReport`.  ``solve_many`` fans a batch of
-instances across a set of algorithms — optionally over a
-:class:`concurrent.futures.ProcessPoolExecutor` — solving the shared
+instances across a set of algorithms — optionally over worker processes
+(:func:`parallel_map`, which the sweep shares) — solving the shared
 time-indexed LP at most once per instance and handing it to every algorithm
 that consumes it (exactly the reuse the paper's own evaluation performs when
 comparing the LP heuristic against the λ-sampling series).
@@ -21,8 +21,20 @@ from __future__ import annotations
 import multiprocessing
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from typing import (
+    Callable,
+    Deque,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.coflow.instance import CoflowInstance
 from repro.core.scheduler import lp_solution_for
@@ -32,6 +44,8 @@ from repro.api.algorithms import BUILTIN_ALGORITHMS
 from repro.api.registry import get_algorithm
 from repro.api.report import SolveReport
 from repro.api.request import SolverConfig
+
+T = TypeVar("T")
 
 
 def solve(
@@ -95,15 +109,62 @@ def _effective_start_method() -> str:
     return multiprocessing.get_all_start_methods()[0]
 
 
-def _solve_instance_batch(
-    task: Tuple[CoflowInstance, Tuple[str, ...], SolverConfig],
-) -> List[SolveReport]:
-    """Worker: run every algorithm on one instance, sharing one LP solve.
+def parallel_map(
+    function: Callable[..., T],
+    tasks: Sequence[tuple],
+    *,
+    parallel: Optional[int],
+    algorithms: Iterable[str],
+) -> Iterator[T]:
+    """Yield ``function(*task)`` for every task, in task order.
 
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can pickle
-    it; the task tuple carries everything the child process needs.
+    With *parallel* > 1 and more than one task, the tasks run on one pool of
+    worker processes (so *function* and the tasks must pickle); otherwise
+    in-process, as the consumer asks for them.  The pool runs at most
+    *parallel* tasks ahead of the consumer: the next task is submitted only
+    once the oldest result has been taken.  So a consumer that checkpoints
+    each result loses at most *parallel* of them when it is interrupted,
+    and one that stops early waits only for the tasks in flight.  The price
+    is that a slow task idles the other workers until it returns.
+
+    Workers rebuild the registry by re-importing the built-in module, so
+    user-registered *algorithms* survive only in forked children; otherwise
+    the tasks run in-process, with a ``RuntimeWarning``.  The warning names
+    the caller of the function that iterates this generator, so iterate it
+    in that function's own frame.
     """
-    instance, algorithms, config = task
+    workers = min(parallel or 1, len(tasks))
+    custom = [name for name in algorithms if name not in BUILTIN_ALGORITHMS]
+    if workers > 1 and custom and _effective_start_method() != "fork":
+        warnings.warn(
+            f"custom algorithms {custom} are not importable in "
+            f"{_effective_start_method()!r}-started worker processes; "
+            "running serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        workers = 1
+    if workers <= 1:
+        for task in tasks:
+            yield function(*task)
+        return
+    executor = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window: Deque[Future] = deque()
+        for task in tasks:
+            if len(window) == workers:
+                yield window.popleft().result()
+            window.append(executor.submit(function, *task))
+        while window:
+            yield window.popleft().result()
+    finally:
+        executor.shutdown()
+
+
+def _solve_instance_batch(
+    instance: CoflowInstance, algorithms: Tuple[str, ...], config: SolverConfig
+) -> List[SolveReport]:
+    """Worker: run every algorithm on one instance, sharing one LP solve."""
     infos = [get_algorithm(name) for name in algorithms]
     shared: Optional[CoflowLPSolution] = None
     if any(info.uses_shared_lp for info in infos):
@@ -159,27 +220,9 @@ def solve_many(
         (instance, names, cfg.replace(rng=rng))
         for instance, rng in zip(batch, rngs)
     ]
-
-    use_processes = parallel is not None and parallel > 1 and len(tasks) > 1
-    if use_processes:
-        # Worker processes rebuild the registry by re-importing the built-in
-        # module; user-registered algorithms only survive that when children
-        # are forked from this process.  Otherwise fall back to serial rather
-        # than fail deep inside the pool.
-        custom = [name for name in names if name not in BUILTIN_ALGORITHMS]
-        if custom and _effective_start_method() != "fork":
-            warnings.warn(
-                f"custom algorithms {custom} are not importable in "
-                f"{_effective_start_method()!r}-started worker "
-                "processes; running the batch serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            use_processes = False
-    if use_processes:
-        workers = min(parallel, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            grouped = list(executor.map(_solve_instance_batch, tasks))
-    else:
-        grouped = [_solve_instance_batch(task) for task in tasks]
-    return [report for group in grouped for report in group]
+    reports: List[SolveReport] = []
+    for group in parallel_map(
+        _solve_instance_batch, tasks, parallel=parallel, algorithms=names
+    ):
+        reports.extend(group)
+    return reports

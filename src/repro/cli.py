@@ -10,9 +10,9 @@ Eleven commands cover the common workflows without writing any Python:
 ``generate``
     Generate a synthetic benchmark workload and write it to a JSON trace.
 ``solve``
-    Load an instance (JSON trace produced by ``generate`` or
-    ``CoflowInstance.save_json``) and schedule it with any registered
-    algorithm.
+    Load an instance file (written by ``generate``,
+    ``CoflowInstance.save_json`` or ``save_trace``) and schedule it with any
+    registered algorithm.
 ``batch``
     Solve several traces with several algorithms at once, optionally across
     worker processes (the :func:`repro.api.solve_many` runner).
@@ -25,11 +25,11 @@ Eleven commands cover the common workflows without writing any Python:
     algorithm on each, and cross-check the invariant suite against the
     library's oracles.  Writes a machine-readable ``VERIFY_<date>.json``.
 ``sweep``
-    Run (or resume) a sharded parameter sweep described by a JSON spec
-    file through the persistent result store
-    (:mod:`repro.experiments.sweep` / :mod:`repro.store`): completed units
-    are checkpointed per chunk, interrupted sweeps resume exactly, and a
-    completed sweep re-runs with zero new LP solves.
+    Run (or resume) a parameter sweep described by a JSON spec file through
+    the persistent result store (:mod:`repro.experiments.sweep` /
+    :mod:`repro.store`): each (instance, ε) group solves its shared LP once
+    and is stored as soon as it returns, interrupted sweeps resume exactly,
+    and a completed sweep re-runs with zero new LP solves.
 ``online``
     Run an online scheduling policy (:mod:`repro.online`) over a trace or
     a scenario address, event by event, and compare it against the
@@ -72,7 +72,12 @@ from repro.network.topologies import TOPOLOGY_NAMES, named_topology, swan_topolo
 from repro.online import batching_schedule
 from repro.workloads.generator import WorkloadSpec, generate_instance
 from repro.workloads.profiles import BENCHMARK_NAMES
-from repro.workloads.traces import load_trace, replay_coflows
+from repro.workloads.traces import (
+    TraceValidationError,
+    load_instance,
+    load_trace,
+    replay_coflows,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_cmd = sub.add_parser("solve", help="schedule an instance from a JSON trace")
     solve_cmd.add_argument(
-        "trace", help="instance JSON written by `generate` or save_json"
+        "trace", help="instance JSON written by `generate`, save_json or save_trace"
     )
     solve_cmd.add_argument(
         "--algorithm", choices=available_algorithms(), default="lp-heuristic"
@@ -113,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser(
         "batch", help="solve several traces with several algorithms in parallel"
     )
-    batch.add_argument("traces", nargs="+", help="instance JSON traces")
+    batch.add_argument("traces", nargs="+", help="instance JSON files")
     batch.add_argument(
         "--algorithms",
         default="lp-heuristic",
@@ -170,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run (or resume) a sharded sweep through the result store",
+        help="run (or resume) a sweep through the result store",
     )
     sweep.add_argument("spec", help="sweep spec JSON (see repro.experiments.sweep)")
     sweep.add_argument(
@@ -179,20 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-store directory (default: .repro-store)",
     )
     sweep.add_argument(
-        "--parallel", type=int, default=1, help="worker processes per chunk"
-    )
-    sweep.add_argument(
-        "--shards",
+        "--parallel",
         type=int,
-        default=None,
-        help="override the spec's chunk count (never changes results)",
-    )
-    sweep.add_argument(
-        "--max-chunks",
-        type=int,
-        default=None,
-        help="execute at most this many chunks, then stop (resume later); "
-        "fully cached chunks are free and do not count",
+        default=1,
+        help="worker processes, one (instance, epsilon) group each",
     )
     sweep.add_argument(
         "--status",
@@ -312,6 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(problem: object, context: str = "") -> int:
+    """Print ``error: <context><problem>`` on stderr; return exit code 2.
+
+    The one place CLI errors are worded.  A ``KeyError`` (unknown topology,
+    workload profile or scenario family) prints its message:
+    ``str(KeyError)`` would wrap it in quotes.
+    """
+    if isinstance(problem, KeyError) and problem.args:
+        problem = problem.args[0]
+    print(f"error: {context}{problem}", file=sys.stderr)
+    return 2
+
+
 def _cmd_topologies(out) -> int:
     for name in TOPOLOGY_NAMES:
         graph = named_topology(name)
@@ -336,8 +344,7 @@ def _cmd_generate(args, out) -> int:
         )
         instance = generate_instance(graph, spec, model=args.model, rng=args.seed)
     except (KeyError, ValueError) as exc:  # unknown topology, bad size knob
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     instance.save_json(args.output)
     print(
         f"wrote {instance.num_coflows} coflows / {instance.num_flows} flows "
@@ -365,12 +372,14 @@ def _cmd_algorithms(out) -> int:
 
 
 def _load_trace(path: str) -> Optional[CoflowInstance]:
-    """The instance in trace *path*, or ``None`` after printing why not."""
+    """The instance in file *path*, or ``None`` after printing why not."""
     try:
-        return CoflowInstance.load_json(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: could not load trace {path}: {exc}", file=sys.stderr)
-        return None
+        return load_instance(path)
+    except TraceValidationError as exc:  # its message names the file
+        _error(exc)
+    except (OSError, TypeError, ValueError) as exc:
+        _error(exc, f"could not load trace {path}: ")
+    return None
 
 
 def _cmd_solve(args, out) -> int:
@@ -388,8 +397,7 @@ def _cmd_solve(args, out) -> int:
             solver_method=args.solver_method,
         )
     except ValueError as exc:  # model mismatch, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     bound = "n/a" if report.lower_bound is None else f"{report.lower_bound:.3f}"
     gap = "n/a" if report.lower_bound is None else f"{report.gap:.3f}x"
     print(f"instance          : {instance}", file=out)
@@ -438,8 +446,7 @@ def _cmd_batch(args, out) -> int:
             instances, algorithms, config=config, parallel=args.parallel
         )
     except ValueError as exc:  # unknown algorithm, model mismatch, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     header = f"{'trace':<28s} {'algorithm':<16s} {'objective':>10s} {'bound':>10s} {'gap':>7s} {'sec':>7s}"
     print(header, file=out)
     print("-" * len(header), file=out)
@@ -463,8 +470,7 @@ def _cmd_experiment(args, out) -> int:
     try:
         result = run_experiment(config, scale=args.scale)
     except ValueError as exc:  # non-positive --scale, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(format_result_table(result), file=out)
     checks = summarize_shape_checks(result)
     if checks:
@@ -513,8 +519,7 @@ def _cmd_verify(args, out) -> int:
             invariants=args.invariants,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     path = write_verification_report(report, args.output)
     print(format_verification_report(report), file=out)
     print(f"wrote {path}", file=out)
@@ -528,17 +533,15 @@ def _cmd_sweep(args, out) -> int:
     try:
         spec = SweepSpec.load_json(args.spec)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: could not load sweep spec {args.spec}: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, f"could not load sweep spec {args.spec}: ")
     store = ResultStore(args.store)
     if args.status:
         try:
             status = sweep_status(spec, store)
         except (OSError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
         print(
-            f"sweep {status['sweep']} ({status['sweep_id'][:12]}): "
+            f"sweep {status['sweep']}: "
             f"{status['stored']}/{status['units']} units stored, "
             f"{status['pending']} pending, {status['failed']} failed "
             f"({'complete' if status['complete'] else 'incomplete'})",
@@ -546,19 +549,12 @@ def _cmd_sweep(args, out) -> int:
         )
         return 0
     try:
-        result = run_sweep(
-            spec,
-            store,
-            parallel=args.parallel,
-            max_chunks=args.max_chunks,
-            num_shards=args.shards,
-        )
+        result = run_sweep(spec, store, parallel=args.parallel)
     except (OSError, KeyError, ValueError) as exc:
         # Unknown algorithm / empty cross product (ValueError), missing
         # trace file (OSError), unknown topology name (KeyError): all are
         # spec problems, not crashes.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     header = (
         f"{'instance':<30s} {'algorithm':<16s} {'eps':>6s} "
         f"{'objective':>10s} {'source':>7s}"
@@ -568,9 +564,7 @@ def _cmd_sweep(args, out) -> int:
     for unit in result.units:
         label = spec.instances[unit.instance_index].label()
         eps = "-" if unit.epsilon is None else f"{unit.epsilon:g}"
-        objective = (
-            "pending" if unit.objective is None else f"{unit.objective:.3f}"
-        )
+        objective = "-" if unit.objective is None else f"{unit.objective:.3f}"
         print(
             f"{label:<30s} {unit.algorithm:<16s} {eps:>6s} "
             f"{objective:>10s} {unit.status:>7s}",
@@ -579,16 +573,14 @@ def _cmd_sweep(args, out) -> int:
     summary = result.summary()
     print(
         f"units {summary['units']}: hit {summary['hits']}, "
-        f"solved {summary['solved']}, pending {summary['pending']}, "
-        f"failed {summary['failed']} "
-        f"(chunks {summary['chunks_run']}/{summary['chunks_total']}, "
-        f"{summary['seconds']:.2f}s, store {store.root})",
+        f"solved {summary['solved']}, failed {summary['failed']} "
+        f"({summary['seconds']:.2f}s, store {store.root})",
         file=out,
     )
     if not result.complete:
         print(
-            "sweep incomplete; re-run the same command to resume from the "
-            "last checkpoint",
+            "sweep incomplete; re-run the same command to retry the failed "
+            "units",
             file=out,
         )
     return 0
@@ -596,31 +588,23 @@ def _cmd_sweep(args, out) -> int:
 
 def _cmd_online(args, out) -> int:
     if (args.trace is None) == (args.family is None):
-        print(
-            "error: give exactly one input — a trace path or --family",
-            file=sys.stderr,
-        )
-        return 2
+        return _error("give exactly one input — a trace path or --family")
     batching = args.policy in ("batch", "batch-wc")
     # Flags that only the batching policies read must not be silently
     # ignored: a "comparison across bases" that never varied anything is
     # worse than an error.
     if not batching:
         if args.base is not None:
-            print(
-                f"error: --base only applies to the batching policies, "
-                f"not --policy {args.policy}",
-                file=sys.stderr,
+            return _error(
+                f"--base only applies to the batching policies, "
+                f"not --policy {args.policy}"
             )
-            return 2
         if args.offline_algorithm != "lp-heuristic" and not args.compare_offline:
-            print(
-                f"error: --offline-algorithm only applies to the batching "
+            return _error(
+                f"--offline-algorithm only applies to the batching "
                 f"policies (or with --compare-offline), not --policy "
-                f"{args.policy}",
-                file=sys.stderr,
+                f"{args.policy}"
             )
-            return 2
     try:
         if args.family is not None:
             from repro.scenarios.engine import build_scenario
@@ -656,8 +640,7 @@ def _cmd_online(args, out) -> int:
     except (OSError, KeyError, ValueError) as exc:
         # Missing trace file, unknown family/offline algorithm, model
         # mismatch, bad base.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     release = instance.coflow_release_times()
     print(
         f"input             : {input_name} ({instance.num_coflows} arrivals, "
@@ -713,8 +696,7 @@ def _cmd_scenarios(args, out) -> int:
             max_coflows=args.max_coflows,
         )
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(
         f"converted {summary['num_coflows']} coflows / "
         f"{summary['num_flows']} flows "
@@ -742,8 +724,7 @@ def _cmd_lint(args, out) -> int:
     try:
         result = run_lint(args.path, select=select)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     if args.format == "json":
         import json
 

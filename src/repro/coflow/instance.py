@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -417,36 +416,14 @@ class CoflowInstance:
             "coflows": [c.to_dict() for c in self._coflows],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoflowInstance":
-        """Inverse of :meth:`to_dict`."""
-        graph_data = data["graph"]
-        graph = NetworkGraph(
-            [
-                (e["source"], e["sink"], float(e["capacity"]))
-                for e in graph_data["edges"]
-            ],
-            nodes=graph_data.get("nodes"),
-            name=graph_data.get("name", "network"),
-        )
-        coflows = [Coflow.from_dict(c) for c in data["coflows"]]
-        return cls(
-            graph,
-            coflows,
-            model=data.get("model", TransmissionModel.FREE_PATH),
-            name=data.get("name"),
-        )
-
     def save_json(self, path: str | Path) -> None:
-        """Write the instance to a JSON file (atomic temp+rename)."""
+        """Write the instance to a JSON file (atomic temp+rename).
+
+        :func:`repro.workloads.traces.load_instance` reads it back.
+        """
         from repro.utils.io import atomic_write_json
 
         atomic_write_json(path, self.to_dict())
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "CoflowInstance":
-        """Read an instance previously written by :meth:`save_json`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def __repr__(self) -> str:
         return (

@@ -9,8 +9,9 @@
 * :mod:`repro.experiments.reporting` — renders results as aligned text
   tables of the same rows/series the paper plots, and checks the paper's
   qualitative findings on them (:func:`summarize_shape_checks`).
-* :mod:`repro.experiments.sweep` — resumable sharded sweeps over the
-  persistent result store (:mod:`repro.store`), behind ``repro sweep``.
+* :mod:`repro.experiments.sweep` — resumable sweeps over the persistent
+  result store (:mod:`repro.store`), one shared-LP group at a time, behind
+  ``repro sweep``.
 """
 
 from repro.experiments.figures import (

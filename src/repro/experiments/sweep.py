@@ -1,33 +1,31 @@
-"""Resumable, sharded parameter sweeps over the result store.
+"""Resumable parameter sweeps over the result store.
 
 The paper's evaluation is a large cross product — instances × algorithms ×
-grid/ε settings.  :func:`run_sweep` executes such a cross product as a
-sequence of deterministic *chunks* (in the spirit of Bobpp's deterministic
-work partitioning for parallel solvers), checkpointing every completed
-chunk into a :class:`~repro.store.ResultStore`:
+grid/ε settings.  :func:`run_sweep` walks it one *(instance, ε) group* at a
+time, the units that share one time-indexed LP, and writes each group's
+results into a :class:`~repro.store.ResultStore` as soon as the group
+returns:
 
-* **kill-and-resume**: an interrupted sweep loses at most the chunk in
-  flight; re-running it skips every stored unit and recomputes only the
-  rest — to a result set *byte-identical* to an uninterrupted run;
+* **kill-and-resume**: an interrupted sweep loses at most the group in
+  flight (with N worker processes, the N groups in flight); re-running it
+  skips every stored unit and recomputes only the rest — to a result set
+  *byte-identical* to an uninterrupted run;
+* **one LP per group**: each group's shared LP is solved once per run,
+  however the units are laid out;
 * **warm re-run**: re-running a completed sweep performs **zero** new LP
   solves (every unit is a store hit — asserted by the test suite via the
   store's hit counters);
-* **shard independence**: every unit's randomness is a statelessly derived
+* **layout independence**: every unit's randomness is a statelessly derived
   child stream (:func:`repro.utils.rng.derive_seed` keyed on the unit's
-  *address*, never on execution order), so the shard layout, the chunk
-  size, the number of workers and the set of units skipped on resume can
-  all change without changing a single result byte.  This is also why the
-  orchestrator does not funnel whole chunks through
-  :func:`repro.api.solve_many`: its per-batch RNG spawning keys streams on
-  batch *composition*, which a resume, by construction, changes.  The
-  per-instance execution pattern (one shared time-indexed LP handed to
-  every ``uses_shared_lp`` algorithm, worker processes over a pool) is the
-  same.
+  *address*, never on execution order), so the number of workers and the
+  set of units skipped on resume can change without changing a single
+  result byte.  This is also why the orchestrator does not funnel groups
+  through :func:`repro.api.solve_many`: its per-batch RNG spawning keys
+  streams on batch *composition*, which a resume, by construction,
+  changes.  Both share the worker pool, :func:`repro.api.batch.parallel_map`.
 
 A sweep is described by a :class:`SweepSpec` (JSON-serializable, so the
-``repro sweep`` CLI takes a spec file) and addressed by a stable
-``sweep_id`` fingerprint; progress is mirrored into a human-readable
-manifest under ``<store>/sweeps/<sweep_id>/``.
+``repro sweep`` CLI takes a spec file).
 
 Failure discipline: every solve attempt runs under the bounded,
 deterministically jittered retry policy of :mod:`repro.utils.retry`
@@ -46,32 +44,29 @@ import json
 import logging
 import time
 import traceback
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import SolverConfig, solve
-from repro.api.algorithms import BUILTIN_ALGORITHMS
-from repro.api.batch import _effective_start_method
+from repro.api.batch import parallel_map
 from repro.api.registry import get_algorithm
 from repro.coflow.instance import CoflowInstance
 from repro.core.scheduler import lp_solution_for
 from repro.network.topologies import named_topology
 from repro.store import (
     ResultStore,
-    canonical_json,
     instance_fingerprint,
     report_to_dict,
     result_key,
-    text_key,
 )
 from repro.utils.io import atomic_write_json
 from repro.utils.retry import SOLVER_FAILURES, Backoff, retry_call
 from repro.utils.rng import derive_seed
 from repro.utils.timing import report_stamp
 from repro.workloads.generator import WorkloadSpec, generate_instance
+from repro.workloads.traces import load_instance
 
 logger = logging.getLogger(__name__)
 
@@ -87,10 +82,12 @@ class InstanceSpec:
 
     Generated instances are addressed by their generation parameters (the
     usual :class:`~repro.workloads.generator.WorkloadSpec` knobs); trace
-    instances by a JSON file written by ``repro generate`` /
-    :meth:`CoflowInstance.save_json`.  Either way the *store key* is
-    derived from the built instance's content, so provenance never splits
-    cache entries.
+    instances by an instance file, read by
+    :func:`~repro.workloads.traces.load_instance` (what ``repro generate``,
+    :meth:`CoflowInstance.save_json` and
+    :func:`~repro.workloads.traces.save_trace` write).  Either way the
+    *store key* is derived from the built instance's content, so provenance
+    never splits cache entries.
     """
 
     topology: str = "swan"
@@ -105,7 +102,7 @@ class InstanceSpec:
 
     def build(self) -> CoflowInstance:
         if self.trace is not None:
-            return CoflowInstance.load_json(self.trace)
+            return load_instance(self.trace)
         graph = named_topology(self.topology)
         spec = WorkloadSpec(
             profile=self.profile,
@@ -159,7 +156,7 @@ class SweepSpec:
     Attributes
     ----------
     name:
-        Human label (also names the manifest).
+        Human label (``repro sweep --status`` prints it).
     instances:
         The workload axis.
     algorithms:
@@ -173,9 +170,6 @@ class SweepSpec:
         docstring), keyed on ``seed``.
     seed:
         Root seed of the per-unit stream derivation.
-    num_shards:
-        Number of deterministic chunks the unit list is split into — the
-        checkpoint granularity.  More shards → finer-grained resume.
     """
 
     name: str
@@ -184,7 +178,6 @@ class SweepSpec:
     epsilons: Tuple[Optional[float], ...] = (None,)
     config: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
-    num_shards: int = 4
 
     def __post_init__(self) -> None:
         if not self.instances:
@@ -193,28 +186,12 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one algorithm")
         if not self.epsilons:
             raise ValueError("epsilons must not be empty (use (None,))")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         if self.config.rng is not None:
             raise ValueError(
                 "SweepSpec.config.rng must be None; per-unit seeds are "
-                "derived from SweepSpec.seed so shard layout cannot change "
-                "results"
+                "derived from SweepSpec.seed so execution order cannot "
+                "change results"
             )
-
-    def sweep_id(self) -> str:
-        """Stable fingerprint addressing this sweep's manifest.
-
-        ``num_shards`` is excluded: sharding is checkpoint granularity,
-        never part of the sweep's identity — editing it in the spec file
-        must keep resuming the same manifest.
-        """
-        identity = {
-            key: value
-            for key, value in self.to_dict().items()
-            if key != "num_shards"
-        }
-        return text_key("sweep", canonical_json(identity))
 
     def to_dict(self) -> Dict:
         return {
@@ -227,11 +204,25 @@ class SweepSpec:
                 key: getattr(self.config, key) for key in _SPEC_CONFIG_FIELDS
             },
             "seed": self.seed,
-            "num_shards": self.num_shards,
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SweepSpec":
+        """Inverse of :meth:`to_dict`; any field it does not write is an error.
+
+        A misspelt axis (``"epsilon"``) or seed (``"sed"``) would otherwise
+        run the default silently.
+        """
+        known = {f.name for f in dataclasses.fields(cls)} | {"schema"}
+        unknown = set(data) - known
+        if unknown:
+            raise ValueError(
+                f"unknown sweep spec fields {sorted(unknown)}; "
+                f"expected a subset of {sorted(known)}"
+            )
+        missing = [name for name in ("instances", "algorithms") if name not in data]
+        if missing:
+            raise ValueError(f"a sweep spec needs the fields {missing}")
         config_data = dict(data.get("config") or {})
         unknown = set(config_data) - set(_SPEC_CONFIG_FIELDS)
         if unknown:
@@ -248,7 +239,6 @@ class SweepSpec:
             epsilons=tuple(data.get("epsilons") or [None]),
             config=SolverConfig(**config_data),
             seed=int(data.get("seed", 0)),
-            num_shards=int(data.get("num_shards", 4)),
         )
 
     @classmethod
@@ -260,7 +250,7 @@ class SweepSpec:
 
 
 # --------------------------------------------------------------------------- #
-# units and sharding
+# units
 # --------------------------------------------------------------------------- #
 @dataclass
 class SweepUnit:
@@ -274,18 +264,6 @@ class SweepUnit:
     key: str
     status: str = "pending"  # pending | hit | solved | failed
     objective: Optional[float] = None
-
-    def describe(self) -> Dict:
-        return {
-            "index": self.index,
-            "instance_index": self.instance_index,
-            "algorithm": self.algorithm,
-            "epsilon": self.epsilon,
-            "rng_seed": self.rng_seed,
-            "key": self.key,
-            "status": self.status,
-            "objective": self.objective,
-        }
 
 
 def _unit_config(spec: SweepSpec, unit_seed: Optional[int], epsilon) -> SolverConfig:
@@ -344,27 +322,8 @@ def enumerate_units(
     return units
 
 
-def shard_units(units: Sequence[SweepUnit], num_shards: int) -> List[List[SweepUnit]]:
-    """Split *units* into at most *num_shards* contiguous, non-empty chunks.
-
-    Deterministic in the unit order alone; because unit seeds are derived
-    from unit addresses, *any* layout produces identical results — this one
-    keeps the units of one instance adjacent so chunk workers share LP
-    solutions as often as possible.
-    """
-    count = min(max(num_shards, 1), len(units))
-    base, extra = divmod(len(units), count)
-    chunks: List[List[SweepUnit]] = []
-    start = 0
-    for shard in range(count):
-        size = base + (1 if shard < extra else 0)
-        chunks.append(list(units[start : start + size]))
-        start += size
-    return chunks
-
-
 # --------------------------------------------------------------------------- #
-# chunk execution
+# group execution
 # --------------------------------------------------------------------------- #
 def _failure_record(key: str, algorithm: str, exc: BaseException, attempts: int) -> Dict:
     """The ``runs/failures/`` quarantine record for a poison unit.
@@ -399,7 +358,7 @@ def _solve_unit_tasks(
     algorithms.
     Both choices serve the same invariant: a unit's inputs (and therefore
     its stored bytes) depend on its address alone, never on which other
-    units happen to share its chunk or group.  This is also why
+    units happen to share its group.  This is also why
     ``online=True`` units never receive the shared clairvoyant LP here
     (their stored ``lower_bound`` is ``None``), although ``solve_many``
     attaches it: whether a group happens to contain a shared-LP consumer
@@ -452,52 +411,30 @@ def _solve_unit_tasks(
     return results
 
 
-def _run_instance_group(
-    task: Tuple[
-        CoflowInstance, List[Tuple[str, str, SolverConfig]], Optional[Backoff]
-    ],
-) -> List[Tuple[str, Optional[Dict], Optional[Dict]]]:
-    """Pool worker: unpack one task tuple for :func:`_solve_unit_tasks`.
-
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can pickle
-    it; the backoff policy rides along in the task tuple (a frozen
-    dataclass, so it pickles).
-    """
-    return _solve_unit_tasks(*task)
-
-
 @dataclass
 class SweepResult:
     """Outcome of one :func:`run_sweep` invocation."""
 
     spec: SweepSpec
-    sweep_id: str
     units: List[SweepUnit]
     reports: Dict[str, Dict]  # key -> serialized report surface
     hits: int = 0
     solved: int = 0
-    pending: int = 0
     failed: int = 0
-    chunks_total: int = 0
-    chunks_run: int = 0
     seconds: float = 0.0
 
     @property
     def complete(self) -> bool:
-        return self.pending == 0 and self.failed == 0
+        return self.failed == 0
 
     def summary(self) -> Dict:
         return {
             "schema": SWEEP_SCHEMA,
             "sweep": self.spec.name,
-            "sweep_id": self.sweep_id,
             "units": len(self.units),
             "hits": self.hits,
             "solved": self.solved,
-            "pending": self.pending,
             "failed": self.failed,
-            "chunks_total": self.chunks_total,
-            "chunks_run": self.chunks_run,
             "complete": self.complete,
             "seconds": self.seconds,
         }
@@ -508,8 +445,6 @@ def run_sweep(
     store: ResultStore,
     *,
     parallel: Optional[int] = None,
-    max_chunks: Optional[int] = None,
-    num_shards: Optional[int] = None,
     backoff: Optional[Backoff] = None,
 ) -> SweepResult:
     """Run (or resume) *spec* against *store*.
@@ -519,19 +454,11 @@ def run_sweep(
     spec:
         The sweep description.
     store:
-        The persistent result store; every completed unit is written here
-        and every stored unit is skipped.
+        The persistent result store; every stored unit is skipped, and each
+        (instance, ε) group's results are written here as soon as the group
+        returns, in canonical unit order.
     parallel:
-        Worker processes per chunk; ``None``/``1`` runs in-process.
-    max_chunks:
-        Stop after this many chunks have been *executed* (store hits do not
-        count a chunk as executed work — a fully cached chunk is free).
-        This is the hook the kill-and-resume tests and the CI smoke job use
-        to interrupt a sweep at a chunk boundary.
-    num_shards:
-        Override ``spec.num_shards`` without changing the sweep identity
-        (sharding never affects results, so it is not part of the spec
-        fingerprint either way).
+        Worker processes, one group each; ``None``/``1`` runs in-process.
     backoff:
         Retry policy for transient solver failures (default
         :class:`~repro.utils.retry.Backoff`); units still failing after
@@ -542,144 +469,69 @@ def run_sweep(
         get_algorithm(algorithm)  # fail fast on typos
     instances = [ispec.build() for ispec in spec.instances]
     units = enumerate_units(spec, instances)
-    shards = num_shards if num_shards is not None else spec.num_shards
-    chunks = shard_units(units, shards)
-    sweep_id = spec.sweep_id()
+    result = SweepResult(spec=spec, units=units, reports={})
 
-    result = SweepResult(
-        spec=spec,
-        sweep_id=sweep_id,
-        units=units,
-        reports={},
-        chunks_total=len(chunks),
+    # Resume pass: everything already in the store is a hit, never
+    # recomputed.  Only the remainder becomes solver work, grouped by the
+    # LP its units share.
+    groups: Dict[Tuple[int, Optional[float]], List[SweepUnit]] = {}
+    for unit in units:
+        payload = store.get(unit.key)
+        if payload is None:
+            groups.setdefault((unit.instance_index, unit.epsilon), []).append(unit)
+            continue
+        unit.status = "hit"
+        unit.objective = payload.get("objective")
+        result.reports[unit.key] = payload
+        result.hits += 1
+    tasks = [
+        (
+            instances[instance_index],
+            [
+                (unit.key, unit.algorithm, _unit_config(spec, unit.rng_seed, epsilon))
+                for unit in group
+            ],
+            backoff,
+        )
+        for (instance_index, epsilon), group in groups.items()
+    ]
+    outcomes = parallel_map(
+        _solve_unit_tasks, tasks, parallel=parallel, algorithms=spec.algorithms
     )
-
-    use_processes = parallel is not None and parallel > 1
-    if use_processes:
-        custom = [a for a in spec.algorithms if a not in BUILTIN_ALGORITHMS]
-        if custom and _effective_start_method() != "fork":
-            warnings.warn(
-                f"custom algorithms {custom} are not importable in "
-                f"{_effective_start_method()!r}-started worker processes; "
-                "running the sweep serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            use_processes = False
-
-    chunk_states: List[str] = ["pending"] * len(chunks)
-    executed = 0
-    for chunk_index, chunk in enumerate(chunks):
-        # Resume pass: everything already in the store is a hit, never
-        # recomputed.  Only the remainder becomes solver work.
-        missing: List[SweepUnit] = []
-        for unit in chunk:
-            payload = store.get(unit.key)
-            if payload is not None:
-                unit.status = "hit"
+    with closing(outcomes):
+        for group, outcome in zip(groups.values(), outcomes):
+            # Group checkpoint: a group's units are stored as soon as it
+            # returns, so a kill loses only the (at most `parallel`) groups
+            # still in flight.
+            for unit, (_, payload, failure) in zip(group, outcome):
+                if failure is not None:
+                    store.put_failure(unit.key, failure)
+                    unit.status = "failed"
+                    result.failed += 1
+                    continue
+                store.put(unit.key, payload, kind="solve-report")
+                store.clear_failure(unit.key)
+                unit.status = "solved"
                 unit.objective = payload.get("objective")
                 result.reports[unit.key] = payload
-                result.hits += 1
-            else:
-                missing.append(unit)
-        if not missing:
-            chunk_states[chunk_index] = "complete"
-            _checkpoint_manifest(store, sweep_id, spec, chunk_states, result)
-            continue
-        if max_chunks is not None and executed >= max_chunks:
-            result.pending += len(missing)
-            continue
-        executed += 1
-
-        groups: Dict[Tuple[int, Optional[float]], List[SweepUnit]] = {}
-        for unit in missing:
-            groups.setdefault((unit.instance_index, unit.epsilon), []).append(unit)
-        tasks = [
-            (
-                instances[instance_index],
-                [
-                    (
-                        unit.key,
-                        unit.algorithm,
-                        _unit_config(spec, unit.rng_seed, epsilon),
-                    )
-                    for unit in group
-                ],
-                backoff,
+                result.solved += 1
+            logger.info(
+                "sweep %s: stored group %s, eps %s",
+                spec.name,
+                spec.instances[group[0].instance_index].label(),
+                group[0].epsilon,
             )
-            for (instance_index, epsilon), group in groups.items()
-        ]
-        if use_processes and len(tasks) > 1:
-            workers = min(parallel, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                grouped = list(executor.map(_run_instance_group, tasks))
-        else:
-            grouped = [_run_instance_group(task) for task in tasks]
 
-        outcomes = {
-            key: (payload, failure)
-            for group in grouped
-            for key, payload, failure in group
-        }
-        # Chunk checkpoint: persist every unit of the completed chunk, then
-        # the manifest.  A kill before this line loses only this chunk.
-        chunk_failed = 0
-        for unit in missing:
-            payload, failure = outcomes[unit.key]
-            if failure is not None:
-                store.put_failure(unit.key, failure)
-                unit.status = "failed"
-                result.failed += 1
-                chunk_failed += 1
-                continue
-            store.put(unit.key, payload, kind="solve-report")
-            store.clear_failure(unit.key)
-            unit.status = "solved"
-            unit.objective = payload.get("objective")
-            result.reports[unit.key] = payload
-            result.solved += 1
-        chunk_states[chunk_index] = "failed" if chunk_failed else "complete"
-        _checkpoint_manifest(store, sweep_id, spec, chunk_states, result)
-        logger.info(
-            "sweep %s: chunk %d/%d %s (%d solved, %d failed)",
-            spec.name,
-            chunk_index + 1,
-            len(chunks),
-            chunk_states[chunk_index],
-            len(missing) - chunk_failed,
-            chunk_failed,
-        )
-
-    result.chunks_run = executed
     result.seconds = time.perf_counter() - started
     return result
-
-
-def _checkpoint_manifest(
-    store: ResultStore,
-    sweep_id: str,
-    spec: SweepSpec,
-    chunk_states: List[str],
-    result: SweepResult,
-) -> None:
-    store.put_manifest(
-        sweep_id,
-        {
-            "schema": SWEEP_SCHEMA,
-            "sweep_id": sweep_id,
-            "spec": spec.to_dict(),
-            "chunks": list(chunk_states),
-            "units": [unit.describe() for unit in result.units],
-        },
-    )
 
 
 def sweep_status(spec: SweepSpec, store: ResultStore) -> Dict:
     """Coverage of *spec* in *store* without solving anything.
 
-    Counts per-unit presence directly against the store's objects (not the
-    manifest), so it is correct even for a store populated by a different
-    sweep that happened to share units.
+    Counts per-unit presence directly against the store's objects, so it is
+    correct even for a store populated by a different sweep that happened
+    to share units.
     """
     instances = [ispec.build() for ispec in spec.instances]
     units = enumerate_units(spec, instances)
@@ -689,15 +541,12 @@ def sweep_status(spec: SweepSpec, store: ResultStore) -> Dict:
         for unit in units
         if not store.contains(unit.key) and store.get_failure(unit.key) is not None
     )
-    manifest = store.get_manifest(spec.sweep_id())
     return {
         "sweep": spec.name,
-        "sweep_id": spec.sweep_id(),
         "units": len(units),
         "stored": stored,
         "pending": len(units) - stored,
         "failed": failed,
         "quarantined": len(store.quarantined()),
         "complete": stored == len(units),
-        "manifest_chunks": (manifest or {}).get("chunks"),
     }

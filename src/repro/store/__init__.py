@@ -19,8 +19,7 @@ Components
 * :mod:`~repro.store.serialize` — the JSON report surface
   (:func:`report_to_dict`).
 * :mod:`~repro.store.store` — :class:`ResultStore`: atomic writes,
-  corruption quarantine, failure records, sweep manifests, hit/miss
-  accounting.
+  corruption quarantine, failure records, hit/miss accounting.
 """
 
 from repro.store.fingerprint import (
@@ -31,7 +30,6 @@ from repro.store.fingerprint import (
     grid_fingerprint,
     instance_fingerprint,
     result_key,
-    text_key,
 )
 from repro.store.serialize import (
     MEASUREMENT_FIELDS,
@@ -55,5 +53,4 @@ __all__ = [
     "instance_fingerprint",
     "report_to_dict",
     "result_key",
-    "text_key",
 ]

@@ -6,8 +6,8 @@ as :func:`repro.utils.rng.derive_seed` (stateless, length-prefixed
 components, endianness- and process-independent).  The guarantees:
 
 * the same logical inputs always produce the same key, in any process, on
-  any platform — a store written by a sweep shard on one worker is readable
-  by every other worker and by every later resume;
+  any platform — a store written by one worker process is readable by
+  every other worker and by every later resume;
 * any change to an input that can change the result changes the key.
 
 What is *excluded* from the instance fingerprint is the instance ``name``:
@@ -72,9 +72,8 @@ def _digest(parts: Iterable[bytes]) -> str:
 def canonical_json(payload: object) -> str:
     """The canonical JSON text of *payload*: sorted keys, no whitespace.
 
-    Every fingerprint in the repository hashes this exact form; callers
-    that need a stable textual identity (e.g. sweep ids) must use it too,
-    so two serializations of the same document can never diverge.
+    Every fingerprint in the repository hashes this exact form, so two
+    serializations of the same document can never diverge.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -144,14 +143,3 @@ def result_key(
         ]
     )
 
-
-def text_key(*parts: str) -> str:
-    """A store key for free-form addresses (scenario blocks, manifests).
-
-    Components are length-prefixed like every other fingerprint here, so
-    ``("ab", "c")`` and ``("a", "bc")`` address different entries.
-    """
-    return _digest(
-        [b"repro-store-text", str(FINGERPRINT_SCHEMA).encode("ascii")]
-        + [part.encode("utf-8") for part in parts]
-    )

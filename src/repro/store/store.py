@@ -6,7 +6,6 @@ Layout (all JSON, all human-inspectable)::
       store.json                   # store-level metadata (schema version)
       objects/<k0k1>/<key>.json    # content-addressed entries (fan-out dir)
       runs/failures/<key>.json     # terminal unit failures (quarantine)
-      sweeps/<id>/manifest.json    # per-sweep chunk checkpoints
 
 Every object entry is an envelope ``{schema, key, kind, created, payload}``;
 ``payload`` is the caller's JSON document (e.g. the serialized
@@ -252,26 +251,6 @@ class ResultStore:
         if not directory.is_dir():
             return []
         return sorted(p.stem for p in directory.glob("*.json"))
-
-    # ------------------------------------------------------------------ #
-    # sweep manifests
-    # ------------------------------------------------------------------ #
-    def manifest_path(self, sweep_id: str) -> Path:
-        """Path of the checkpoint manifest for the sweep *sweep_id*."""
-        return self.root / "sweeps" / sweep_id / "manifest.json"
-
-    def put_manifest(self, sweep_id: str, payload: Dict) -> Path:
-        """Atomically (re)write a sweep's checkpoint manifest."""
-        path = self.manifest_path(sweep_id)
-        self._atomic_write(path, payload)
-        return path
-
-    def get_manifest(self, sweep_id: str) -> Optional[Dict]:
-        """A sweep's checkpoint manifest, or ``None`` (absent / unreadable)."""
-        try:
-            return json.loads(self.manifest_path(sweep_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
 
     # ------------------------------------------------------------------ #
     # accounting

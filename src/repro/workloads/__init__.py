@@ -28,6 +28,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.traces import (
     TraceValidationError,
+    load_instance,
     load_trace,
     save_trace,
     validate_trace_order,
@@ -57,6 +58,7 @@ __all__ = [
     "generate_instance",
     "random_instance",
     "save_trace",
+    "load_instance",
     "load_trace",
     "TraceValidationError",
     "validate_trace_order",

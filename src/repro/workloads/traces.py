@@ -45,7 +45,7 @@ def _coflows_from_rows(rows: List[dict], *, where: str) -> List[Coflow]:
     for row, data in enumerate(rows):
         try:
             coflows.append(Coflow.from_dict(data))
-        except (ValueError, TypeError, KeyError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise TraceValidationError(
                 f"{where}: malformed trace row {row}: {err}"
             ) from err
@@ -53,7 +53,7 @@ def _coflows_from_rows(rows: List[dict], *, where: str) -> List[Coflow]:
 
 
 def _instance_from_dict(data: dict, *, where: str) -> CoflowInstance:
-    """``CoflowInstance.from_dict`` with row-level coflow validation errors."""
+    """Inverse of :meth:`CoflowInstance.to_dict`, naming a malformed coflow row."""
     graph_data = data["graph"]
     graph = NetworkGraph(
         [
@@ -119,17 +119,36 @@ def load_trace(path: str | Path, *, require_ordered: bool = False) -> TraceLike:
     if not isinstance(payload, dict):
         raise ValueError(f"unrecognized trace file {path} (not a JSON object)")
     kind = payload.get("kind")
-    if kind == "instance":
-        trace: TraceLike = _instance_from_dict(payload["data"], where=where)
-    elif kind == "coflows":
-        trace = _coflows_from_rows(payload["data"], where=where)
-    elif kind is None and "coflows" in payload and "graph" in payload:
-        trace = _instance_from_dict(payload, where=where)
-    else:
-        raise ValueError(f"unrecognized trace file {path} (kind={kind!r})")
+    try:
+        if kind == "instance":
+            trace: TraceLike = _instance_from_dict(payload["data"], where=where)
+        elif kind == "coflows":
+            trace = _coflows_from_rows(payload["data"], where=where)
+        elif kind is None and "coflows" in payload and "graph" in payload:
+            trace = _instance_from_dict(payload, where=where)
+        else:
+            raise ValueError(f"unrecognized trace file {path} (kind={kind!r})")
+    except KeyError as err:
+        raise TraceValidationError(f"{where}: missing field {err}") from err
     if require_ordered:
         coflows = trace.coflows if isinstance(trace, CoflowInstance) else trace
         validate_trace_order(list(coflows), where=where)
+    return trace
+
+
+def load_instance(path: str | Path) -> CoflowInstance:
+    """Read an instance file: bare (``repro generate``) or enveloped (:func:`save_trace`).
+
+    A coflow-only trace (what ``repro scenarios convert-fb`` writes) names
+    no network, so it raises :class:`TraceValidationError`; replay it onto
+    a topology with :func:`replay_coflows` instead.
+    """
+    trace = load_trace(path)
+    if not isinstance(trace, CoflowInstance):
+        raise TraceValidationError(
+            f"{path}: a coflow-only trace has no network to schedule on "
+            "(`repro online` replays one onto SWAN)"
+        )
     return trace
 
 

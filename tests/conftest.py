@@ -147,3 +147,25 @@ def lp_solves(monkeypatch):
 
     monkeypatch.setattr(scheduler, "solve_time_indexed_lp", counting)
     return solved
+
+
+@pytest.fixture
+def custom_algorithm():
+    """The name of a user-registered (not built-in) algorithm, a stub that
+    completes every coflow at t = 1; it is unregistered after the test."""
+    from repro.api.registry import _REGISTRY, register_algorithm
+    from repro.api.report import SolveReport
+
+    name = "test-custom"
+
+    @register_algorithm(name, description="test stub")
+    def _stub(instance, config, lp_solution=None):
+        return SolveReport(
+            algorithm=name,
+            instance=instance,
+            objective=float(instance.weights.sum()),
+            coflow_completion_times=np.ones(instance.num_coflows),
+        )
+
+    yield name
+    _REGISTRY.pop(name, None)

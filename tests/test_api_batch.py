@@ -1,10 +1,15 @@
 """Tests for the repro.api batch runner (solve_many) and its parallel path."""
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.api.batch as batch_module
 from repro import api
 from repro.api import SolverConfig, UnknownAlgorithmError, solve_many
+from repro.api.batch import parallel_map
 from repro.core.timeindexed import resolve_grid, solve_time_indexed_lp
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
@@ -128,6 +133,49 @@ class TestSolveManyParallel:
                 serial.coflow_completion_times,
                 rtol=1e-9,
             )
+
+
+    def test_custom_algorithm_falls_back_to_serial_with_a_warning(
+        self, instances, monkeypatch, custom_algorithm
+    ):
+        monkeypatch.setattr(batch_module, "_effective_start_method", lambda: "spawn")
+        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", None)  # no pool
+        with pytest.warns(
+            RuntimeWarning, match="not importable.*running serially"
+        ) as record:
+            reports = solve_many(
+                instances[:2], ("fifo", custom_algorithm), parallel=2
+            )
+        assert record[0].filename == __file__  # names the caller's line
+        assert [r.algorithm for r in reports] == ["fifo", custom_algorithm] * 2
+
+
+def _sleep_then_mark(directory: str, index: int, seconds: float) -> int:
+    """Pool task: sleep, then leave a marker file named *index*."""
+    time.sleep(seconds)
+    (Path(directory) / str(index)).touch()
+    return index
+
+
+class TestParallelMap:
+    def test_pool_yields_in_task_order(self, tmp_path):
+        # Task 0 finishes after task 1, and still comes first.
+        tasks = [(str(tmp_path), i, 0.3 if i == 0 else 0.0) for i in range(4)]
+        results = parallel_map(_sleep_then_mark, tasks, parallel=2, algorithms=())
+        assert list(results) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("taken", [1, 3])
+    def test_pool_runs_at_most_parallel_tasks_ahead_of_the_consumer(
+        self, tmp_path, taken
+    ):
+        tasks = [(str(tmp_path), i, 0.0) for i in range(20)]
+        results = parallel_map(_sleep_then_mark, tasks, parallel=2, algorithms=())
+        assert [next(results) for _ in range(taken)] == list(range(taken))
+        results.close()  # returns once the tasks in flight have ended
+        # The taken results, and the one task submitted behind the last.
+        assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(
+            range(taken + 1)
+        )
 
 
 class TestSolveManyValidation:

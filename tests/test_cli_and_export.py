@@ -17,6 +17,9 @@ from repro.experiments.export import read_json, result_to_records, write_csv, wr
 from repro.experiments.figures import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.coflow.instance import TransmissionModel
+from repro.network.topologies import TOPOLOGY_NAMES, swan_topology
+from repro.workloads.generator import WorkloadSpec, generate_instance
+from repro.workloads.traces import save_trace
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,8 @@ class TestCliParser:
             ["batch", "t.json", "--strategy", "direct"],
             ["verify", "--store", "s"],
             ["experiment", "fig06", "--store", "s"],
+            ["sweep", "s.json", "--shards", "2"],
+            ["sweep", "s.json", "--max-chunks", "1"],
         ],
     )
     def test_rejects_removed_lp_solve_flags(self, argv):
@@ -198,6 +203,39 @@ class TestCliCommands:
         assert err.startswith(f"error: could not load trace {trace}: ")
         assert "Traceback" not in err
 
+    def test_enveloped_instance_file_solves_like_the_bare_one(self, tmp_path):
+        # save_trace wraps the instance in {"kind": "instance", "data": ...}.
+        spec = WorkloadSpec(profile="FB", num_coflows=3, seed=1)
+        instance = generate_instance(swan_topology(), spec, rng=1)
+        bare, enveloped = tmp_path / "bare.json", tmp_path / "enveloped.json"
+        instance.save_json(bare)
+        save_trace(instance, enveloped)
+        outputs = []
+        for path in (bare, enveloped):
+            out = io.StringIO()
+            assert main(["solve", str(path), "--algorithm", "fifo"], out=out) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["solve", "batch"])
+    def test_coflow_only_trace_is_an_error(self, tmp_path, capsys, command):
+        # What `repro scenarios convert-fb` writes: coflows, no network.
+        spec = WorkloadSpec(profile="FB", num_coflows=2, seed=1)
+        trace = tmp_path / "coflows.json"
+        save_trace(list(generate_instance(swan_topology(), spec, rng=1).coflows), trace)
+        assert main([command, str(trace)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {trace}: a coflow-only trace has no network to schedule "
+            "on (`repro online` replays one onto SWAN)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "batch"])
+    def test_missing_field_names_the_file_once(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace.json"
+        trace.write_text('{"kind": "instance", "data": {"coflows": []}}')
+        assert main([command, str(trace)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err == f"error: {trace}: missing field 'graph'\n"
+
     def test_every_listed_topology_generates(self, tmp_path):
         out = io.StringIO()
         assert main(["topologies"], out=out) == 0
@@ -210,16 +248,22 @@ class TestCliCommands:
             assert trace.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["generate", "{out}", "--topology", "star"],
-            ["generate", "{out}", "--num-coflows", "0"],
-            ["generate", "{out}", "--demand-scale", "-1"],
-            ["experiment", "fig06", "--scale", "0"],
+            (
+                ["generate", "{out}", "--topology", "star"],
+                "unknown topology 'star'; expected one of "
+                + ", ".join(repr(name) for name in TOPOLOGY_NAMES),
+            ),
+            (["generate", "{out}", "--num-coflows", "0"], None),
+            (["generate", "{out}", "--demand-scale", "-1"], None),
+            (["experiment", "fig06", "--scale", "0"], None),
         ],
         ids=["unknown-topology", "no-coflows", "negative-demand-scale", "zero-scale"],
     )
-    def test_bad_knob_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+    def test_bad_knob_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, argv, message
+    ):
         trace = tmp_path / "trace.json"
         argv = [arg.format(out=trace) for arg in argv]
         assert main(argv, out=io.StringIO()) == 2
@@ -227,6 +271,8 @@ class TestCliCommands:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not trace.exists()
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "content", [None, "[1, 2]", "not json"], ids=["missing", "list", "not-json"]

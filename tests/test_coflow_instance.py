@@ -7,6 +7,7 @@ from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance, TransmissionModel
 from repro.network.topologies import line_topology, paper_example_topology
+from repro.workloads.traces import load_instance, save_trace
 
 
 def simple_instance(model=TransmissionModel.FREE_PATH) -> CoflowInstance:
@@ -162,9 +163,12 @@ class TestInstanceTransformations:
         assert sub.num_coflows == 1
         assert sub.coflows[0].name == "B"
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
+        # save_trace envelopes to_dict(): {"kind": "instance", "data": ...}.
         inst = simple_instance()
-        restored = CoflowInstance.from_dict(inst.to_dict())
+        path = tmp_path / "instance.json"
+        save_trace(inst, path)
+        restored = load_instance(path)
         assert restored.num_coflows == inst.num_coflows
         assert restored.num_flows == inst.num_flows
         assert restored.model is inst.model
@@ -175,6 +179,6 @@ class TestInstanceTransformations:
         inst = simple_instance()
         path = tmp_path / "instance.json"
         inst.save_json(path)
-        restored = CoflowInstance.load_json(path)
+        restored = load_instance(path)
         assert restored.num_flows == inst.num_flows
         assert restored.name == inst.name

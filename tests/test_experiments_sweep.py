@@ -1,13 +1,15 @@
-"""Resumable sharded sweeps: determinism, kill-and-resume, zero re-solves."""
+"""Resumable sweeps: determinism, kill-and-resume, zero re-solves."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
 
 import pytest
 
+import repro.api.batch as batch_module
 import repro.experiments.sweep as sweep_module
 from repro.api import SolverConfig, solve
 from repro.experiments.sweep import (
@@ -15,16 +17,22 @@ from repro.experiments.sweep import (
     SweepSpec,
     enumerate_units,
     run_sweep,
-    shard_units,
     sweep_status,
 )
 from repro.store import (
     ResultStore,
     canonical_payload_bytes,
+    instance_fingerprint,
     report_to_dict,
     result_key,
 )
 from repro.utils.retry import Backoff
+from repro.workloads.traces import TraceValidationError, save_trace
+
+
+#: tiny_spec's algorithms, and a mix of online and offline ones.
+OFFLINE = ("lp-heuristic", "fifo", "stretch")
+ONLINE = ("online-batch", "online-wsjf", "lp-heuristic")
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -40,10 +48,9 @@ def tiny_spec(**overrides) -> SweepSpec:
             )
             for seed in (1, 2)
         ),
-        algorithms=("lp-heuristic", "fifo", "stretch"),
+        algorithms=OFFLINE,
         config=SolverConfig(num_samples=2),
         seed=7,
-        num_shards=3,
     )
     defaults.update(overrides)
     return SweepSpec(**defaults)
@@ -64,7 +71,6 @@ class TestSpec:
         spec.save_json(path)
         loaded = SweepSpec.load_json(path)
         assert loaded == spec
-        assert loaded.sweep_id() == spec.sweep_id()
 
     def test_spec_rejects_live_rng(self):
         with pytest.raises(ValueError, match="rng must be None"):
@@ -76,6 +82,20 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown sweep config fields"):
             SweepSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epsilon", [0.2]), ("sed", 5), ("num_shards", 3)],
+        ids=["misspelt-axis", "misspelt-seed", "removed-field"],
+    )
+    def test_spec_rejects_unknown_fields(self, field, value):
+        # Each would otherwise run the default (uniform grid, seed 0).
+        data = tiny_spec().to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match="unknown sweep spec fields") as err:
+            SweepSpec.from_dict(data)
+        assert f"['{field}']" in str(err.value)
+        assert "'epsilons'" in str(err.value) and "'seed'" in str(err.value)
+
     def test_spec_rejects_empty_axes(self):
         with pytest.raises(ValueError):
             tiny_spec(instances=())
@@ -85,7 +105,7 @@ class TestSpec:
             tiny_spec(epsilons=())
 
 
-class TestUnitsAndSharding:
+class TestUnits:
     def test_unit_seeds_are_address_derived(self):
         spec = tiny_spec()
         instances = [ispec.build() for ispec in spec.instances]
@@ -107,16 +127,6 @@ class TestUnitsAndSharding:
         assert "terra" in algos and "fifo" in algos
         assert "jahanjou" not in algos  # single-path only
 
-    def test_sharding_is_deterministic_and_complete(self):
-        spec = tiny_spec()
-        instances = [ispec.build() for ispec in spec.instances]
-        units = enumerate_units(spec, instances)
-        for shards in (1, 2, 3, len(units), len(units) + 5):
-            chunks = shard_units(units, shards)
-            assert all(chunks)
-            flattened = [u.index for chunk in chunks for u in chunk]
-            assert flattened == list(range(len(units)))
-
 
 class TestRunSweep:
     def test_full_run_solves_every_unit(self, tmp_path):
@@ -129,20 +139,57 @@ class TestRunSweep:
         assert all(u.status == "solved" for u in result.units)
         assert all(u.objective is not None for u in result.units)
 
-    def test_interrupted_sweep_resumes_byte_identical(self, tmp_path):
-        """The acceptance criterion: kill mid-run, resume, identical bytes."""
-        spec = tiny_spec()
+    @pytest.mark.parametrize(
+        "algorithms,parallel",
+        [(OFFLINE, None), (ONLINE, None), (OFFLINE, 2)],
+        ids=["offline", "online", "offline-parallel"],
+    )
+    def test_interrupted_sweep_resumes_byte_identical(
+        self, tmp_path, monkeypatch, algorithms, parallel
+    ):
+        """The acceptance criterion: kill mid-run, resume, identical bytes.
+
+        A ``KeyboardInterrupt`` from the second unit solve of the second
+        (instance, ε) group must leave every unit of the first group in
+        the store, and none of the second.  With worker processes the
+        interrupt is raised in the worker (forked after the patch) and
+        re-raised by the pool.
+        """
+        if parallel and batch_module._effective_start_method() != "fork":
+            pytest.skip("the patched solve reaches forked workers only")
+        spec = tiny_spec(algorithms=algorithms)
         uninterrupted = run_sweep(spec, ResultStore(tmp_path / "a"))
 
+        real_solve = sweep_module.solve
+        second_group = (instance_fingerprint(spec.instances[1].build()), None)
+        solves = Counter()  # per process: a group's units share one worker
+
+        def interrupted_solve(instance, algorithm, *, config, lp_solution=None):
+            group = (instance_fingerprint(instance), config.epsilon)
+            solves[group] += 1
+            if group == second_group and solves[group] == 2:
+                raise KeyboardInterrupt
+            return real_solve(
+                instance, algorithm, config=config, lp_solution=lp_solution
+            )
+
+        monkeypatch.setattr(sweep_module, "solve", interrupted_solve)
         store = ResultStore(tmp_path / "b")
-        killed = run_sweep(spec, store, max_chunks=1)
-        assert not killed.complete
-        assert 0 < killed.solved < len(killed.units)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, store, parallel=parallel)
+        monkeypatch.undo()
+        first_group = [u for u in uninterrupted.units if u.instance_index == 0]
+        assert len(first_group) == len(algorithms)
+        assert store.keys() == sorted(u.key for u in first_group)
+        status = sweep_status(spec, store)
+        assert status["stored"] == len(first_group)
+        assert status["pending"] == len(uninterrupted.units) - len(first_group)
+        assert not status["complete"]
 
         resumed = run_sweep(spec, store)
         assert resumed.complete
-        assert resumed.hits == killed.solved
-        assert resumed.solved == len(resumed.units) - killed.solved
+        assert resumed.hits == len(first_group)
+        assert resumed.solved == len(resumed.units) - len(first_group)
         assert result_bytes(resumed) == result_bytes(uninterrupted)
 
     def test_completed_sweep_rerun_performs_zero_solves(self, tmp_path):
@@ -160,11 +207,17 @@ class TestRunSweep:
         assert result_bytes(warm) == result_bytes(run_sweep(spec, store))
 
     def test_one_lp_solve_per_instance(self, tmp_path, lp_solves):
-        # One chunk holds every unit, so each instance's LP consumers
-        # (lp-heuristic and stretch) read one shared solve.
+        # Each (instance, ε) group's LP consumers (lp-heuristic and
+        # stretch) read one shared solve.
         spec = tiny_spec()
-        run_sweep(spec, ResultStore(tmp_path / "store"), num_shards=1)
+        run_sweep(spec, ResultStore(tmp_path / "store"))
         assert len(lp_solves) == len(spec.instances)
+
+    def test_one_lp_solve_per_group(self, tmp_path, lp_solves):
+        spec = tiny_spec(epsilons=(None, 0.5))
+        result = run_sweep(spec, ResultStore(tmp_path / "store"))
+        groups = {(u.instance_index, u.epsilon) for u in result.units}
+        assert len(lp_solves) == len(groups) == 4
 
     def test_warm_rerun_solves_no_lp(self, tmp_path, lp_solves):
         spec = tiny_spec()
@@ -190,15 +243,7 @@ class TestRunSweep:
             stored = result.reports[unit.key]
             assert canonical_payload_bytes(report_to_dict(report)) == (
                 canonical_payload_bytes(stored)
-            ), unit.describe()
-
-    def test_shard_layout_never_changes_results(self, tmp_path):
-        spec = tiny_spec()
-        one = run_sweep(spec, ResultStore(tmp_path / "one"), num_shards=1)
-        many = run_sweep(
-            spec, ResultStore(tmp_path / "many"), num_shards=len(one.units)
-        )
-        assert result_bytes(one) == result_bytes(many)
+            ), unit
 
     def test_parallel_equals_serial(self, tmp_path):
         spec = tiny_spec()
@@ -209,26 +254,13 @@ class TestRunSweep:
         assert result_bytes(serial) == result_bytes(parallel)
 
     def test_epsilon_axis_produces_distinct_units(self, tmp_path):
-        spec = tiny_spec(
-            algorithms=("lp-heuristic",), epsilons=(None, 0.5), num_shards=2
-        )
+        spec = tiny_spec(algorithms=("lp-heuristic",), epsilons=(None, 0.5))
         store = ResultStore(tmp_path / "store")
         result = run_sweep(spec, store)
         assert result.complete
         assert len(result.units) == 2 * len(spec.instances)
         eps_values = {u.epsilon for u in result.units}
         assert eps_values == {None, 0.5}
-
-    def test_manifest_tracks_chunk_completion(self, tmp_path):
-        spec = tiny_spec()
-        store = ResultStore(tmp_path / "store")
-        run_sweep(spec, store, max_chunks=1)
-        manifest = store.get_manifest(spec.sweep_id())
-        assert manifest is not None
-        assert manifest["chunks"].count("complete") == 1
-        run_sweep(spec, store)
-        manifest = store.get_manifest(spec.sweep_id())
-        assert set(manifest["chunks"]) == {"complete"}
 
     def test_unknown_algorithm_fails_fast(self, tmp_path):
         spec = tiny_spec(algorithms=("lp-heuristic", "no-such-algo"))
@@ -240,12 +272,26 @@ class TestRunSweep:
         store = ResultStore(tmp_path / "store")
         before = sweep_status(spec, store)
         assert before["stored"] == 0 and not before["complete"]
-        run_sweep(spec, store, max_chunks=1)
+        # A store filled by another sweep that shares the first instance.
+        run_sweep(tiny_spec(instances=spec.instances[:1]), store)
         mid = sweep_status(spec, store)
-        assert 0 < mid["stored"] < mid["units"]
+        assert mid["stored"] == mid["pending"] == mid["units"] // 2
         run_sweep(spec, store)
         after = sweep_status(spec, store)
         assert after["complete"] and after["pending"] == 0
+
+    def test_custom_algorithm_falls_back_to_serial_with_a_warning(
+        self, tmp_path, monkeypatch, custom_algorithm
+    ):
+        monkeypatch.setattr(batch_module, "_effective_start_method", lambda: "spawn")
+        spec = tiny_spec(algorithms=("fifo", custom_algorithm))
+        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", None)  # no pool
+        with pytest.warns(
+            RuntimeWarning, match="not importable.*running serially"
+        ) as record:
+            result = run_sweep(spec, ResultStore(tmp_path / "store"), parallel=2)
+        assert record[0].filename == __file__  # names the caller's line
+        assert result.complete and result.solved == len(result.units) == 4
 
 
 class TestSweepCLI:
@@ -254,22 +300,33 @@ class TestSweepCLI:
         path.write_text(json.dumps(tiny_spec().to_dict()))
         return path
 
-    def test_cli_interrupt_resume_warm(self, tmp_path, capsys):
+    def test_cli_partial_store_resume_warm(self, tmp_path, capsys):
         from repro.cli import main
 
+        spec = tiny_spec()
         spec_path = str(self.write_spec(tmp_path))
+        first_path = tmp_path / "first.json"
+        first_path.write_text(
+            json.dumps(tiny_spec(instances=spec.instances[:1]).to_dict())
+        )
         store_dir = str(tmp_path / "store")
-        assert main(["sweep", spec_path, "--store", store_dir, "--max-chunks", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep incomplete" in out
+        assert main(["sweep", str(first_path), "--store", store_dir]) == 0
+        capsys.readouterr()
+
+        assert main(["sweep", spec_path, "--store", store_dir, "--status"]) == 0
+        assert capsys.readouterr().out == (
+            "sweep test-sweep: 3/6 units stored, 3 pending, 0 failed (incomplete)\n"
+        )
 
         assert main(["sweep", spec_path, "--store", store_dir]) == 0
-        out = capsys.readouterr().out
-        assert "pending 0" in out
+        lines = capsys.readouterr().out.splitlines()
+        sources = [line.split()[-1] for line in lines[2:8]]
+        assert sources == ["hit"] * 3 + ["solved"] * 3
+        assert lines[8].startswith("units 6: hit 3, solved 3, failed 0 (")
+        assert len(lines) == 9  # no "sweep incomplete" line
 
         assert main(["sweep", spec_path, "--store", store_dir]) == 0
-        out = capsys.readouterr().out
-        assert "solved 0" in out and "pending 0" in out
+        assert "hit 6, solved 0, failed 0" in capsys.readouterr().out
 
         assert main(["sweep", spec_path, "--store", store_dir, "--status"]) == 0
         assert "(complete)" in capsys.readouterr().out
@@ -281,15 +338,37 @@ class TestSweepCLI:
         bad.write_text("{}")
         assert main(["sweep", str(bad), "--store", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("topology", "star", "unknown topology 'star'; expected one of 'swan'"),
+            ("profile", "SPEC2006", "unknown workload 'SPEC2006'; expected one of"),
+        ],
+        ids=["unknown-topology", "unknown-profile"],
+    )
+    @pytest.mark.parametrize("status", [False, True], ids=["run", "status"])
+    def test_cli_unknown_name_is_one_unquoted_error_line(
+        self, tmp_path, capsys, field, value, message, status
+    ):
+        from repro.cli import main
+
+        instance = InstanceSpec(
+            topology="paper-example", profile="FB", num_coflows=2
+        )
+        spec = tiny_spec(
+            instances=(dataclasses.replace(instance, **{field: value}),)
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        argv = ["sweep", str(path), "--store", str(tmp_path / "s")]
+        assert main(argv + ["--status"] * status) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and '"' not in err
+
 
 class TestReviewRegressions:
     """Fixes from review: identity, address-derived seeds, CLI errors."""
-
-    def test_sweep_id_ignores_num_shards(self):
-        a = tiny_spec(num_shards=3)
-        b = tiny_spec(num_shards=8)
-        assert a.sweep_id() == b.sweep_id()
-        assert a.sweep_id() != tiny_spec(seed=8).sweep_id()
 
     def test_unit_keys_survive_instance_reordering(self):
         base = tiny_spec()
@@ -343,6 +422,29 @@ class TestReviewRegressions:
         ) == 2
 
 
+class TestTraceInstances:
+    """Trace instances are read by the one instance-file reader."""
+
+    def test_enveloped_trace_shares_the_bare_files_units(self, tmp_path):
+        instance = tiny_spec().instances[0].build()
+        bare, enveloped = tmp_path / "bare.json", tmp_path / "enveloped.json"
+        instance.save_json(bare)
+        save_trace(instance, enveloped)  # {"kind": "instance", "data": ...}
+        store = ResultStore(tmp_path / "store")
+        first = run_sweep(tiny_spec(instances=(InstanceSpec(trace=str(bare)),)), store)
+        second = run_sweep(
+            tiny_spec(instances=(InstanceSpec(trace=str(enveloped)),)), store
+        )
+        assert [u.key for u in second.units] == [u.key for u in first.units]
+        assert second.hits == len(second.units) == 3
+
+    def test_coflow_only_trace_is_an_error(self, tmp_path):
+        path = tmp_path / "coflows.json"
+        save_trace(list(tiny_spec().instances[0].build().coflows), path)
+        with pytest.raises(TraceValidationError, match="no network"):
+            InstanceSpec(trace=str(path)).build()
+
+
 class TestFailureDiscipline:
     """Poison units are quarantined as failure records, never raised."""
 
@@ -386,9 +488,6 @@ class TestFailureDiscipline:
         assert record["attempts"] == 2  # retries=1 -> two attempts
         assert record["key"] == result.units[0].key
         assert "traceback" in record
-        # Failed chunks are named in the manifest, not hidden.
-        manifest = store.get_manifest(spec.sweep_id())
-        assert set(manifest["chunks"]) == {"failed"}
 
     def test_failed_units_are_retried_on_rerun_and_cleared(
         self, tmp_path, monkeypatch

@@ -1,6 +1,6 @@
 """The online scheduling algorithms: the batching event loop, the priority
 policies, the ``repro online`` command, registry integration, store
-round-trips and resumable online sweeps."""
+round-trips and warm online sweeps."""
 
 import io
 import json
@@ -18,7 +18,7 @@ from repro.network.topologies import parallel_edges_topology, swan_topology
 from repro.online import batching_schedule, resolve_priority
 from repro.online.engine import _epoch_index
 from repro.scenarios.engine import build_scenario
-from repro.store import ResultStore, canonical_payload_bytes, report_to_dict
+from repro.store import ResultStore, report_to_dict
 from repro.workloads.generator import random_instance
 from repro.workloads.traces import load_trace, save_trace
 
@@ -388,7 +388,7 @@ class TestOnlineStoreRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# resumable online sweeps (the acceptance criterion)
+# online sweeps (resuming one: tests/test_experiments_sweep.py)
 # --------------------------------------------------------------------------- #
 def online_sweep_spec() -> SweepSpec:
     return SweepSpec(
@@ -406,31 +406,10 @@ def online_sweep_spec() -> SweepSpec:
         algorithms=("online-batch", "online-wsjf", "lp-heuristic"),
         config=SolverConfig(num_samples=2),
         seed=7,
-        num_shards=3,
     )
 
 
-def result_bytes(result) -> dict:
-    return {
-        unit.key: canonical_payload_bytes(result.reports[unit.key])
-        for unit in result.units
-    }
-
-
 class TestOnlineSweeps:
-    def test_interrupted_online_sweep_resumes_byte_identical(self, tmp_path):
-        spec = online_sweep_spec()
-        cold = ResultStore(tmp_path / "cold")
-        uninterrupted = run_sweep(spec, cold)
-        assert uninterrupted.complete
-
-        store = ResultStore(tmp_path / "killed")
-        killed = run_sweep(spec, store, max_chunks=1)
-        assert not killed.complete
-        resumed = run_sweep(spec, store)
-        assert resumed.complete
-        assert result_bytes(resumed) == result_bytes(uninterrupted)
-
     def test_warm_online_rerun_performs_zero_solves(self, tmp_path):
         spec = online_sweep_spec()
         store = ResultStore(tmp_path / "store")

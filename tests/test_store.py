@@ -194,12 +194,6 @@ class TestResultStore:
         ]
         assert leftovers == []
 
-    def test_manifest_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        assert store.get_manifest("deadbeef") is None
-        store.put_manifest("deadbeef", {"chunks": ["complete"]})
-        assert store.get_manifest("deadbeef") == {"chunks": ["complete"]}
-
 
 # --------------------------------------------------------------------------- #
 # canonical payload bytes

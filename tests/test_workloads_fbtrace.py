@@ -168,6 +168,13 @@ class TestTraceValidation:
         with pytest.raises(TraceValidationError, match="trace row 1"):
             load_trace(path)
 
+    def test_non_object_flow_is_a_malformed_row(self, tmp_path):
+        # Flow.from_dict calls data.get: a bare number raised AttributeError.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "coflows", "data": [{"flows": [5]}]}))
+        with pytest.raises(TraceValidationError, match="trace row 0"):
+            load_trace(path)
+
     def test_negative_size_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         row = Coflow([Flow("a", "b", 1.0)]).to_dict()
